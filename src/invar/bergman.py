@@ -11,10 +11,9 @@ expansion.  The adjoint acts termwise by the calibrated reordering rule
 
     (c z^g d^d t^-j)* = conj(c) * sum_k C(g,k) C(d,k) k! z^(d-k) d^(g-k) t^-j'
 
-with j' = j + |g| - |d|; the sign pattern (here: all plus) was fixed by
-matching the curvature anchors, see the sign-pattern tests.  Every
-non-identity adjoint term sits at t-order <= -1, so the inverse is a finite
-geometric sum.  Multiplying left to right can only raise the accumulated
+with j' = j + |g| - |d| and every sign plus, as the curvature anchors and
+the sign test require.  Every non-identity adjoint term sits at t-order
+<= -1, so the inverse is a finite geometric sum.  Multiplying left to right can only raise the accumulated
 z-degree, so only zero-z-degree states are kept; the j-th coefficient is
 the zero-state value at t-order -j, and the weight grading of the ring
 checks it comes out homogeneous.
@@ -26,10 +25,10 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+from .combinat import perm_sign
 from .rings import GaussRing
 
 __all__ = [
-    "SIGN_BITS",
     "multiplication_terms",
     "build_A",
     "adjoint",
@@ -37,9 +36,6 @@ __all__ = [
     "neumann_invert",
     "bergman_coefficients",
 ]
-
-# (a, b, c, d) exponent bits of (-1)^(a|g| + b|d| + c|k| + d j'); calibrated
-SIGN_BITS = (0, 0, 0, 0)
 
 
 def _zero_key(n):
@@ -116,7 +112,7 @@ def build_A(pot, jmax):
             prod = convolve(prod, entries[a][perm[a]], ring, n, jmax)
             if not prod:
                 break
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         for key, v in prod.items():
             _add_term(det, key, v if sign > 0 else ring.neg(v), ring)
     mult = multiplication_terms(pot)
@@ -130,23 +126,6 @@ def build_A(pot, jmax):
         for key, v in power.items():
             _add_term(expo, key, v, ring)
     return convolve(det, expo, ring, n, jmax)
-
-
-def _perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def weyl_multiply(t1, t2, ring, n, jmax=None):
@@ -176,7 +155,7 @@ def weyl_multiply(t1, t2, ring, n, jmax=None):
     return out
 
 
-def adjoint(terms, ring, n, jprime_cap, sign_bits=SIGN_BITS):
+def adjoint(terms, ring, n, jprime_cap):
     """Termwise adjoint of a normal-ordered symbol.
 
     In the linear theory (degree cap 1) A is 1 - H t + tr(g - 1), and after
@@ -189,7 +168,6 @@ def adjoint(terms, ring, n, jprime_cap, sign_bits=SIGN_BITS):
     The -1/m! part is the adjoint of -H t, the +m/m! part that of the trace,
     so the m = 1 rung vanishes and every rung keeps t-order |b| - 1.
     """
-    sa, sb, sc, sd = sign_bits
     out: dict = {}
     for (g, d, j), v in terms.items():
         jp = j + sum(g) - sum(d)
@@ -201,9 +179,6 @@ def adjoint(terms, ring, n, jprime_cap, sign_bits=SIGN_BITS):
             mult = 1
             for ga, da, ka in zip(g, d, kappa):
                 mult *= comb(ga, ka) * comb(da, ka) * factorial(ka)
-            exp = sa * sum(g) + sb * sum(d) + sc * sum(kappa) + sd * jp
-            if exp % 2:
-                mult = -mult
             key = (
                 tuple(x - y for x, y in zip(d, kappa)),
                 tuple(x - y for x, y in zip(g, kappa)),
@@ -237,7 +212,7 @@ def neumann_invert(terms, ring, n, jmax):
     return out
 
 
-def bergman_coefficients(pot, jmax, sign_bits=SIGN_BITS):
+def bergman_coefficients(pot, jmax):
     """Exact expansion coefficients [a_0 .. a_jmax]; each comes out
     homogeneous of its own weight, asserted through the ring grading."""
     n = pot.n
@@ -245,7 +220,7 @@ def bergman_coefficients(pot, jmax, sign_bits=SIGN_BITS):
     if isinstance(ring, GaussRing):
         raise ValueError("kernel runs need a graded or symbolic ring")
     A = build_A(pot, jmax)
-    Astar = adjoint(A, ring, n, jmax, sign_bits)
+    Astar = adjoint(A, ring, n, jmax)
     E = dict(Astar)
     ident = _zero_key(n)
     _add_term(E, ident, ring.neg(ring.one), ring)
@@ -273,7 +248,7 @@ def bergman_coefficients(pot, jmax, sign_bits=SIGN_BITS):
                 nb = tuple(bi - ci + di for bi, ci, di in zip(b, cz, dd))
                 contrib = ring.scale(ring.mul(xv, ev), -mult)
                 if not ring.is_zero(contrib):
-                    _add_state(Xn, (nb, nj), contrib, ring)
+                    _add_term(Xn, (nb, nj), contrib, ring)
         X = Xn
         if not X:
             break
@@ -291,11 +266,3 @@ def bergman_coefficients(pot, jmax, sign_bits=SIGN_BITS):
             )
         out.append(comps.get(2 * j, ring.zero))
     return out
-
-
-def _add_state(states, key, value, ring):
-    s = ring.add(states.get(key, ring.zero), value)
-    if ring.is_zero(s):
-        states.pop(key, None)
-    else:
-        states[key] = s

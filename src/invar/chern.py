@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .invariants import Invariant, monomial_invariant
+from .combinat import perm_sign
+from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
 
 __all__ = [
@@ -75,25 +76,8 @@ def chern_invariant(p) -> Invariant:
         for i in range(sigma):
             edges[i][succ[i]] += 1
             edges[i][tau[i]] += 1
-        terms.append((ContractionMonomial(PHI, edges), _perm_sign(tau)))
+        terms.append((ContractionMonomial(PHI, edges), perm_sign(tau)))
     return Invariant(PHI, (0, 0), terms)
-
-
-def _perm_sign(tau):
-    sign = 1
-    seen = [False] * len(tau)
-    for i in range(len(tau)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = tau[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def chern_basis(sigma: int):

@@ -3,8 +3,8 @@
 Subcommands: canon, decompose, chern, bergman, oracle, and verify with a
 handful of named checks.  Machine-readable output goes to stdout (JSON, or
 JSON-lines reports with fields check/status/lhs/rhs/dim/seed); the human
-summary goes to stderr.  Exit codes: 0 success, 1 verification failure or a
-not-co-exact input, 2 malformed input.
+summary goes to stderr.  Exit codes: 0 success, 1 verification failure, a
+not-co-exact input or no witness under the restriction, 2 malformed input.
 
 Set INVAR_TRUNCATION_AUDIT=1 to re-run kernel computations with enlarged
 series caps and fail if any value moves.
@@ -31,6 +31,7 @@ from .monomials import PHI
 from .rationals import GaussRat
 from .rings import GaussRing, GradedRing
 from .solver import (
+    InfeasibleError,
     NotCoexactError,
     decompose,
     random_coexact_invariant,
@@ -162,6 +163,17 @@ def _load_invariant(path) -> Invariant:
         raise InputError(f"bad invariant in {path}: {exc}") from exc
 
 
+def _load_potential(path, dim) -> Potential:
+    d = _load_json(path)
+    try:
+        pot = Potential.from_json_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad potential in {path}: {exc!r}") from exc
+    if pot.n != dim:
+        raise InputError(f"--dim {dim} but potential file has n={pot.n}")
+    return pot
+
+
 def _load_restriction(path):
     if path is None:
         return None
@@ -206,6 +218,11 @@ def cmd_decompose(args):
     restriction = _load_restriction(args.restrict)
     try:
         dec = decompose(inv, restriction)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    except InfeasibleError as exc:
+        sys.stderr.write(f"no witness: {exc}\n")
+        return 1
     except NotCoexactError as exc:
         sys.stderr.write(f"not co-exact: {exc}\n")
         if exc.residue is not None:
@@ -261,23 +278,13 @@ def cmd_oracle(args):
 
 def cmd_bergman(args):
     order = args.order
-    if args.symbolic:
-        pot = Potential.symbolic(args.dim, order)
-    elif args.fubini_study:
-        pot = Potential.graded_numeric(
-            args.dim, fubini_study_jets(args.dim, 2 * order + 2), order
-        )
-    else:
-        if not args.potential:
-            raise InputError("need --potential, --symbolic, or --fubini-study")
-        raw = Potential.from_json_dict(_load_json(args.potential))
-        if raw.n != args.dim:
-            raise InputError(f"--dim {args.dim} but potential file has n={raw.n}")
-        pot = Potential.graded_numeric(raw.n, raw.jets, order)
+    raw = None
+    if not (args.symbolic or args.fubini_study):
+        raw = _load_potential(args.potential, args.dim)
+    pot = _kernel_potential(args, raw, order)
     coeffs = bergman_coefficients(pot, order)
     if audit_enabled():
-        wider = _widened_potential(args, order)
-        again = bergman_coefficients(wider, order)
+        again = bergman_coefficients(_kernel_potential(args, raw, order + 1), order)
         if again != coeffs:
             sys.stderr.write("truncation audit FAILED: values moved with the cap\n")
             return 1
@@ -297,15 +304,16 @@ def cmd_bergman(args):
     return 0
 
 
-def _widened_potential(args, order):
+def _kernel_potential(args, raw, weight):
+    """The bergman input at the given weight cap; raw is the loaded
+    --potential file when neither built-in family is selected."""
     if args.symbolic:
-        return Potential.symbolic(args.dim, order + 1)
+        return Potential.symbolic(args.dim, weight)
     if args.fubini_study:
         return Potential.graded_numeric(
-            args.dim, fubini_study_jets(args.dim, 2 * order + 4), order + 1
+            args.dim, fubini_study_jets(args.dim, 2 * weight + 2), weight
         )
-    raw = Potential.from_json_dict(_load_json(args.potential))
-    return Potential.graded_numeric(raw.n, raw.jets, order + 1)
+    return Potential.graded_numeric(raw.n, raw.jets, weight)
 
 
 # -- verify suites ------------------------------------------------------------

@@ -1,0 +1,34 @@
+"""Small combinatorial helpers shared by the kernel and monomial pipelines."""
+
+from __future__ import annotations
+
+__all__ = ["compositions", "perm_sign"]
+
+
+def compositions(total, parts):
+    """Tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order; seeded jet draws index into this order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def perm_sign(perm):
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign

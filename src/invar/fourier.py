@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .invariants import Invariant
 from .monomials import PHI
-from .rationals import GR_ZERO, GaussRat, as_fraction
+from .rationals import GR_ZERO, GaussRat, as_gauss
 
 __all__ = ["FourierFunction", "pairing", "eval_integral", "random_phi"]
 
@@ -40,8 +40,7 @@ class FourierFunction:
             mode = tuple(int(v) for v in mode)
             if len(mode) != 2 * n:
                 raise ValueError(f"mode {mode} is not a length-{2*n} vector")
-            if not isinstance(c, GaussRat):
-                c = GaussRat(as_fraction(c))
+            c = as_gauss(c)
             if c:
                 clean[mode] = c
         self.coeffs = clean

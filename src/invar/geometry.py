@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import factorial
 
+from .combinat import perm_sign
 from .series import ScalarSeries
 
 __all__ = [
@@ -235,14 +237,14 @@ class CurvaturePackage:
             .sub(self.ricci_norm2().scale(4))
             .add(self.S.mul(self.S).scale(8))
         )
+        DY = covariant_derivative(
+            ComponentTensor(self, "ha", {(a, f): Y[a][f] for a in rng for f in rng}),
+            "hol",
+        )
         Q = []
         for a in rng:
             covY = _sum_series(
-                self.Ginv[f][d].mul(
-                    Y[a][f]
-                    .d_hol(d)
-                    .sub(_sum_series(self.Gamma[e][d][a].mul(Y[e][f]) for e in rng))
-                )
+                self.Ginv[f][d].mul(DY.component((d, a, f)))
                 for d in rng
                 for f in rng
             )
@@ -328,10 +330,7 @@ def todd_gammas(jmax):
     """Coefficients of log(x / (e^x - 1)) through degree jmax, exactly."""
     u = [Fraction(0)] * (jmax + 1)
     for k in range(1, jmax + 1):
-        f = 1
-        for m in range(2, k + 2):
-            f *= m
-        u[k] = Fraction(1, f)
+        u[k] = Fraction(1, factorial(k + 1))
     log = [Fraction(0)] * (jmax + 1)
     power = [Fraction(0)] * (jmax + 1)
     power[0] = Fraction(1)
@@ -365,7 +364,7 @@ def todd_contraction(R0, n, partition, ring):
         start += part
     total = ring.zero
     for tau in itertools.permutations(range(j)):
-        sign = _perm_sign_tuple(tau)
+        sign = perm_sign(tau)
         for a in itertools.product(range(n), repeat=j):
             for c in itertools.product(range(n), repeat=j):
                 v = ring.one
@@ -379,23 +378,6 @@ def todd_contraction(R0, n, partition, ring):
                     continue
                 total = ring.add(total, v if sign > 0 else ring.neg(v))
     return total
-
-
-def _perm_sign_tuple(tau):
-    seen = [False] * len(tau)
-    sign = 1
-    for i in range(len(tau)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = tau[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def todd_polynomial(pot, j, extra=0):
@@ -420,19 +402,12 @@ def todd_polynomial(pot, j, extra=0):
         for part in partition:
             counts[part] = counts.get(part, 0) + 1
         for m, r in counts.items():
-            coeff *= gam[m] ** r / _fact(r)
+            coeff *= gam[m] ** r / factorial(r)
         if not coeff:
             continue
         contr = todd_contraction(R0, n, partition, ring)
         total = ring.add(total, ring.scale(contr, coeff))
     return total
-
-
-def _fact(k):
-    out = 1
-    for m in range(2, k + 1):
-        out *= m
-    return out
 
 
 NAMED_SCALARS = (

@@ -41,9 +41,19 @@ class Invariant:
                 collected[mono] = new
             else:
                 del collected[mono]
+        self._fill(kind, valence, collected)
+
+    @classmethod
+    def _raw(cls, kind, valence, terms):
+        """Wrap terms that are already canonical, collected and nonzero."""
+        out = cls.__new__(cls)
+        out._fill(kind, valence, terms)
+        return out
+
+    def _fill(self, kind, valence, terms):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "valence", valence)
-        object.__setattr__(self, "terms", collected)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Invariant is immutable")
@@ -109,11 +119,7 @@ class Invariant:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        out = Invariant.__new__(Invariant)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(out, "valence", self.valence)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Invariant._raw(self.kind, self.valence, terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -126,13 +132,8 @@ class Invariant:
 
     def scale(self, c) -> "Invariant":
         c = as_fraction(c)
-        out = Invariant.__new__(Invariant)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(out, "valence", self.valence)
-        object.__setattr__(
-            out, "terms", {m: c * v for m, v in self.terms.items()} if c else {}
-        )
-        return out
+        terms = {m: c * v for m, v in self.terms.items()} if c else {}
+        return Invariant._raw(self.kind, self.valence, terms)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -141,13 +142,8 @@ class Invariant:
 
     def filter(self, predicate) -> "Invariant":
         """Sublinear combination of the terms whose monomial satisfies predicate."""
-        out = Invariant.__new__(Invariant)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(out, "valence", self.valence)
-        object.__setattr__(
-            out, "terms", {m: c for m, c in self.terms.items() if predicate(m)}
-        )
-        return out
+        terms = {m: c for m, c in self.terms.items() if predicate(m)}
+        return Invariant._raw(self.kind, self.valence, terms)
 
     # -- multiplicative and symmetry structure -------------------------------
 

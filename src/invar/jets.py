@@ -16,8 +16,10 @@ symbolic potential of a given weight.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
-from .rationals import GaussRat, as_fraction, format_fraction, parse_fraction
+from .combinat import compositions
+from .rationals import GaussRat, as_gauss, format_fraction, parse_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
 
@@ -63,7 +65,7 @@ class Potential:
     def numeric(cls, n, raw_jets):
         """Plain Gaussian-rational coefficients; raw values as GaussRat."""
         ring = GaussRing()
-        return cls(n, ring, {k: _gauss(v) for k, v in raw_jets.items()})
+        return cls(n, ring, {k: as_gauss(v) for k, v in raw_jets.items()})
 
     @classmethod
     def graded_numeric(cls, n, raw_jets, weight_cap):
@@ -72,7 +74,7 @@ class Potential:
         jets = {}
         for key, v in raw_jets.items():
             key = _check_key(key, n)
-            jets[key] = ring.graded(symbol_grade(key), _gauss(v))
+            jets[key] = ring.graded(symbol_grade(key), v)
         return cls(n, ring, jets)
 
     @classmethod
@@ -123,28 +125,13 @@ class Potential:
         return cls.numeric(n, raw)
 
 
-def _gauss(v):
-    if isinstance(v, GaussRat):
-        return v
-    return GaussRat(as_fraction(v))
-
-
-def _multi_indices(n, total):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multi_indices(n - 1, total - first):
-            yield (first,) + rest
-
-
 def jet_keys_up_to_grade(n, grade_cap):
     """All normal-form jet index pairs with doubled weight <= grade_cap."""
     out = []
     for ka in range(2, grade_cap + 1):
         for kb in range(2, grade_cap + 3 - ka):
-            for alpha in _multi_indices(n, ka):
-                for beta in _multi_indices(n, kb):
+            for alpha in compositions(ka, n):
+                for beta in compositions(kb, n):
                     out.append((alpha, beta))
     return out
 
@@ -153,24 +140,10 @@ def fubini_study_jets(n, max_order) -> dict:
     """Jets of log(1 + |z|^2) - |z|^2 through the given total order."""
     jets = {}
     for k in range(2, max_order // 2 + 1):
-        c = Fraction((-1) ** (k - 1)) * _factorial(k - 1)
-        for alpha in _multi_indices(n, k):
-            jets[(alpha, alpha)] = GaussRat(c / _factorial_multi(alpha))
+        c = Fraction((-1) ** (k - 1)) * factorial(k - 1)
+        for alpha in compositions(k, n):
+            jets[(alpha, alpha)] = GaussRat(c / prod(map(factorial, alpha)))
     return jets
-
-
-def _factorial(k):
-    out = 1
-    for m in range(2, k + 1):
-        out *= m
-    return out
-
-
-def _factorial_multi(alpha):
-    out = 1
-    for v in alpha:
-        out *= _factorial(v)
-    return out
 
 
 def random_hermitian_jets(n, weight_cap, rng, terms=6, coeff_bound=3) -> dict:

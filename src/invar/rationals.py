@@ -23,6 +23,12 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def as_gauss(x) -> "GaussRat":
+    if isinstance(x, GaussRat):
+        return x
+    return GaussRat(x)
+
+
 class GaussRat:
     """A Gaussian rational ``re + im*i`` with exact Fraction parts."""
 

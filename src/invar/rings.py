@@ -20,17 +20,9 @@ know which representation it is holding.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .rationals import GR_ONE, GR_ZERO, GaussRat, as_fraction
+from .rationals import GR_ONE, GR_ZERO, as_gauss
 
 __all__ = ["GaussRing", "GradedRing", "SymbolicRing", "symbol_grade"]
-
-
-def _coerce(c):
-    if isinstance(c, GaussRat):
-        return c
-    return GaussRat(as_fraction(c))
 
 
 def symbol_grade(key) -> int:
@@ -53,9 +45,6 @@ class GaussRing:
     def __hash__(self):
         return hash(GaussRing)
 
-    def from_fraction(self, c):
-        return _coerce(c)
-
     def add(self, x, y):
         return x + y
 
@@ -69,7 +58,7 @@ class GaussRing:
         return x * y
 
     def scale(self, x, c):
-        return x * _coerce(c)
+        return x * as_gauss(c)
 
     def conj(self, x):
         return x.conjugate()
@@ -77,55 +66,79 @@ class GaussRing:
     def is_zero(self, x):
         return not x
 
+
+class _DictRing:
+    """Linear structure shared by the graded rings: an element is a dict from
+    a key (a grade, or a symbol monomial) to a nonzero Gaussian rational.
+    Subclasses supply mul, conj, _params (what equality compares) and
+    _grade (the doubled weight of a key)."""
+
+    __slots__ = ()
+
+    zero: dict = {}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._params() == self._params()
+
+    def __hash__(self):
+        return hash((type(self), self._params()))
+
+    def add(self, x, y):
+        out = dict(x)
+        for k, c in y.items():
+            s = out.get(k, GR_ZERO) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
+
+    def neg(self, x):
+        return {k: -c for k, c in x.items()}
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def scale(self, x, c):
+        c = as_gauss(c)
+        if not c:
+            return {}
+        return {k: v * c for k, v in x.items()}
+
+    def is_zero(self, x):
+        return not x
+
     def split_grades(self, x):
-        return {0: x} if x else {}
+        out: dict = {}
+        for k, c in x.items():
+            out.setdefault(self._grade(k), {})[k] = c
+        return out
 
 
-class GradedRing:
+class GradedRing(_DictRing):
     """Gaussian rationals tagged with doubled jet weight; capped products."""
 
     __slots__ = ("cap",)
 
-    zero: dict = {}
-
     def __init__(self, cap):
         self.cap = cap
 
-    def __eq__(self, other):
-        return type(other) is GradedRing and other.cap == self.cap
+    def _params(self):
+        return (self.cap,)
 
-    def __hash__(self):
-        return hash((GradedRing, self.cap))
+    @staticmethod
+    def _grade(g):
+        return g
 
     @property
     def one(self):
         return {0: GR_ONE}
 
-    def from_fraction(self, c):
-        c = _coerce(c)
-        return {0: c} if c else {}
-
     def graded(self, grade, c):
-        c = _coerce(c)
+        c = as_gauss(c)
         if not c or grade > self.cap:
             return {}
         return {grade: c}
-
-    def add(self, x, y):
-        out = dict(x)
-        for g, c in y.items():
-            s = out.get(g, GR_ZERO) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return out
-
-    def neg(self, x):
-        return {g: -c for g, c in x.items()}
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
         out: dict = {}
@@ -141,26 +154,11 @@ class GradedRing:
                     out.pop(g, None)
         return out
 
-    def scale(self, x, c):
-        c = _coerce(c)
-        if not c:
-            return {}
-        return {g: v * c for g, v in x.items()}
-
     def conj(self, x):
         return {g: c.conjugate() for g, c in x.items()}
 
-    def is_zero(self, x):
-        return not x
 
-    def split_grades(self, x):
-        return {g: {g: c} for g, c in x.items()}
-
-    def component(self, x, grade):
-        return x.get(grade, GR_ZERO)
-
-
-class SymbolicRing:
+class SymbolicRing(_DictRing):
     """Polynomials in formal jet symbols (alpha, beta), capped by grade and degree.
 
     A monomial is a sorted tuple of (symbol, exponent) pairs; conjugation
@@ -170,29 +168,16 @@ class SymbolicRing:
 
     __slots__ = ("cap", "degree_cap")
 
-    zero: dict = {}
-
     def __init__(self, cap, degree_cap=None):
         self.cap = cap
         self.degree_cap = degree_cap
 
-    def __eq__(self, other):
-        return (
-            type(other) is SymbolicRing
-            and other.cap == self.cap
-            and other.degree_cap == self.degree_cap
-        )
-
-    def __hash__(self):
-        return hash((SymbolicRing, self.cap, self.degree_cap))
+    def _params(self):
+        return (self.cap, self.degree_cap)
 
     @property
     def one(self):
         return {(): GR_ONE}
-
-    def from_fraction(self, c):
-        c = _coerce(c)
-        return {(): c} if c else {}
 
     def symbol(self, key):
         alpha, beta = key
@@ -205,25 +190,11 @@ class SymbolicRing:
     def monomial_grade(mono):
         return sum(symbol_grade(s) * e for s, e in mono)
 
+    _grade = monomial_grade
+
     @staticmethod
     def monomial_degree(mono):
         return sum(e for _, e in mono)
-
-    def add(self, x, y):
-        out = dict(x)
-        for m, c in y.items():
-            s = out.get(m, GR_ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return out
-
-    def neg(self, x):
-        return {m: -c for m, c in x.items()}
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
         out: dict = {}
@@ -250,27 +221,9 @@ class SymbolicRing:
                     out.pop(m, None)
         return out
 
-    def scale(self, x, c):
-        c = _coerce(c)
-        if not c:
-            return {}
-        return {m: v * c for m, v in x.items()}
-
     def conj(self, x):
         out = {}
         for m, c in x.items():
             m2 = tuple(sorted((((s[1], s[0]), e) for s, e in m)))
             out[m2] = c.conjugate()
         return out
-
-    def is_zero(self, x):
-        return not x
-
-    def split_grades(self, x):
-        out: dict = {}
-        for m, c in x.items():
-            out.setdefault(self.monomial_grade(m), {})[m] = c
-        return out
-
-    def component(self, x, grade):
-        return {m: c for m, c in x.items() if self.monomial_grade(m) == grade}

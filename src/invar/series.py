@@ -143,22 +143,6 @@ class ScalarSeries:
         c = rest.pop((zero, zero), None)
         return c, self._like(self.cap, rest)
 
-    def reciprocal(self):
-        """1/self for series with constant term one; geometric sum."""
-        c, x = self._nonconstant()
-        if c != self.ring.one:
-            raise ValueError("reciprocal needs constant term one")
-        out = ScalarSeries.one(self.ring, self.n, self.cap)
-        power = ScalarSeries.one(self.ring, self.n, self.cap)
-        sign = 1
-        for _ in range(self.cap):
-            power = power.mul(x)
-            if not power:
-                break
-            sign = -sign
-            out = out.add(power if sign > 0 else power.neg())
-        return out
-
     def log(self):
         """log(self) for series with constant term one."""
         from fractions import Fraction

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .calculus import divergence, integrates_to_zero, local_divergence
 from .chern import chern_invariant, partitions_of
+from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
 from .monomials import PHI, ContractionMonomial, _check_restriction
@@ -92,22 +93,13 @@ def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0), kind=PHI):
     restriction = _check_restriction(restriction, sigma)
     p, q = valence
     out = set()
-    for free_hol in _compositions(p, sigma):
-        for free_anti in _compositions(q, sigma):
+    for free_hol in compositions(p, sigma):
+        for free_anti in compositions(q, sigma):
             for edges in _edge_matrices(w, sigma):
                 mono = ContractionMonomial(kind, edges, free_hol, free_anti)
                 if mono.is_acceptable(restriction):
                     out.add(mono.canonical())
     return sorted(out, key=lambda m: m.sort_key())
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _edge_matrices(w, sigma):
@@ -152,9 +144,8 @@ def _column_space(w, sigma, restriction):
             r = rows.setdefault(m, len(rows))
             col[r] = c
         columns.append(col)
-    # row map must be complete before sizing the system; target monomials not
-    # reachable by any generator get fresh rows when the rhs is built, so
-    # reserve them lazily via the shared dict
+    # the row map is final once built: a target monomial outside it makes the
+    # block infeasible, so solving never grows the cached system
     entry = {
         "rows": rows,
         "chern": [p for p, _ in chern_gens],
@@ -169,8 +160,10 @@ def _column_space(w, sigma, restriction):
 def decompose(inv: Invariant, restriction=None) -> Decomposition:
     """Witness decomposition of a co-exact scalar phi-invariant.
 
-    Raises NotCoexactError when the formal integral test fails and
-    InfeasibleError when no witness exists over the generated columns.
+    Raises NotCoexactError when the formal integral test fails,
+    InfeasibleError when no witness exists over the generated columns, and
+    ValueError on a non-scalar or psi input or a restriction list whose
+    length is not a block's factor count.
     """
     if inv.kind != PHI:
         raise ValueError("decompose expects a phi-invariant")
@@ -199,16 +192,13 @@ def _decompose_block(block, w, sigma, restriction, result):
     rl = _check_restriction(restriction, sigma)
     entry = _column_space(w, sigma, rl)
     rows = entry["rows"]
-    rhs = {}
-    fresh = False
-    for m, c in block.terms.items():
-        if m not in rows:
-            rows[m] = len(rows)
-            fresh = True
-        rhs[rows[m]] = c
-    if entry["system"] is None or fresh:
-        entry["system"] = LinearSystem(entry["columns"], len(rows))
-    x = entry["system"].solve(rhs)
+    # a target monomial that no generator column reaches has no witness
+    if any(m not in rows for m in block.terms):
+        x = None
+    else:
+        if entry["system"] is None:
+            entry["system"] = LinearSystem(entry["columns"], len(rows))
+        x = entry["system"].solve({rows[m]: c for m, c in block.terms.items()})
     if x is None:
         raise InfeasibleError(
             f"no witness found for block of weight {w}, degree {sigma}"

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from invar.bergman import (
-    SIGN_BITS,
     adjoint,
     bergman_coefficients,
     build_A,
@@ -31,7 +30,15 @@ def graded_total(x):
 
 
 def test_sign_calibration_is_all_plus():
-    assert SIGN_BITS == (0, 0, 0, 0)
+    # each case flips under a sign on one of |g|, |d|, |k| or j'
+    ring, one = GaussRing(), GaussRat(1)
+    cases = [
+        ({((1,), (0,), 0): one}, {((0,), (1,), 1): one}),
+        ({((0,), (1,), 0): one}, {((1,), (0,), -1): one}),
+        ({((1,), (1,), 0): one}, {((1,), (1,), 0): one, ((0,), (0,), 0): one}),
+    ]
+    for terms, want in cases:
+        assert adjoint(terms, ring, 1, 4) == want
 
 
 def test_flat_potential_has_trivial_expansion():

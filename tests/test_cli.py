@@ -6,8 +6,9 @@ import pytest
 
 from invar.chern import chern_invariant
 from invar.cli import main
+from invar.calculus import divergence
 from invar.invariants import monomial_invariant
-from invar.monomials import PHI, PSI, scalar_monomial
+from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.solver import Decomposition
 
 SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
@@ -83,6 +84,49 @@ def test_bergman_truncation_audit(capsys, monkeypatch):
     monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", "1")
     assert main(["bergman", "--dim", "1", "--fubini-study", "--order", "2"]) == 0
     assert "truncation audit passed" in capsys.readouterr().err
+
+
+def write_json(tmp_path, payload, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_bergman_potential_file(tmp_path, capsys):
+    # H = 3 z^2 zbar^2 has scalar curvature -12 at the center
+    jet = {"alpha": [2], "beta": [2], "re": "3"}
+    path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
+    assert main(["bergman", "--dim", "1", "--potential", path, "--order", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a_0 = 1", "a_1 = -6"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 1, "entries": [{"alpha": [2], "beta": [2], "re": "3"}]},
+        {"n": 1, "jets": [{"alpha": [1], "beta": [2], "re": "3"}]},
+    ],
+    ids=["wrong-keys", "not-normal-form"],
+)
+def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
+    path = write_json(tmp_path, payload, "pot.json")
+    assert main(["bergman", "--dim", "1", "--potential", path, "--order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad potential") and len(err.splitlines()) == 1
+
+
+def test_decompose_restriction_failures_are_one_line(tmp_path, capsys):
+    inv = divergence(monomial_invariant(ContractionMonomial(PHI, [[2]], [1], [0])))
+    path = write_inv(tmp_path, inv)
+    for caps, code, prefix in (
+        ([[3, 3]], 1, "no witness:"),
+        ([[3, 3], [3, 3]], 2, "error:"),
+    ):
+        restrict = write_json(tmp_path, caps, "caps.json")
+        assert main(["decompose", path, "--restrict", restrict]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and len(captured.err.splitlines()) == 1
 
 
 def test_verify_a1_exact(capsys):

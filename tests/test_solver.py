@@ -10,7 +10,9 @@ from invar.chern import chern_invariant, chern_reduce, partitions_of
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.solver import (
+    _SYSTEM_CACHE,
     Decomposition,
+    InfeasibleError,
     NotCoexactError,
     decompose,
     enumerate_monomials,
@@ -48,6 +50,18 @@ def test_decompose_requires_scalar_phi():
         decompose(monomial_invariant(scalar_monomial(PSI, ((2,),))))
     with pytest.raises(ValueError):
         decompose(monomial_invariant(ContractionMonomial(PHI, ((2,),), (1,), (0,))))
+
+
+def test_infeasible_block_leaves_the_cached_system_alone():
+    # the (3, 3) cap admits no one-form of weight 2, so no column reaches
+    # the single target monomial
+    inv = divergence(monomial_invariant(ContractionMonomial(PHI, [[2]], [1], [0])))
+    key = (3, 1, ((3, 3),))
+    _SYSTEM_CACHE.pop(key, None)
+    with pytest.raises(InfeasibleError):
+        decompose(inv, ((3, 3),))
+    assert _SYSTEM_CACHE[key]["rows"] == {}
+    assert _SYSTEM_CACHE[key]["system"] is None
 
 
 def test_decompose_zero_input():
