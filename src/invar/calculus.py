@@ -13,7 +13,7 @@ from __future__ import annotations
 from .invariants import Invariant
 from .monomials import PHI, PSI, ContractionMonomial
 
-__all__ = ["divergence", "local_divergence", "integrates_to_zero"]
+__all__ = ["divergence", "local_divergence", "first_slot_residue", "integrates_to_zero"]
 
 
 def divergence(inv: Invariant) -> Invariant:
@@ -117,15 +117,21 @@ def _local_divergence_monomial(mono, coeff, k):
     return results
 
 
+def first_slot_residue(inv: Invariant) -> Invariant:
+    """What integrating every derivative off the first factor leaves.
+
+    Empty iff a scalar invariant integrates to zero.  A multilinear input is
+    used as it is and a phi-invariant is polarized first; for sigma = 1 the
+    residue is the terms without a derivative, since a single factor is a
+    pure trace power and a total derivative iff w >= 1.
+    """
+    if inv.valence != (0, 0):
+        raise ValueError("the integral test expects a scalar invariant")
+    if not inv.terms or inv.homogeneous_degree() == 1:
+        return inv.filter(lambda m: m.weight < 1)
+    return local_divergence(inv.polarize() if inv.kind == PHI else inv, 1)
+
+
 def integrates_to_zero(inv: Invariant) -> bool:
     """Formal test for a vanishing integral over compactly supported data."""
-    if inv.valence != (0, 0):
-        raise ValueError("integrates_to_zero expects a scalar invariant")
-    if not inv.terms:
-        return True
-    sigma = inv.homogeneous_degree()
-    if sigma == 1:
-        # a single factor is a pure trace power; a total derivative iff w >= 1
-        return all(m.weight >= 1 for m in inv.terms)
-    multilinear = inv.polarize() if inv.kind == PHI else inv
-    return not local_divergence(multilinear, 1)
+    return not first_slot_residue(inv)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .combinat import perm_sign
+from .combinat import cycle_successor, perm_sign
 from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
 
@@ -56,20 +56,10 @@ def _normalize_partition(p):
     return p
 
 
-def _cycle_successor(p):
-    """next[i] = matrix-index successor of factor i under the partition cycles."""
-    succ = []
-    offset = 0
-    for k in p:
-        succ.extend([offset + (i + 1) % k for i in range(k)])
-        offset += k
-    return succ
-
-
 def chern_invariant(p) -> Invariant:
     p = _normalize_partition(p)
     sigma = sum(p)
-    succ = _cycle_successor(p)
+    succ = cycle_successor(p)
     terms = []
     for tau in permutations(range(sigma)):
         edges = [[0] * sigma for _ in range(sigma)]

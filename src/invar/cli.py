@@ -28,7 +28,7 @@ from .geometry import kernel_coefficient_reference, named_scalar
 from .invariants import Invariant
 from .jets import Potential, fubini_study_jets, random_hermitian_jets
 from .monomials import PHI
-from .rationals import GaussRat
+from .rationals import GaussRat, parse_int
 from .rings import GaussRing, GradedRing
 from .solver import (
     InfeasibleError,
@@ -179,7 +179,9 @@ def _load_restriction(path):
         return None
     d = _load_json(path)
     try:
-        return tuple((int(a), int(b)) for a, b in d)
+        return tuple(
+            (parse_int(a, "restriction"), parse_int(b, "restriction")) for a, b in d
+        )
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad restriction list in {path}: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["compositions", "perm_sign"]
+__all__ = ["compositions", "cycle_successor", "perm_sign"]
 
 
 def compositions(total, parts):
@@ -14,6 +14,17 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def cycle_successor(partition):
+    """succ[i] is the next factor after i on its cycle, the parts of the
+    partition taken as consecutive cycles of factors."""
+    succ = []
+    offset = 0
+    for k in partition:
+        succ.extend([offset + (i + 1) % k for i in range(k)])
+        offset += k
+    return succ
 
 
 def perm_sign(perm):

@@ -135,7 +135,11 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
     return total
 
 
-def random_phi(n, mode_bound=2, seed=0, pairs=3, coeff_bound=3) -> FourierFunction:
+# bound on the numerators of random coefficients; seeded draws depend on it
+_COEFF_BOUND = 3
+
+
+def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     """Seeded random real trigonometric polynomial: conjugate mode pairs, no mean.
 
     With three or more pairs the support always closes a mode triangle
@@ -175,8 +179,8 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3, coeff_bound=3) -> FourierFuncti
         c = GR_ZERO
         while not c:
             c = GaussRat(
-                Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3)),
-                Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3)),
+                Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)),
+                Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)),
             )
         coeffs[mode] = c
         coeffs[tuple(-v for v in mode)] = c.conjugate()

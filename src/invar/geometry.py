@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from math import factorial
 
-from .combinat import perm_sign
+from .combinat import cycle_successor, perm_sign
 from .series import ScalarSeries
 
 __all__ = [
@@ -33,18 +33,18 @@ __all__ = [
 ]
 
 
-def _mat_mul(A, B, n):
-    return [
-        [_sum_series(A[a][e].mul(B[e][b]) for e in range(n)) for b in range(n)]
-        for a in range(n)
-    ]
-
-
 def _sum_series(items):
     total = None
     for s in items:
         total = s if total is None else total.add(s)
     return total
+
+
+def _table(n, rank, entry):
+    """Nested lists T[i][j]... = entry(i, j, ...), each index over range(n)."""
+    if rank == 1:
+        return [entry(i) for i in range(n)]
+    return [_table(n, rank - 1, lambda *rest, i=i: entry(i, *rest)) for i in range(n)]
 
 
 class CurvaturePackage:
@@ -55,97 +55,62 @@ class CurvaturePackage:
     b against holomorphic a, so raising contracts Ginv[b][a]*T[...a...].
     Gamma[e][d][c] is the connection with upper index e and lower indices
     d, c; R[a][b][c][d] has holomorphic slots a, c and antiholomorphic b, d.
+    Every tensor is a contraction of tensors built before it.
     """
 
-    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S")
+    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S", "_RU")
 
     def __init__(self, pot, cap):
         n = pot.n
         ring = pot.ring
+        rng = range(n)
         self.n = n
         self.ring = ring
         self.cap = cap
         H = pot.series(cap + 4)
         one = ScalarSeries.one(ring, n, cap + 2)
         zero = ScalarSeries(ring, n, cap + 2)
-        E = [[H.d_hol(a).d_anti(b) for b in range(n)] for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if E[a][b].at_zero() != ring.zero:
-                    raise ValueError("potential is not in normal form")
-        self.G = [
-            [E[a][b].add(one) if a == b else E[a][b] for b in range(n)]
-            for a in range(n)
-        ]
+        E = _table(n, 2, lambda a, b: H.d_hol(a).d_anti(b))
+        if any(E[a][b].at_zero() != ring.zero for a in rng for b in rng):
+            raise ValueError("potential is not in normal form")
+        G = _table(n, 2, lambda a, b: E[a][b].add(one) if a == b else E[a][b])
         # Neumann series for the inverse; E vanishes at the center so powers
         # gain z-order and the loop empties
-        inv = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        Ginv = _table(n, 2, lambda a, b: one if a == b else zero)
         power = E
-        sign = -1
-        for _ in range(cap + 2):
-            if all(not power[a][b] for a in range(n) for b in range(n)):
+        for k in range(cap + 2):
+            if all(not power[a][b] for a in rng for b in rng):
                 break
-            term = power
-            inv = [
-                [
-                    inv[a][b].add(term[a][b] if sign > 0 else term[a][b].neg())
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ]
-            power = _mat_mul(power, E, n)
-            sign = -sign
-        self.Ginv = inv
-        self.Gamma = [
-            [
-                [
-                    _sum_series(
-                        self.Ginv[d][e].mul(self.G[c][d].d_hol(b)) for d in range(n)
-                    )
-                    for c in range(n)
-                ]
-                for b in range(n)
-            ]
-            for e in range(n)
-        ]
-        self.R = [
-            [
-                [
-                    [
-                        self.G[a][b]
-                        .d_hol(c)
-                        .d_anti(d)
-                        .sub(
-                            _sum_series(
-                                self.Ginv[f][e]
-                                .mul(self.G[a][f].d_hol(c))
-                                .mul(self.G[e][b].d_anti(d))
-                                for e in range(n)
-                                for f in range(n)
-                            )
-                        )
-                        for d in range(n)
-                    ]
-                    for c in range(n)
-                ]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        self.Ric = [
-            [
-                _sum_series(
-                    self.Ginv[d][c].mul(self.R[a][b][c][d])
-                    for c in range(n)
-                    for d in range(n)
-                ).neg()
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        self.S = _sum_series(
-            self.Ginv[b][a].mul(self.Ric[a][b]) for a in range(n) for b in range(n)
+            term = power if k % 2 else _table(n, 2, lambda a, b: power[a][b].neg())
+            Ginv = _table(n, 2, lambda a, b: Ginv[a][b].add(term[a][b]))
+            power = _table(
+                n, 2, lambda a, b: _sum_series(power[a][e].mul(E[e][b]) for e in rng)
+            )
+        # dG[c][a][b] = d_c G[a][b] and dbG[d][a][b] = dbar_d G[a][b]
+        dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
+        dbG = _table(n, 3, lambda d, a, b: G[a][b].d_anti(d))
+        Gamma = _table(
+            n, 3, lambda e, b, c: _sum_series(Ginv[d][e].mul(dG[b][c][d]) for d in rng)
         )
+        # R = d dbar g - Ginv d g dbar g; Gamma[e][c][a] already holds the
+        # sum over f of Ginv[f][e] d_c G[a][f]
+        R = _table(
+            n,
+            4,
+            lambda a, b, c, d: dG[c][a][b].d_anti(d).sub(
+                _sum_series(Gamma[e][c][a].mul(dbG[d][e][b]) for e in rng)
+            ),
+        )
+        Ric = _table(
+            n,
+            2,
+            lambda a, b: _sum_series(
+                Ginv[d][c].mul(R[a][b][c][d]) for c in rng for d in rng
+            ).neg(),
+        )
+        self.G, self.Ginv, self.Gamma, self.R, self.Ric = G, Ginv, Gamma, R, Ric
+        self.S = _sum_series(Ginv[b][a].mul(Ric[a][b]) for a in rng for b in rng)
+        self._RU = None
 
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
         n = self.n
@@ -155,92 +120,63 @@ class CurvaturePackage:
             for b in range(n)
         )
 
-    def curvature_norm2(self) -> ScalarSeries:
-        n = self.n
-        rng = range(n)
-        W = [
-            [
-                [
-                    [
-                        _sum_series(
-                            self.Ginv[p][a].mul(self.Ginv[q][c]).mul(self.R[a][b][c][d])
-                            for a in rng
-                            for c in rng
-                        )
-                        for d in rng
-                    ]
-                    for q in rng
-                ]
-                for b in rng
-            ]
-            for p in rng
-        ]
-        return _sum_series(
-            W[p][b][q][d].mul(
-                _sum_series(
-                    self.Ginv[b][a].mul(self.Ginv[d][c]).mul(self.R[a][p][c][q])
-                    for a in rng
-                    for c in rng
-                )
+    def _raised_ricci(self):
+        """RU[b][c] = Ginv[b][p] Ginv[q][c] Ric[p][q], built on first use and
+        kept for the life of the package."""
+        if self._RU is None:
+            rng = range(self.n)
+            Ginv, Ric = self.Ginv, self.Ric
+            self._RU = _table(
+                self.n,
+                2,
+                lambda b, c: _sum_series(
+                    Ginv[b][p].mul(Ginv[q][c]).mul(Ric[p][q]) for p in rng for q in rng
+                ),
             )
-            for p in rng
-            for b in rng
-            for q in rng
-            for d in rng
+        return self._RU
+
+    def curvature_norm2(self) -> ScalarSeries:
+        """|R|^2 = W[p][b][q][d] W[b][p][d][q], with W the curvature raised
+        in both holomorphic slots; the second factor is W at swapped slots."""
+        rng = range(self.n)
+        Ginv, R = self.Ginv, self.R
+        W = _table(
+            self.n,
+            4,
+            lambda p, b, q, d: _sum_series(
+                Ginv[p][a].mul(Ginv[q][c]).mul(R[a][b][c][d]) for a in rng for c in rng
+            ),
+        )
+        return _sum_series(
+            W[p][b][q][d].mul(W[b][p][d][q])
+            for p, b, q, d in itertools.product(rng, repeat=4)
         )
 
     def ricci_norm2(self) -> ScalarSeries:
-        n = self.n
-        rng = range(n)
-        return _sum_series(
-            self.Ric[a][b]
-            .mul(self.Ginv[b][c])
-            .mul(self.Ginv[d][a])
-            .mul(self.Ric[c][d])
-            for a in rng
-            for b in rng
-            for c in rng
-            for d in rng
-        )
+        RU = self._raised_ricci()
+        rng = range(self.n)
+        return _sum_series(self.Ric[a][b].mul(RU[b][a]) for a in rng for b in rng)
 
     def gradient_divergence(self) -> ScalarSeries:
         """div of the weight-3 gradient current, the correction term in the
         third kernel coefficient.  48 Q_a = grad_a(|R|^2 - 4|Ric|^2 + 8 S^2)
         + 2 g^{d fbar} (del_d Y)_{a fbar} with Y = X - 4 S Ric and
         X the Ricci contraction of the curvature."""
-        n = self.n
-        rng = range(n)
-        RU = [
-            [
-                _sum_series(
-                    self.Ginv[b][p].mul(self.Ginv[q][c]).mul(self.Ric[p][q])
-                    for p in rng
-                    for q in rng
-                )
-                for c in rng
-            ]
-            for b in rng
-        ]
-        X = [
-            [
-                _sum_series(
-                    self.R[a][b][c][d].mul(RU[b][c]) for b in rng for c in rng
-                )
-                for d in rng
-            ]
+        rng = range(self.n)
+        RU = self._raised_ricci()
+        Y = {
+            (a, d): _sum_series(
+                self.R[a][b][c][d].mul(RU[b][c]) for b in rng for c in rng
+            ).sub(self.S.mul(self.Ric[a][d]).scale(4))
             for a in rng
-        ]
-        SRic = [[self.S.mul(self.Ric[a][b]).scale(4) for b in rng] for a in rng]
-        Y = [[X[a][b].sub(SRic[a][b]) for b in rng] for a in rng]
+            for d in rng
+        }
         F = (
             self.curvature_norm2()
             .sub(self.ricci_norm2().scale(4))
             .add(self.S.mul(self.S).scale(8))
         )
-        DY = covariant_derivative(
-            ComponentTensor(self, "ha", {(a, f): Y[a][f] for a in rng for f in rng}),
-            "hol",
-        )
+        DY = covariant_derivative(ComponentTensor(self, "ha", Y), "hol")
         Q = []
         for a in rng:
             covY = _sum_series(
@@ -356,12 +292,7 @@ def todd_contraction(R0, n, partition, ring):
     permutations of the factors.
     """
     j = sum(partition)
-    nxt = []
-    start = 0
-    for part in partition:
-        for i in range(part):
-            nxt.append(start + (i + 1) % part)
-        start += part
+    nxt = cycle_successor(partition)
     total = ring.zero
     for tau in itertools.permutations(range(j)):
         sign = perm_sign(tau)
@@ -387,13 +318,7 @@ def todd_polynomial(pot, j, extra=0):
     pkg = curvature_package(pot, extra)
     n = pot.n
     ring = pot.ring
-    R0 = [
-        [
-            [[pkg.R[a][b][c][d].at_zero() for d in range(n)] for c in range(n)]
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    R0 = _table(n, 4, lambda a, b, c, d: pkg.R[a][b][c][d].at_zero())
     gam = todd_gammas(j)
     total = ring.zero
     for partition in partitions_of(j):

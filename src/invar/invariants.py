@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 from .monomials import PHI, PSI, ContractionMonomial
-from .rationals import as_fraction, format_fraction
+from .rationals import as_fraction, format_fraction, parse_int
 
 __all__ = ["Invariant", "zero_invariant", "monomial_invariant"]
 
@@ -229,8 +229,8 @@ class Invariant:
         if len(kinds) > 1:
             raise ValueError("mixed monomial kinds in invariant")
         kind = kinds.pop() if kinds else PHI
-        valence = tuple(d.get("valence", (0, 0)))
-        return cls(kind, valence, terms)
+        p, q = (parse_int(v, "valence") for v in d.get("valence", (0, 0)))
+        return cls(kind, (p, q), terms)
 
 
 _ZERO = Fraction(0)

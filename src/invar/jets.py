@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_gauss, format_fraction, parse_fraction
+from .rationals import GaussRat, as_gauss, format_fraction, parse_fraction, parse_int
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
 
@@ -115,10 +115,10 @@ class Potential:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Potential":
-        n = int(d["n"])
+        n = parse_int(d["n"], "n")
         raw = {}
         for e in d["jets"]:
-            key = (tuple(int(v) for v in e["alpha"]), tuple(int(v) for v in e["beta"]))
+            key = tuple(tuple(parse_int(v, f) for v in e[f]) for f in ("alpha", "beta"))
             raw[key] = GaussRat(
                 parse_fraction(e.get("re", "0")), parse_fraction(e.get("im", "0"))
             )
@@ -146,25 +146,31 @@ def fubini_study_jets(n, max_order) -> dict:
     return jets
 
 
-def random_hermitian_jets(n, weight_cap, rng, terms=6, coeff_bound=3) -> dict:
+# a random potential stops at 2 * _TERMS jets (or 50 * _TERMS draws) with
+# numerators in [-_COEFF_BOUND, _COEFF_BOUND]; seeded draws depend on both
+_TERMS = 6
+_COEFF_BOUND = 3
+
+
+def random_hermitian_jets(n, weight_cap, rng) -> dict:
     """Sparse random real potential: conjugate pairs of rational jets."""
     keys = jet_keys_up_to_grade(n, 2 * weight_cap)
     jets: dict = {}
     attempts = 0
-    while len(jets) < 2 * terms and attempts < 50 * terms:
+    while len(jets) < 2 * _TERMS and attempts < 50 * _TERMS:
         attempts += 1
         key = keys[rng.randrange(len(keys))]
         a, b = key
         if key in jets:
             continue
-        re = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
+        re = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3))
         if a == b:
             v = GaussRat(re)
             if not v:
                 continue
             jets[key] = v
         else:
-            im = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
+            im = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3))
             v = GaussRat(re, im)
             if not v:
                 continue

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .rationals import parse_int
+
 PHI = "phi"
 PSI = "psi"
 
@@ -179,8 +181,13 @@ class ContractionMonomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ContractionMonomial":
-        m = cls(d["kind"], d["edges"], d.get("free_hol"), d.get("free_anti"))
-        if m.sigma != d.get("sigma", m.sigma):
+        edges = [[parse_int(x, "edges") for x in row] for row in d["edges"]]
+        free = [
+            None if d.get(f) is None else [parse_int(x, f) for x in d[f]]
+            for f in ("free_hol", "free_anti")
+        ]
+        m = cls(d["kind"], edges, *free)
+        if m.sigma != parse_int(d.get("sigma", m.sigma), "sigma"):
             raise ValueError("sigma does not match edge matrix size")
         return m
 

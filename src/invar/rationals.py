@@ -153,7 +153,6 @@ def _coerce(x):
 
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -164,3 +163,10 @@ def format_fraction(x: Fraction) -> str:
 
 def parse_fraction(s: str) -> Fraction:
     return Fraction(s)
+
+
+def parse_int(value, field: str) -> int:
+    """An integer field read from JSON; floats, bools and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import divergence, integrates_to_zero, local_divergence
+from .calculus import divergence, first_slot_residue
 from .chern import chern_invariant, partitions_of
 from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
@@ -180,11 +180,8 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
 
 
 def _decompose_block(block, w, sigma, restriction, result):
-    if not integrates_to_zero(block):
-        if sigma >= 2:
-            residue = local_divergence(block.polarize(), 1)
-        else:
-            residue = block
+    residue = first_slot_residue(block)
+    if residue:
         raise NotCoexactError(
             f"block of weight {w}, degree {sigma} does not integrate to zero",
             residue=residue,

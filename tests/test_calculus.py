@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from invar.calculus import divergence, integrates_to_zero, local_divergence
+from invar.calculus import (
+    divergence,
+    first_slot_residue,
+    integrates_to_zero,
+    local_divergence,
+)
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.solver import random_coexact_invariant
@@ -128,3 +133,8 @@ def test_local_divergence_vanishes_at_every_slot_on_coexact_input():
 def test_nonzero_integral_leaves_residue():
     sq = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
     assert local_divergence(sq.polarize(), 1)
+    assert first_slot_residue(sq) == local_divergence(sq.polarize(), 1)
+    # one factor: the residue is the terms without a derivative
+    bare = monomial_invariant(scalar_monomial(PHI, ((0,),)))
+    traced = monomial_invariant(scalar_monomial(PHI, ((1,),)))
+    assert first_slot_residue(bare + traced) == bare

@@ -129,6 +129,55 @@ def test_decompose_restriction_failures_are_one_line(tmp_path, capsys):
         assert captured.err.startswith(prefix) and len(captured.err.splitlines()) == 1
 
 
+
+def assert_one_line_refusal(capsys, argv, field):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", [2.9]), ("beta", [True, 1]), ("n", 1.0)],
+    ids=["fraction", "bool", "float-dim"],
+)
+def test_potential_file_refuses_non_integer_fields(tmp_path, capsys, field, value):
+    jet = {"alpha": [2], "beta": [2], "re": "3"}
+    payload = {"n": 1, "jets": [jet]}
+    (payload if field == "n" else jet)[field] = value
+    path = write_json(tmp_path, payload, "pot.json")
+    argv = ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+    assert_one_line_refusal(capsys, argv, field)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("edges", [[2.5]]),
+        ("edges", [[True]]),
+        ("free_hol", [0.0]),
+        ("sigma", 1.0),
+        ("valence", [0.0, 0]),
+    ],
+    ids=["fraction", "bool", "free-slots", "sigma", "valence"],
+)
+def test_invariant_file_refuses_non_integer_fields(tmp_path, capsys, field, value):
+    payload = monomial_invariant(scalar_monomial(PHI, ((2,),))).to_json_dict()
+    target = payload if field == "valence" else payload["terms"][0]["monomial"]
+    target[field] = value
+    path = write_json(tmp_path, payload, "inv.json")
+    assert_one_line_refusal(capsys, ["canon", path], field)
+
+
+@pytest.mark.parametrize("caps", [[[2.9, 2]], [[2, True]]], ids=["fraction", "bool"])
+def test_restriction_file_refuses_non_integer_caps(tmp_path, capsys, caps):
+    path = write_inv(tmp_path, chern_invariant((1,)))
+    restrict = write_json(tmp_path, caps, "caps.json")
+    argv = ["decompose", path, "--restrict", restrict]
+    assert_one_line_refusal(capsys, argv, "restriction")
+
+
 def test_verify_a1_exact(capsys):
     assert main(["verify", "a1", "--dim", "2"]) == 0
     captured = capsys.readouterr()

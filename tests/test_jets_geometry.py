@@ -267,3 +267,61 @@ def test_potential_json_round_trip():
     graded = Potential.graded_numeric(2, random_hermitian_jets(2, 2, random.Random(1)), 2)
     with pytest.raises(ValueError):
         graded.to_json_dict()
+
+
+def _total(items):
+    items = iter(items)
+    out = next(items)
+    for s in items:
+        out = out.add(s)
+    return out
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        Potential.numeric(n, random_hermitian_jets(n, 2, random.Random(20 + n)))
+        for n in (1, 2, 3)
+    ]
+    + [Potential.symbolic(n, 2) for n in (1, 2)],
+    ids=["numeric-1", "numeric-2", "numeric-3", "symbolic-1", "symbolic-2"],
+)
+def test_package_matches_direct_contractions(pot):
+    """R, |R|^2 and |Ric|^2 against the textbook contractions, whole series:
+    R from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies built
+    on their own, and |Ric|^2 as the four-index sum."""
+    pkg = curvature_package(pot, 2)
+    G, Ginv, Ric = pkg.G, pkg.Ginv, pkg.Ric
+    rng = range(pot.n)
+    idx4 = [(a, b, c, d) for a in rng for b in rng for c in rng for d in rng]
+    R = {
+        (a, b, c, d): G[a][b].d_hol(c).d_anti(d).sub(
+            _total(
+                Ginv[f][e].mul(G[a][f].d_hol(c)).mul(G[e][b].d_anti(d))
+                for e in rng
+                for f in rng
+            )
+        )
+        for a, b, c, d in idx4
+    }
+    assert any(R.values())
+    assert all(pkg.R[a][b][c][d] == R[a, b, c, d] for a, b, c, d in idx4)
+    upper = {
+        (p, b, q, d): _total(
+            Ginv[p][a].mul(Ginv[q][c]).mul(R[a, b, c, d]) for a in rng for c in rng
+        )
+        for p, b, q, d in idx4
+    }
+    lower = {
+        (b, p, d, q): _total(
+            Ginv[b][a].mul(Ginv[d][c]).mul(R[a, p, c, q]) for a in rng for c in rng
+        )
+        for p, b, q, d in idx4
+    }
+    norm_R = _total(upper[p, b, q, d].mul(lower[b, p, d, q]) for p, b, q, d in idx4)
+    assert norm_R and pkg.curvature_norm2() == norm_R
+    norm_Ric = _total(
+        Ric[a][b].mul(Ginv[b][c]).mul(Ginv[d][a]).mul(Ric[c][d])
+        for a, b, c, d in idx4
+    )
+    assert norm_Ric and pkg.ricci_norm2() == norm_Ric
