@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinat import perm_sign
+from .combinat import decrement, perm_sign
 from .rings import GaussRing
 
 __all__ = [
@@ -95,13 +95,10 @@ def build_A(pot, jmax):
             for (alpha, beta), v in pot.jets.items():
                 if not alpha[a] or not beta[b]:
                     continue
-                key = (
-                    alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :],
-                    beta[:b] + (beta[b] - 1,) + beta[b + 1 :],
-                )
+                db = decrement(beta, b)
                 _add_term(
                     entries[a][b],
-                    (key[0], key[1], sum(key[1])),
+                    (decrement(alpha, a), db, sum(db)),
                     ring.scale(v, alpha[a] * beta[b]),
                     ring,
                 )

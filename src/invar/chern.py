@@ -24,6 +24,7 @@ from itertools import permutations
 from .combinat import cycle_successor, perm_sign
 from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
+from .rationals import as_int
 
 __all__ = [
     "partitions_of",
@@ -50,7 +51,7 @@ def partitions_of(n: int):
 
 
 def _normalize_partition(p):
-    p = tuple(sorted((int(k) for k in p), reverse=True))
+    p = tuple(sorted((as_int(k, "partition") for k in p), reverse=True))
     if not p or any(k < 1 for k in p):
         raise ValueError("partition must consist of positive integers")
     return p

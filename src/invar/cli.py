@@ -27,8 +27,8 @@ from .fourier import eval_integral, random_phi
 from .geometry import kernel_coefficient_reference, named_scalar
 from .invariants import Invariant
 from .jets import Potential, fubini_study_jets, random_hermitian_jets
-from .monomials import PHI
-from .rationals import GaussRat, parse_int
+from .monomials import PHI, _check_restriction
+from .rationals import GaussRat
 from .rings import GaussRing, GradedRing
 from .solver import (
     InfeasibleError,
@@ -179,9 +179,8 @@ def _load_restriction(path):
         return None
     d = _load_json(path)
     try:
-        return tuple(
-            (parse_int(a, "restriction"), parse_int(b, "restriction")) for a, b in d
-        )
+        # any length passes here; decompose checks it against each block
+        return _check_restriction(d, len(d))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad restriction list in {path}: {exc}") from exc
 
@@ -206,12 +205,10 @@ def cmd_canon(args):
 
 def cmd_chern(args):
     try:
-        parts = tuple(int(v) for v in args.partition.split(","))
+        inv = chern_invariant(tuple(int(v) for v in args.partition.split(",")))
     except ValueError as exc:
-        raise InputError(f"bad partition {args.partition!r}") from exc
-    if not parts or any(v < 1 for v in parts):
-        raise InputError(f"bad partition {args.partition!r}")
-    _emit(args, chern_invariant(tuple(sorted(parts, reverse=True))).to_json_dict())
+        raise InputError(f"bad partition {args.partition!r}: {exc}") from exc
+    _emit(args, inv.to_json_dict())
     return 0
 
 

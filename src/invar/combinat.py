@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["compositions", "cycle_successor", "perm_sign"]
+__all__ = ["compositions", "cycle_successor", "decrement", "perm_sign"]
 
 
 def compositions(total, parts):
@@ -25,6 +25,12 @@ def cycle_successor(partition):
         succ.extend([offset + (i + 1) % k for i in range(k)])
         offset += k
     return succ
+
+
+def decrement(index, a):
+    """The multi-index with entry a lowered by one: the jet index of one
+    derivative in direction a."""
+    return index[:a] + (index[a] - 1,) + index[a + 1 :]
 
 
 def perm_sign(perm):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .invariants import Invariant
 from .monomials import PHI
-from .rationals import GR_ZERO, GaussRat, as_gauss
+from .rationals import GR_ZERO, GaussRat, as_gauss, as_int
 
 __all__ = ["FourierFunction", "pairing", "eval_integral", "random_phi"]
 
@@ -32,12 +32,12 @@ class FourierFunction:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        if n < 1:
+        if as_int(n, "n") < 1:
             raise ValueError("need at least one complex dimension")
         self.n = n
         clean = {}
         for mode, c in coeffs.items():
-            mode = tuple(int(v) for v in mode)
+            mode = tuple(as_int(v, "mode") for v in mode)
             if len(mode) != 2 * n:
                 raise ValueError(f"mode {mode} is not a length-{2*n} vector")
             c = as_gauss(c)

@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 from .monomials import PHI, PSI, ContractionMonomial
-from .rationals import as_fraction, format_fraction, parse_int
+from .rationals import as_fraction, as_int, format_fraction
 
 __all__ = ["Invariant", "zero_invariant", "monomial_invariant"]
 
@@ -24,7 +24,8 @@ class Invariant:
 
     def __init__(self, kind, valence, terms):
         collected: dict[ContractionMonomial, Fraction] = {}
-        valence = (int(valence[0]), int(valence[1]))
+        p, q = valence
+        valence = (as_int(p, "valence"), as_int(q, "valence"))
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
             coeff = as_fraction(coeff)
             if not coeff:
@@ -222,15 +223,14 @@ class Invariant:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Invariant":
         terms = [
-            (ContractionMonomial.from_json_dict(t["monomial"]), Fraction(t["coeff"]))
+            (ContractionMonomial.from_json_dict(t["monomial"]), t["coeff"])
             for t in d["terms"]
         ]
         kinds = {m.kind for m, _ in terms}
         if len(kinds) > 1:
             raise ValueError("mixed monomial kinds in invariant")
         kind = kinds.pop() if kinds else PHI
-        p, q = (parse_int(v, "valence") for v in d.get("valence", (0, 0)))
-        return cls(kind, (p, q), terms)
+        return cls(kind, d.get("valence", (0, 0)), terms)
 
 
 _ZERO = Fraction(0)

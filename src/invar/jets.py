@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_gauss, format_fraction, parse_fraction, parse_int
+from .rationals import GaussRat, as_gauss, as_int, format_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
 
@@ -33,8 +33,8 @@ __all__ = [
 
 def _check_key(key, n):
     alpha, beta = key
-    alpha = tuple(int(v) for v in alpha)
-    beta = tuple(int(v) for v in beta)
+    alpha = tuple(as_int(v, "alpha") for v in alpha)
+    beta = tuple(as_int(v, "beta") for v in beta)
     if len(alpha) != n or len(beta) != n:
         raise ValueError(f"jet index {key} does not match dimension {n}")
     if min(alpha + beta, default=0) < 0:
@@ -50,7 +50,7 @@ class Potential:
     __slots__ = ("n", "ring", "jets")
 
     def __init__(self, n, ring, jets):
-        if n < 1:
+        if as_int(n, "n") < 1:
             raise ValueError("need at least one complex dimension")
         self.n = n
         self.ring = ring
@@ -71,10 +71,7 @@ class Potential:
     def graded_numeric(cls, n, raw_jets, weight_cap):
         """Same values, tagged with their jet grade and capped products."""
         ring = GradedRing(2 * weight_cap)
-        jets = {}
-        for key, v in raw_jets.items():
-            key = _check_key(key, n)
-            jets[key] = ring.graded(symbol_grade(key), v)
+        jets = {key: ring.graded(symbol_grade(key), v) for key, v in raw_jets.items()}
         return cls(n, ring, jets)
 
     @classmethod
@@ -115,14 +112,11 @@ class Potential:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Potential":
-        n = parse_int(d["n"], "n")
         raw = {}
         for e in d["jets"]:
-            key = tuple(tuple(parse_int(v, f) for v in e[f]) for f in ("alpha", "beta"))
-            raw[key] = GaussRat(
-                parse_fraction(e.get("re", "0")), parse_fraction(e.get("im", "0"))
-            )
-        return cls.numeric(n, raw)
+            key = (tuple(e["alpha"]), tuple(e["beta"]))
+            raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))
+        return cls.numeric(d["n"], raw)
 
 
 def jet_keys_up_to_grade(n, grade_cap):

@@ -71,13 +71,8 @@ class LinearSystem:
         rhs is a sparse map row -> Fraction.  Non-pivot entries of x are zero
         and pivot entries are read off the fully reduced system.
         """
-        dense = [_ZERO] * self.nrows
-        for r, v in rhs.items():
-            dense[r] = v
-        reduced = [
-            sum((row[k] * dense[k] for k in range(self.nrows) if dense[k]), _ZERO)
-            for row in self.transform
-        ]
+        items = rhs.items()
+        reduced = [sum((row[k] * v for k, v in items), _ZERO) for row in self.transform]
         if any(reduced[r] for r in range(self.rank, self.nrows)):
             return None
         x = [_ZERO] * self.ncols

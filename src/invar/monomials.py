@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .rationals import parse_int
+from .rationals import as_int
 
 PHI = "phi"
 PSI = "psi"
@@ -33,18 +33,14 @@ class ContractionMonomial:
     def __init__(self, kind, edges, free_hol=None, free_anti=None):
         if kind not in (PHI, PSI):
             raise ValueError(f"unknown kind {kind!r}")
-        edges = tuple(tuple(int(x) for x in row) for row in edges)
+        edges = tuple(_counts(row, "edges") for row in edges)
         sigma = len(edges)
         if sigma == 0 or any(len(row) != sigma for row in edges):
             raise ValueError("edges must be a non-empty square matrix")
-        if any(x < 0 for row in edges for x in row):
-            raise ValueError("edge multiplicities must be non-negative")
-        free_hol = tuple(int(x) for x in (free_hol or (0,) * sigma))
-        free_anti = tuple(int(x) for x in (free_anti or (0,) * sigma))
+        free_hol = _counts(free_hol or (0,) * sigma, "free_hol")
+        free_anti = _counts(free_anti or (0,) * sigma, "free_anti")
         if len(free_hol) != sigma or len(free_anti) != sigma:
             raise ValueError("free slot lists must have length sigma")
-        if any(x < 0 for x in free_hol + free_anti):
-            raise ValueError("free slot counts must be non-negative")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "edges", edges)
@@ -181,21 +177,27 @@ class ContractionMonomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ContractionMonomial":
-        edges = [[parse_int(x, "edges") for x in row] for row in d["edges"]]
-        free = [
-            None if d.get(f) is None else [parse_int(x, f) for x in d[f]]
-            for f in ("free_hol", "free_anti")
-        ]
-        m = cls(d["kind"], edges, *free)
-        if m.sigma != parse_int(d.get("sigma", m.sigma), "sigma"):
+        m = cls(d["kind"], d["edges"], d.get("free_hol"), d.get("free_anti"))
+        if m.sigma != as_int(d.get("sigma", m.sigma), "sigma"):
             raise ValueError("sigma does not match edge matrix size")
         return m
+
+
+def _counts(values, field):
+    """The values as a tuple of non-negative integers; anything else is refused."""
+    values = tuple(values)
+    for x in values:
+        if as_int(x, field) < 0:
+            raise ValueError(f"{field} must be non-negative, got {x}")
+    return values
 
 
 def _check_restriction(restriction, sigma):
     if restriction is None:
         return ((2, 2),) * sigma
-    restriction = tuple((int(a), int(b)) for a, b in restriction)
+    restriction = tuple(
+        (as_int(a, "restriction"), as_int(b, "restriction")) for a, b in restriction
+    )
     if len(restriction) != sigma:
         raise ValueError("restriction list length must equal the factor count")
     return restriction

@@ -13,10 +13,20 @@ from typing import Union
 Rat = Union[int, Fraction]
 
 
+def as_int(value, field: str) -> int:
+    """An integer argument; floats, bools and strings are refused, never
+    truncated, with a message that names the field."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def as_fraction(x) -> Fraction:
+    """An exact rational from a Fraction, an integer or a rational string
+    such as ``"p/q"``; floats and bools are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -160,13 +170,3 @@ def format_fraction(x: Fraction) -> str:
     x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def parse_int(value, field: str) -> int:
-    """An integer field read from JSON; floats, bools and strings are refused."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
-    return value

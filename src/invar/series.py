@@ -7,11 +7,9 @@ so downstream products stay as small as the final evaluation allows.
 
 from __future__ import annotations
 
+from .combinat import decrement
+
 __all__ = ["ScalarSeries"]
-
-
-def _dec(index, a):
-    return index[:a] + (index[a] - 1,) + index[a + 1 :]
 
 
 class ScalarSeries:
@@ -121,14 +119,14 @@ class ScalarSeries:
         out = {}
         for (alpha, beta), v in self.terms.items():
             if alpha[a]:
-                out[(_dec(alpha, a), beta)] = self.ring.scale(v, alpha[a])
+                out[(decrement(alpha, a), beta)] = self.ring.scale(v, alpha[a])
         return self._like(max(self.cap - 1, 0), out)
 
     def d_anti(self, a):
         out = {}
         for (alpha, beta), v in self.terms.items():
             if beta[a]:
-                out[(alpha, _dec(beta, a))] = self.ring.scale(v, beta[a])
+                out[(alpha, decrement(beta, a))] = self.ring.scale(v, beta[a])
         return self._like(max(self.cap - 1, 0), out)
 
     def conjugate(self):

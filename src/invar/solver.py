@@ -19,7 +19,7 @@ from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
 from .monomials import PHI, ContractionMonomial, _check_restriction
-from .rationals import format_fraction
+from .rationals import as_fraction, format_fraction
 
 __all__ = [
     "NotCoexactError",
@@ -50,7 +50,7 @@ class Decomposition:
     __slots__ = ("chern", "t_hol", "t_anti")
 
     def __init__(self, chern=None, t_hol=None, t_anti=None):
-        self.chern = dict(chern or {})
+        self.chern = {p: as_fraction(c) for p, c in (chern or {}).items()}
         self.t_hol = t_hol if t_hol is not None else zero_invariant(PHI, (1, 0))
         self.t_anti = t_anti if t_anti is not None else zero_invariant(PHI, (0, 1))
 
@@ -76,9 +76,7 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Decomposition":
-        chern = {
-            tuple(e["partition"]): Fraction(e["coeff"]) for e in d.get("chern", [])
-        }
+        chern = {tuple(e["partition"]): e["coeff"] for e in d.get("chern", [])}
         t_hol = Invariant.from_json_dict(d["t_hol"]) if "t_hol" in d else None
         t_anti = Invariant.from_json_dict(d["t_anti"]) if "t_anti" in d else None
         if t_hol is not None and not t_hol.terms:

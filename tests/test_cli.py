@@ -170,6 +170,23 @@ def test_invariant_file_refuses_non_integer_fields(tmp_path, capsys, field, valu
     assert_one_line_refusal(capsys, ["canon", path], field)
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [("canon", "coeff"), ("bergman", "re"), ("bergman", "im")],
+)
+def test_files_refuse_float_coefficients(tmp_path, capsys, command, field):
+    if command == "canon":
+        payload = SQ.to_json_dict()
+        payload["terms"][0][field] = 0.1
+        argv = ["canon", write_json(tmp_path, payload, "inv.json")]
+    else:
+        jet = {"alpha": [2], "beta": [2], "re": "3", field: 0.1}
+        path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
+        argv = ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+    # a binary fraction such as 3602879701896397/36028797018963968 is not read
+    assert_one_line_refusal(capsys, argv, "not an exact rational: 0.1")
+
+
 @pytest.mark.parametrize("caps", [[[2.9, 2]], [[2, True]]], ids=["fraction", "bool"])
 def test_restriction_file_refuses_non_integer_caps(tmp_path, capsys, caps):
     path = write_inv(tmp_path, chern_invariant((1,)))

@@ -4,7 +4,12 @@ import itertools
 
 import pytest
 
+from invar.chern import chern_invariant
+from invar.fourier import FourierFunction
+from invar.invariants import Invariant
+from invar.jets import Potential
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from invar.solver import decompose
 
 
 def test_factor_swap_gives_same_canonical_phi():
@@ -103,6 +108,25 @@ def test_validation_errors():
         ContractionMonomial(PHI, ((-1,),))
     with pytest.raises(ValueError):
         ContractionMonomial(PHI, ((1,),), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ContractionMonomial(PHI, [[2.7]]), "edges"),
+        (lambda: ContractionMonomial(PHI, [[2]], [0.0]), "free_hol"),
+        (lambda: decompose(chern_invariant((1,)), [(2.9, 2)]), "restriction"),
+        (lambda: chern_invariant((2.5,)), "partition"),
+        (lambda: Invariant(PHI, (0.0, 0), []), "valence"),
+        (lambda: Potential.numeric(1.0, {}), "n"),
+        (lambda: FourierFunction(1, {(0.5, 1): 1}), "mode"),
+    ],
+    ids=["edges", "free-slots", "restriction", "partition", "valence", "dim", "mode"],
+)
+def test_constructors_refuse_non_integers(build, field):
+    # a truncating int() would accept each of these as a nearby integer
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build()
 
 
 def test_immutability():
