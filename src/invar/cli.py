@@ -28,7 +28,7 @@ from .geometry import kernel_coefficient_reference, named_scalar
 from .invariants import Invariant
 from .jets import Potential, fubini_study_jets, random_hermitian_jets
 from .monomials import PHI, _check_restriction
-from .rationals import GaussRat
+from .rationals import GR_ZERO
 from .rings import GaussRing, GradedRing
 from .solver import (
     InfeasibleError,
@@ -100,19 +100,12 @@ def _fmt_monomial(mono) -> str:
     return "*".join(parts)
 
 
-def _graded_total(x):
-    total = GaussRat(0)
-    for v in x.values():
-        total = total + v
-    return total
-
-
 def fmt_element(ring, x, limit=None) -> str:
     """Human rendering of a ring element; optionally truncated."""
     if isinstance(ring, GaussRing):
         return _fmt_gauss(x)
     if isinstance(ring, GradedRing):
-        return _fmt_gauss(_graded_total(x))
+        return _fmt_gauss(sum(x.values(), GR_ZERO))
     if not x:
         return "0"
     parts = [f"({_fmt_gauss(c)})*{_fmt_monomial(m)}" for m, c in sorted(x.items())]
@@ -126,7 +119,7 @@ def _element_json(ring, x):
     if isinstance(ring, GaussRing):
         return {"re": str(x.re), "im": str(x.im)}
     if isinstance(ring, GradedRing):
-        total = _graded_total(x)
+        total = sum(x.values(), GR_ZERO)
         return {"re": str(total.re), "im": str(total.im)}
     return [
         {
@@ -183,6 +176,17 @@ def _load_restriction(path):
         return _check_restriction(d, len(d))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad restriction list in {path}: {exc}") from exc
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than minimum."""
+
+    def integer(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return integer
 
 
 def _emit(args, payload):
@@ -485,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chern)
 
     p = sub.add_parser("bergman", help="kernel expansion coefficients")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--dim", type=_at_least(1), required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--potential", help="potential-jet JSON file")
     src.add_argument("--symbolic", action="store_true")
@@ -497,18 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="integrate an invariant over random Fourier data")
     p.add_argument("invariant")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--mode-bound", type=int, default=2)
+    p.add_argument("--dim", type=_at_least(1), required=True)
+    p.add_argument("--trials", type=_at_least(1), default=20)
+    p.add_argument("--mode-bound", type=_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode-bound", type=int, default=2)
+    p.add_argument("--dim", type=_at_least(1))
+    p.add_argument("--order", type=_at_least(1))
+    p.add_argument("--trials", type=_at_least(1))
+    p.add_argument("--mode-bound", type=_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -147,6 +147,8 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     triple for n >= 2 in practice, which would blind degree-3 sampling for
     support reasons alone.
     """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     if mode_bound < 1:
         raise ValueError("mode bound must be at least 1")
     rng = random.Random(f"{seed}:{n}:{mode_bound}")

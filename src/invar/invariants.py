@@ -26,6 +26,8 @@ class Invariant:
         collected: dict[ContractionMonomial, Fraction] = {}
         p, q = valence
         valence = (as_int(p, "valence"), as_int(q, "valence"))
+        if p < 0 or q < 0:
+            raise ValueError(f"valence must be non-negative, got {valence}")
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
             coeff = as_fraction(coeff)
             if not coeff:

@@ -115,6 +115,8 @@ class Potential:
         raw = {}
         for e in d["jets"]:
             key = (tuple(e["alpha"]), tuple(e["beta"]))
+            if key in raw:
+                raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")
             raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))
         return cls.numeric(d["n"], raw)
 

@@ -1,9 +1,9 @@
 """Exact rational linear solving for the witness search.
 
-The decomposition solver asks for many right-hand sides against one column
-space, so the Gauss-Jordan elimination of the column matrix is done once and
-recorded as a row transform; each solve is then a single matrix-vector
-product plus a consistency check.  Everything is Fraction arithmetic.
+The solver asks for many right-hand sides against one column space, so the
+columns are reduced once, left to right, into a sparse basis that records
+how each basis vector is built from the original columns; a solve reduces
+the right-hand side against that basis.  Everything is Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -13,69 +13,59 @@ from fractions import Fraction
 __all__ = ["LinearSystem"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _add_scaled(target, f, source):
+    """target += f * source on sparse maps, dropping entries that cancel."""
+    for k, v in source.items():
+        s = target.get(k, _ZERO) + f * v
+        if s:
+            target[k] = s
+        else:
+            del target[k]
 
 
 class LinearSystem:
-    """RREF factorization of a fixed column family.
+    """Sparse column basis of a fixed list of columns (maps row -> Fraction).
 
-    columns: list of sparse maps row -> Fraction over rows 0..nrows-1.
-    Column order is significant: the basic solution returned by solve() sets
-    every non-pivot variable to zero, and pivots are chosen left to right.
+    Column order is significant: a column joins the basis only if the columns
+    to its left do not span it, and solve() is zero on every other column.
     """
 
-    def __init__(self, columns, nrows):
+    def __init__(self, columns):
         self.ncols = len(columns)
-        self.nrows = nrows
-        matrix = [[_ZERO] * self.ncols for _ in range(nrows)]
+        # (pivot row, vector that is 1 at its pivot and 0 at every earlier
+        # pivot, that vector as a combination of the original columns)
+        self._basis = []
         for c, col in enumerate(columns):
-            for r, v in col.items():
-                matrix[r][c] = v
-        # transform starts as the identity; row ops applied to both
-        transform = [
-            [_ONE if i == j else _ZERO for j in range(nrows)] for i in range(nrows)
-        ]
-        pivots = []  # (row, col) with row == position in reduced order
-        rank = 0
-        for c in range(self.ncols):
-            prow = next(
-                (r for r in range(rank, nrows) if matrix[r][c]), None
-            )
-            if prow is None:
-                continue
-            if prow != rank:
-                matrix[rank], matrix[prow] = matrix[prow], matrix[rank]
-                transform[rank], transform[prow] = transform[prow], transform[rank]
-            inv = 1 / matrix[rank][c]
-            if inv != 1:
-                matrix[rank] = [v * inv for v in matrix[rank]]
-                transform[rank] = [v * inv for v in transform[rank]]
-            for r in range(nrows):
-                if r == rank:
-                    continue
-                f = matrix[r][c]
-                if f:
-                    mrank = matrix[rank]
-                    trank = transform[rank]
-                    matrix[r] = [v - f * w for v, w in zip(matrix[r], mrank)]
-                    transform[r] = [v - f * w for v, w in zip(transform[r], trank)]
-            pivots.append((rank, c))
-            rank += 1
-        self.rank = rank
-        self.pivots = pivots
-        self.transform = transform
+            residual, taken = self._reduce(col)
+            if residual:
+                pivot = min(residual)
+                inv = 1 / Fraction(residual[pivot])
+                built = {k: -v * inv for k, v in taken.items()}
+                built[c] = inv
+                vec = {r: v * inv for r, v in residual.items()}
+                self._basis.append((pivot, vec, built))
+        self.rank = len(self._basis)
+
+    def _reduce(self, vec):
+        """vec reduced against the basis in order, and the combination of
+        original columns taken out of it."""
+        vec, taken = dict(vec), {}
+        for pivot, bvec, built in self._basis:
+            f = vec.get(pivot)
+            if f:
+                _add_scaled(vec, -f, bvec)
+                _add_scaled(taken, f, built)
+        return vec, taken
 
     def solve(self, rhs) -> list | None:
-        """Basic solution x with columns . x = rhs, or None if inconsistent.
-
-        rhs is a sparse map row -> Fraction.  Non-pivot entries of x are zero
-        and pivot entries are read off the fully reduced system.
-        """
-        items = rhs.items()
-        reduced = [sum((row[k] * v for k, v in items), _ZERO) for row in self.transform]
-        if any(reduced[r] for r in range(self.rank, self.nrows)):
+        """Basic solution x with columns . x = rhs (a sparse map row ->
+        Fraction), or None if inconsistent."""
+        residual, taken = self._reduce(rhs)
+        if residual:
             return None
         x = [_ZERO] * self.ncols
-        for row, col in self.pivots:
-            x[col] = reduced[row]
+        for c, v in taken.items():
+            x[c] = v
         return x

@@ -192,7 +192,7 @@ def _decompose_block(block, w, sigma, restriction, result):
         x = None
     else:
         if entry["system"] is None:
-            entry["system"] = LinearSystem(entry["columns"], len(rows))
+            entry["system"] = LinearSystem(entry["columns"])
         x = entry["system"].solve({rows[m]: c for m, c in block.terms.items()})
     if x is None:
         raise InfeasibleError(

@@ -187,6 +187,45 @@ def test_files_refuse_float_coefficients(tmp_path, capsys, command, field):
     assert_one_line_refusal(capsys, argv, "not an exact rational: 0.1")
 
 
+def test_potential_file_refuses_repeated_jets(tmp_path, capsys):
+    jets = [{"alpha": [2], "beta": [2], "re": re} for re in ("3", "5")]
+    path = write_json(tmp_path, {"n": 1, "jets": jets}, "pot.json")
+    argv = ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+    assert_one_line_refusal(capsys, argv, "repeated jet alpha=[2], beta=[2]")
+
+
+def test_invariant_file_refuses_negative_valence(tmp_path, capsys):
+    path = write_json(tmp_path, {"valence": [-1, 0], "terms": []}, "inv.json")
+    assert_one_line_refusal(capsys, ["canon", path], "valence")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "oracle --dim 0",
+        "oracle --dim 1 --trials -3",
+        "oracle --dim 1 --mode-bound 0",
+        "verify chern-integrals --mode-bound 0",
+        "bergman --symbolic --order 1 --dim 0",
+        "bergman --symbolic --dim 1 --order -1",
+        "verify a1 --dim 0",
+        "verify linear --order 0",
+        "verify a3 --trials 0",
+    ],
+)
+def test_numeric_flags_refuse_values_below_their_minimum(tmp_path, capsys, command):
+    argv = command.split()
+    flag = argv[-2]
+    if argv[0] == "oracle":
+        # argparse refuses the flag before the file is read, so the oracle
+        # never starts drawing
+        argv.insert(1, str(tmp_path / "never-read.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("caps", [[[2.9, 2]], [[2, True]]], ids=["fraction", "bool"])
 def test_restriction_file_refuses_non_integer_caps(tmp_path, capsys, caps):
     path = write_inv(tmp_path, chern_invariant((1,)))

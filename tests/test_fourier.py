@@ -1,5 +1,6 @@
 """Exact torus integration oracle."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,22 @@ def test_random_phi_is_seeded_real_and_bounded():
     assert random_phi(2, seed=6).coeffs != a.coeffs
     with pytest.raises(ValueError):
         random_phi(1, mode_bound=0)
+
+
+def test_random_phi_refuses_dimension_zero():
+    # no length-0 mode is ever admitted, so a draw would never end; the alarm
+    # turns a missing refusal into a failure instead of a hang
+    def expire(signum, frame):
+        raise TimeoutError("random_phi(0) is still drawing")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="dimension"):
+            random_phi(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_function_validation():

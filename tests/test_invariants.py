@@ -37,6 +37,8 @@ def test_kind_and_valence_validation():
         Invariant(PHI, (0, 0), [(open_mono, 1)])
     with pytest.raises(ValueError):
         lap2_phi() + monomial_invariant(psi)
+    with pytest.raises(ValueError, match="valence"):
+        Invariant(PHI, (-1, 0), [])
 
 
 def test_arithmetic_and_scaling():
