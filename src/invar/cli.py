@@ -356,7 +356,7 @@ def _verify_a3(args, rep):
     n = args.dim or 2
     trials = args.trials or 3
     for t in range(trials):
-        seed = args.seed + t
+        seed = (args.seed or 0) + t
         rng = random.Random(seed)
         pot = Potential.graded_numeric(n, random_hermitian_jets(n, 3, rng), 3)
         got = bergman_coefficients(pot, 3)[3]
@@ -404,8 +404,8 @@ def _verify_chern_integrals(args, rep):
         for p in partitions_of(sigma):
             inv = chern_invariant(p)
             for t in range(trials):
-                seed = args.seed + t
-                value = eval_integral(inv, random_phi(n, args.mode_bound, seed))
+                seed = (args.seed or 0) + t
+                value = eval_integral(inv, random_phi(n, args.mode_bound or 2, seed))
                 rep.line(
                     f"chern-integral[{','.join(map(str, p))}]",
                     not value,
@@ -419,7 +419,8 @@ def _verify_chern_integrals(args, rep):
 
 def _verify_roundtrip(args, rep):
     trials = args.trials or 10
-    rng = random.Random(args.seed)
+    seed = args.seed or 0
+    rng = random.Random(seed)
     done = 0
     while done < trials:
         sigma = rng.randint(1, 3)
@@ -441,24 +442,35 @@ def _verify_roundtrip(args, rep):
             msg,
             "exact reconstruction",
             dim=None,
-            seed=args.seed,
+            seed=seed,
         )
     rep.summary("decompose/verify round-trip")
 
 
+# each suite with the flags it reads; the parser leaves every flag None, so a
+# suite applies its own default and any other flag given is refused
 VERIFY_SUITES = {
-    "a1": _verify_a1,
-    "a2": _verify_a2,
-    "a3": _verify_a3,
-    "linear": _verify_linear,
-    "chern-integrals": _verify_chern_integrals,
-    "roundtrip": _verify_roundtrip,
+    "a1": (_verify_a1, {"dim"}),
+    "a2": (_verify_a2, {"dim"}),
+    "a3": (_verify_a3, {"dim", "trials", "seed"}),
+    "linear": (_verify_linear, {"dim", "order"}),
+    "chern-integrals": (
+        _verify_chern_integrals,
+        {"dim", "order", "trials", "mode_bound", "seed"},
+    ),
+    "roundtrip": (_verify_roundtrip, {"trials", "seed"}),
 }
+VERIFY_FLAGS = ("dim", "order", "trials", "mode_bound", "seed")
 
 
 def cmd_verify(args):
+    suite, reads = VERIFY_SUITES[args.suite]
+    for flag in VERIFY_FLAGS:
+        if getattr(args, flag) is not None and flag not in reads:
+            option = "--" + flag.replace("_", "-")
+            raise InputError(f"verify {args.suite} does not read {option}")
     rep = Reporter()
-    VERIFY_SUITES[args.suite](args, rep)
+    suite(args, rep)
     return rep.exit_code
 
 
@@ -512,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_at_least(1))
     p.add_argument("--order", type=_at_least(1))
     p.add_argument("--trials", type=_at_least(1))
-    p.add_argument("--mode-bound", type=_at_least(1), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode-bound", type=_at_least(1))
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -9,8 +9,13 @@ coefficients and of pairing values
 
     D(xi, eta) = -1/4 * sum_a (k_a - i l_a) (k'_a + i l'_a)
 
-raised to the edge multiplicities.  Everything stays in exact arithmetic;
-the returned value is the mean over the torus (no volume factor).
+raised to the edge multiplicities.  The returned value is the mean over the
+torus (no volume factor).
+
+The mode sum runs over Python-int Gaussian integers: each function's
+coefficients are scaled by the lcm L of their denominators, and each
+pairing is kept as -4 D.  A monomial with W edges then divides its integer
+sum once, exactly, by prod(L) * (-4)^W.  No floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .invariants import Invariant
 from .monomials import PHI
@@ -57,14 +63,32 @@ class FourierFunction:
         return bool(self.coeffs)
 
 
+def _pairing_int(xi, eta, n):
+    """-4 * D(xi, eta) as a Gaussian integer (re, im)."""
+    re = im = 0
+    for a in range(n):
+        k, l = xi[a], -xi[n + a]
+        k2, l2 = eta[a], eta[n + a]
+        re += k * k2 - l * l2
+        im += k * l2 + l * k2
+    return re, im
+
+
 def pairing(xi, eta, n) -> GaussRat:
     """Value of one holomorphic-on-xi, antiholomorphic-on-eta contraction."""
-    total = GR_ZERO
-    for a in range(n):
-        hol = GaussRat(xi[a], -xi[n + a])
-        anti = GaussRat(eta[a], eta[n + a])
-        total = total + hol * anti
-    return total * Fraction(-1, 4)
+    re, im = _pairing_int(xi, eta, n)
+    return GaussRat(Fraction(re, -4), Fraction(im, -4))
+
+
+def _integer_coeffs(f):
+    """(L, {mode: (re, im)}): the coefficients of f times the lcm L of their
+    denominators, as Gaussian integers."""
+    scale = 1
+    for c in f.coeffs.values():
+        scale = lcm(scale, c.re.denominator, c.im.denominator)
+    return scale, {
+        mode: (int(c.re * scale), int(c.im * scale)) for mode, c in f.coeffs.items()
+    }
 
 
 def eval_integral(inv: Invariant, phi) -> GaussRat:
@@ -80,6 +104,7 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
             raise ValueError("a phi-invariant takes a single function")
         functions = None
         n = phi.n
+        single = _integer_coeffs(phi)
     else:
         functions = list(phi)
         if not functions:
@@ -87,12 +112,13 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
         n = functions[0].n
         if any(f.n != n for f in functions):
             raise ValueError("mixed torus dimensions")
+        scaled = [_integer_coeffs(f) for f in functions]
     cache: dict = {}
 
     def d(xi, eta):
         v = cache.get((xi, eta))
         if v is None:
-            v = pairing(xi, eta, n)
+            v = _pairing_int(xi, eta, n)
             cache[(xi, eta)] = v
         return v
 
@@ -100,38 +126,46 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
     for mono, coeff in inv.sorted_terms():
         sigma = mono.sigma
         if functions is None:
-            slots = [phi] * sigma
+            slots = [single] * sigma
         elif len(functions) == sigma:
-            slots = functions
+            slots = scaled
         else:
             raise ValueError(f"invariant has {sigma} factors, got {len(functions)} functions")
-        acc = GR_ZERO
         pairs = [
             (i, j, e)
             for i, row in enumerate(mono.edges)
             for j, e in enumerate(row)
             if e
         ]
-        head_modes = [sorted(f.coeffs) for f in slots[:-1]]
-        for head in itertools.product(*head_modes):
+        # every product below carries prod(L) from the slots and -4 per edge
+        q = (-4) ** sum(e for _, _, e in pairs)
+        for scale, _ in slots:
+            q *= scale
+        head_ints = [ints for _, ints in slots[:-1]]
+        last_ints = slots[-1][1]
+        acc_re = acc_im = 0
+        for head in itertools.product(*(sorted(ints) for ints in head_ints)):
             last = tuple(-sum(v) for v in zip(*head)) if head else ()
             if sigma == 1:
                 last = (0,) * (2 * n)
-            c_last = slots[-1].coeffs.get(last)
+            c_last = last_ints.get(last)
             if c_last is None:
                 continue
             assign = head + (last,)
-            value = c_last
-            for f, xi in enumerate(head):
-                value = value * slots[f].coeffs[xi]
+            re, im = c_last
+            for ints, xi in zip(head_ints, head):
+                a, b = ints[xi]
+                re, im = re * a - im * b, re * b + im * a
             for i, j, e in pairs:
-                p = d(assign[i], assign[j])
-                if not p:
-                    value = GR_ZERO
+                a, b = d(assign[i], assign[j])
+                if not (a or b):
+                    re = im = 0
                     break
-                value = value * p ** e
-            acc = acc + value
-        total = total + acc * coeff
+                for _ in range(e):
+                    re, im = re * a - im * b, re * b + im * a
+            acc_re += re
+            acc_im += im
+        total = total + GaussRat(Fraction(acc_re, q), Fraction(acc_im, q)) * coeff
     return total
 
 
@@ -151,6 +185,12 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
         raise ValueError("dimension must be at least 1")
     if mode_bound < 1:
         raise ValueError("mode bound must be at least 1")
+    limit = ((2 * mode_bound + 1) ** (2 * n) - 1) // 2
+    if not 1 <= as_int(pairs, "pairs") <= limit:
+        raise ValueError(
+            f"pairs must be between 1 and ((2b+1)^(2n) - 1)/2 = {limit} "
+            f"for n={n}, mode bound b={mode_bound}; got {pairs}"
+        )
     rng = random.Random(f"{seed}:{n}:{mode_bound}")
 
     modes: list = []

@@ -253,6 +253,29 @@ def test_verify_roundtrip_suite(capsys):
     assert "decompose/verify round-trip [3 checks: ok]" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("a1 --dim 1 --order 9", "--order"),
+        ("a2 --dim 1 --trials 2", "--trials"),
+        ("a3 --dim 1 --mode-bound 3", "--mode-bound"),
+        ("linear --dim 1 --seed 4", "--seed"),
+        ("roundtrip --trials 1 --dim 2", "--dim"),
+    ],
+    ids=lambda v: v.split()[0],
+)
+def test_verify_refuses_flags_the_suite_does_not_read(capsys, command, flag):
+    argv = ["verify", *command.split()]
+    assert_one_line_refusal(capsys, argv, f"does not read {flag}")
+
+
+def test_verify_chern_integrals_reads_every_flag(capsys):
+    argv = "verify chern-integrals --dim 1 --order 1 --trials 1 --mode-bound 1 --seed 3"
+    assert main(argv.split()) == 0
+    rows = report_lines(capsys.readouterr().out)
+    assert [(r["dim"], r["seed"], r["status"]) for r in rows] == [(1, 3, "ok")]
+
+
 def test_decompose_chern_combination(tmp_path, capsys):
     path = write_inv(tmp_path, chern_invariant((2,)))
     assert main(["decompose", path]) == 0

@@ -1,16 +1,20 @@
 """Exact torus integration oracle."""
 
+import contextlib
+import itertools
+import random
 import signal
 from fractions import Fraction
 
 import pytest
 
 from invar.calculus import divergence
-from invar.chern import chern_invariant
+from invar.chern import chern_invariant, partitions_of
 from invar.fourier import FourierFunction, eval_integral, pairing, random_phi
-from invar.invariants import monomial_invariant
+from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, ContractionMonomial, scalar_monomial
 from invar.rationals import GR_ZERO, GaussRat
+from invar.solver import enumerate_monomials, random_coexact_invariant
 
 SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
 
@@ -100,20 +104,35 @@ def test_random_phi_is_seeded_real_and_bounded():
         random_phi(1, mode_bound=0)
 
 
-def test_random_phi_refuses_dimension_zero():
-    # no length-0 mode is ever admitted, so a draw would never end; the alarm
-    # turns a missing refusal into a failure instead of a hang
+@contextlib.contextmanager
+def deadline(seconds, what):
+    """Turn a draw that never ends into a failure instead of a hang."""
+
     def expire(signum, frame):
-        raise TimeoutError("random_phi(0) is still drawing")
+        raise TimeoutError(f"{what} is still drawing")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
+    signal.alarm(seconds)
     try:
-        with pytest.raises(ValueError, match="dimension"):
-            random_phi(0)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_random_phi_refuses_dimension_zero():
+    # no length-0 mode is ever admitted, so a draw would never end
+    with deadline(5, "random_phi(0)"), pytest.raises(ValueError, match="dimension"):
+        random_phi(0)
+
+
+@pytest.mark.parametrize("pairs", [5, 2.5, 0, -1], ids=["past-the-box", "fraction", "zero", "negative"])
+def test_random_phi_refuses_bad_pair_counts(pairs):
+    # the 3^2 box of n=1, mode bound 1 holds 4 conjugate pairs; a fifth is
+    # never found, and no pair at all makes every integral 0
+    with deadline(5, f"random_phi(pairs={pairs})"), pytest.raises(ValueError, match="pairs"):
+        random_phi(1, mode_bound=1, pairs=pairs)
+    assert len(random_phi(1, mode_bound=1, pairs=4).coeffs) == 8
 
 
 def test_function_validation():
@@ -139,3 +158,95 @@ def test_eval_argument_validation():
     one_form = monomial_invariant(ContractionMonomial(PHI, ((2,),), (1,), (0,)))
     with pytest.raises(ValueError):
         eval_integral(one_form, phi)
+
+
+def reference_pairing(xi, eta, n):
+    total = GR_ZERO
+    for a in range(n):
+        total = total + GaussRat(xi[a], -xi[n + a]) * GaussRat(eta[a], eta[n + a])
+    return total * Fraction(-1, 4)
+
+
+def reference_integral(inv, phi):
+    """The mode sum written directly in GaussRat arithmetic: every product
+    of coefficients and pairings is formed and summed as it stands."""
+    n = phi.n if inv.kind == PHI else phi[0].n
+    total = GR_ZERO
+    for mono, coeff in inv.sorted_terms():
+        sigma = mono.sigma
+        slots = [phi] * sigma if inv.kind == PHI else list(phi)
+        acc = GR_ZERO
+        for head in itertools.product(*(sorted(f.coeffs) for f in slots[:-1])):
+            last = tuple(-sum(v) for v in zip(*head)) if head else (0,) * (2 * n)
+            if last not in slots[-1].coeffs:
+                continue
+            assign = head + (last,)
+            value = GaussRat(1)
+            for f, xi in zip(slots, assign):
+                value = value * f.coeffs[xi]
+            for i, row in enumerate(mono.edges):
+                for j, e in enumerate(row):
+                    value = value * reference_pairing(assign[i], assign[j], n) ** e
+            acc = acc + value
+        total = total + acc * coeff
+    return total
+
+
+def fifths_and_sevenths():
+    """Three non-real functions on T^2 whose coefficient denominators differ
+    (5, 7 and 35), with a closed mode triangle in each support."""
+    f = FourierFunction(1, {
+        (1, 0): GaussRat(Fraction(2, 5), Fraction(-1, 5)),
+        (-1, 1): GaussRat(Fraction(-3, 5)),
+        (0, -1): GaussRat(0, Fraction(4, 5)),
+    })
+    g = FourierFunction(1, {
+        (1, 0): GaussRat(Fraction(1, 7), Fraction(3, 7)),
+        (-1, 1): GaussRat(Fraction(-2, 7), Fraction(5, 7)),
+        (0, -1): GaussRat(Fraction(6, 7)),
+        (0, 1): GaussRat(0, Fraction(-1, 7)),
+    })
+    h = FourierFunction(1, {
+        (1, 0): GaussRat(Fraction(3, 5), Fraction(2, 7)),
+        (-1, 1): GaussRat(Fraction(1, 7), Fraction(-4, 5)),
+        (0, -1): GaussRat(Fraction(-1, 35), Fraction(2)),
+        (-1, 0): GaussRat(Fraction(5, 7)),
+    })
+    return f, g, h
+
+
+def random_scalar_invariant(weight, sigma, rng):
+    basis = enumerate_monomials(weight, sigma)
+    picks = rng.sample(basis, min(2, len(basis)))
+    return Invariant(PHI, (0, 0), [(m, Fraction(rng.randint(1, 3), rng.randint(1, 3))) for m in picks])
+
+
+def test_integer_mode_sum_matches_the_gaussrat_reference():
+    zero = []  # cases that integrate to zero: chern and co-exact invariants
+    for sigma in (1, 2, 3):
+        for p in partitions_of(sigma):
+            for n in (1, 2, 3):
+                zero.append((chern_invariant(p), random_phi(n, seed=10 * sigma + n)))
+    rng = random.Random(7)
+    for k in range(6):
+        sigma = 1 + k % 3
+        inv = random_coexact_invariant(rng.randint(max(2, sigma), 5), sigma, rng)
+        zero.append((inv, random_phi(sigma, seed=k)))
+    # odd weights catch the sign of the -4 per edge; f, g, h catch each slot's scale
+    nonzero = []
+    for k, (weight, sigma) in enumerate(((4, 2), (5, 2), (6, 3)) * 2):
+        inv = random_scalar_invariant(weight, sigma, rng)
+        nonzero.append((inv, random_phi(sigma, seed=k)))
+    f, g, h = fifths_and_sevenths()
+    cubic = random_scalar_invariant(6, 3, rng)
+    quintic = random_scalar_invariant(5, 2, rng)
+    nonzero.append((cubic.polarize(), [random_phi(1, mode_bound=1, seed=s) for s in (1, 2, 3)]))
+    nonzero.append((cubic.polarize(), [f, g, h]))
+    nonzero.append((quintic.polarize(), [g, h]))
+    nonzero.append((SQ.polarize(), [h, f]))
+    nonzero.append((cubic, f))
+    for expect_zero, cases in ((True, zero), (False, nonzero)):
+        for inv, phi in cases:
+            value = eval_integral(inv, phi)
+            assert value == reference_integral(inv, phi), (inv, phi)
+            assert bool(value) != expect_zero  # the comparison is not vacuous
