@@ -6,9 +6,17 @@ derivative off the first factor of its multilinear form leaves nothing; for
 sigma = 1 a scalar monomial is a pure trace power and integrates to zero iff
 it carries at least one derivative.  This decides the integral condition in
 the stable dimension range; low-dimensional identities are out of scope.
+
+Both divergences are one Leibniz expansion: each released derivative lands
+on one of the cells its contraction allows, and placements collect on bare
+edge matrices before any monomial is built, one per distinct nonzero matrix.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from math import isqrt, lcm
 
 from .invariants import Invariant
 from .monomials import PHI, PSI, ContractionMonomial
@@ -24,30 +32,18 @@ def divergence(inv: Invariant) -> Invariant:
     the new derivative onto one factor, converting the free slot into a
     contraction.  Weight increases by one, degree is preserved.
     """
-    if inv.valence == (1, 0):
-        hol_free = True
-    elif inv.valence == (0, 1):
-        hol_free = False
-    else:
+    if inv.valence not in ((1, 0), (0, 1)):
         raise ValueError("divergence expects valence (1,0) or (0,1)")
-    terms = []
+    hol_free = inv.valence == (1, 0)
+    placements = []
     for mono, coeff in inv.terms.items():
-        free = mono.free_hol if hol_free else mono.free_anti
-        i = next(k for k in range(mono.sigma) if free[k])
-        new_free = list(free)
-        new_free[i] -= 1
-        new_free = tuple(new_free)
-        for m in range(mono.sigma):
-            edges = [list(row) for row in mono.edges]
-            if hol_free:
-                # free holomorphic slot on i pairs with the new d_abar on m
-                edges[i][m] += 1
-                out = ContractionMonomial(mono.kind, edges, new_free, mono.free_anti)
-            else:
-                edges[m][i] += 1
-                out = ContractionMonomial(mono.kind, edges, mono.free_hol, new_free)
-            terms.append((out, coeff))
-    return Invariant(inv.kind, (0, 0), terms)
+        s = mono.sigma
+        i = (mono.free_hol if hol_free else mono.free_anti).index(1)
+        # the free slot on i pairs with the new derivative on any factor m:
+        # edge (i, m) for a holomorphic slot, (m, i) for an antiholomorphic one
+        move = range(i * s, i * s + s) if hol_free else range(i, s * s, s)
+        placements.append(([x for row in mono.edges for x in row], [move], coeff))
+    return _leibniz(inv.kind, placements)
 
 
 def local_divergence(inv: Invariant, k: int) -> Invariant:
@@ -70,51 +66,46 @@ def local_divergence(inv: Invariant, k: int) -> Invariant:
             raise ValueError("local_divergence needs at least two factors")
         if not 1 <= k <= sigma:
             raise ValueError(f"factor index {k} out of range 1..{sigma}")
-    terms = []
+    k -= 1
+    placements = []
     for mono, coeff in inv.terms.items():
-        terms.extend(_local_divergence_monomial(mono, coeff, k - 1))
-    return Invariant(PSI, (0, 0), terms)
+        e, s = mono.edges, mono.sigma - 1
+        survivors = [i for i in range(mono.sigma) if i != k]
+        # an edge (k, j) lands in column c of survivor j, an edge (j, k) in
+        # its row c, and a trace (k, k) in any cell
+        moves = [range(s * s)] * e[k][k]
+        for c, j in enumerate(survivors):
+            moves += [range(c, s * s, s)] * e[k][j] + [range(c * s, c * s + s)] * e[j][k]
+        base = [e[i][j] for i in survivors for j in survivors]
+        placements.append((base, moves, (-1) ** (mono.A(k) + mono.B(k)) * coeff))
+    return _leibniz(PSI, placements)
 
 
-def _local_divergence_monomial(mono, coeff, k):
-    survivors = [i for i in range(mono.sigma) if i != k]
-    sign = -1 if (mono.A(k) + mono.B(k)) % 2 else 1
-    base = [[mono.edges[i][j] for j in survivors] for i in survivors]
-    pending = []
-    for j in survivors:
-        pending.extend([("hol", survivors.index(j))] * mono.edges[k][j])
-    for i in survivors:
-        pending.extend([("anti", survivors.index(i))] * mono.edges[i][k])
-    pending.extend([("pair", None)] * mono.edges[k][k])
+def _leibniz(kind, placements):
+    """The scalar invariant of every Leibniz placement, collected.
 
-    results = []
-
-    def distribute(idx, edges):
-        if idx == len(pending):
-            results.append(
-                (ContractionMonomial(PSI, [tuple(r) for r in edges]), coeff * sign)
-            )
-            return
-        what, slot = pending[idx]
-        if what == "hol":
-            for m in range(len(survivors)):
-                edges[m][slot] += 1
-                distribute(idx + 1, edges)
-                edges[m][slot] -= 1
-        elif what == "anti":
-            for m in range(len(survivors)):
-                edges[slot][m] += 1
-                distribute(idx + 1, edges)
-                edges[slot][m] -= 1
-        else:
-            for m in range(len(survivors)):
-                for mp in range(len(survivors)):
-                    edges[m][mp] += 1
-                    distribute(idx + 1, edges)
-                    edges[m][mp] -= 1
-
-    distribute(0, base)
-    return results
+    Each ``(base, moves, coeff)`` holds a row-major flat edge matrix and, per
+    released derivative, the range of flat cells it may land on; every choice
+    of one cell per move adds coeff to the matrix it reaches, as an integer
+    numerator over the lcm q of all the denominators.
+    """
+    q = lcm(*(coeff.denominator for _, _, coeff in placements))
+    acc = {}
+    for base, moves, coeff in placements:
+        num = coeff.numerator * (q // coeff.denominator)
+        for cells in product(*moves):
+            flat = base.copy()
+            for c in cells:
+                flat[c] += 1
+            flat = tuple(flat)
+            acc[flat] = acc.get(flat, 0) + num
+    terms = []
+    for flat, num in acc.items():
+        if num:
+            s = isqrt(len(flat))
+            rows = [flat[r : r + s] for r in range(0, s * s, s)]
+            terms.append((ContractionMonomial(kind, rows), Fraction(num, q)))
+    return Invariant(kind, (0, 0), terms)
 
 
 def first_slot_residue(inv: Invariant) -> Invariant:
@@ -133,5 +124,11 @@ def first_slot_residue(inv: Invariant) -> Invariant:
 
 
 def integrates_to_zero(inv: Invariant) -> bool:
-    """Formal test for a vanishing integral over compactly supported data."""
-    return not first_slot_residue(inv)
+    """Formal test for a vanishing integral over compactly supported data.
+
+    Input of mixed degree is tested one degree block at a time: scaling the
+    functions by t scales the block of degree sigma by t^sigma, so the
+    integral vanishes identically iff every block's does.
+    """
+    blocks = [inv.filter(lambda m, s=s: m.sigma == s) for s in sorted(inv.degrees())]
+    return not any(first_slot_residue(b) for b in blocks or [inv])

@@ -247,6 +247,8 @@ def cmd_oracle(args):
     inv = _load_invariant(args.invariant)
     if inv.valence != (0, 0):
         raise InputError("the oracle integrates scalar invariants only")
+    if inv.kind != PHI and len(inv.degrees()) > 1:
+        raise InputError("a psi-invariant must have one degree: one function per factor")
     n = args.dim
     formal = integrates_to_zero(inv)
     rep = Reporter()

@@ -181,9 +181,9 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     triple for n >= 2 in practice, which would blind degree-3 sampling for
     support reasons alone.
     """
-    if n < 1:
+    if as_int(n, "n") < 1:
         raise ValueError("dimension must be at least 1")
-    if mode_bound < 1:
+    if as_int(mode_bound, "mode_bound") < 1:
         raise ValueError("mode bound must be at least 1")
     limit = ((2 * mode_bound + 1) ** (2 * n) - 1) // 2
     if not 1 <= as_int(pairs, "pairs") <= limit:

@@ -11,9 +11,10 @@ from invar.calculus import (
     integrates_to_zero,
     local_divergence,
 )
+from invar.chern import chern_invariant
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
-from invar.solver import random_coexact_invariant
+from invar.solver import enumerate_monomials, random_coexact_invariant
 
 
 def one_form():
@@ -138,3 +139,112 @@ def test_nonzero_integral_leaves_residue():
     bare = monomial_invariant(scalar_monomial(PHI, ((0,),)))
     traced = monomial_invariant(scalar_monomial(PHI, ((1,),)))
     assert first_slot_residue(bare + traced) == bare
+
+
+def test_integrates_to_zero_tests_each_degree_block():
+    c1, c2 = chern_invariant((1,)), chern_invariant((2,))
+    sq = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+    bare = monomial_invariant(scalar_monomial(PHI, ((0,),)))
+    assert integrates_to_zero(c1 + c2)
+    assert integrates_to_zero(c1.polarize() + c2.polarize())
+    assert not integrates_to_zero(c1 + sq)
+    assert not integrates_to_zero(bare + c2)
+    # the residue itself stays defined on one degree only
+    with pytest.raises(ValueError, match="homogeneous"):
+        first_slot_residue(c1 + c2)
+
+
+# -- reference parity: one monomial per Leibniz placement, nothing collected --
+
+
+def reference_divergence(inv):
+    hol_free = inv.valence == (1, 0)
+    terms = []
+    for mono, coeff in inv.terms.items():
+        free = mono.free_hol if hol_free else mono.free_anti
+        i = next(k for k in range(mono.sigma) if free[k])
+        new_free = tuple(f - (k == i) for k, f in enumerate(free))
+        for m in range(mono.sigma):
+            edges = [list(row) for row in mono.edges]
+            if hol_free:
+                edges[i][m] += 1
+                out = ContractionMonomial(mono.kind, edges, new_free, mono.free_anti)
+            else:
+                edges[m][i] += 1
+                out = ContractionMonomial(mono.kind, edges, mono.free_hol, new_free)
+            terms.append((out, coeff))
+    return Invariant(inv.kind, (0, 0), terms)
+
+
+def reference_local_divergence(inv, k):
+    k -= 1
+    terms = []
+    for mono, coeff in inv.terms.items():
+        survivors = [i for i in range(mono.sigma) if i != k]
+        sign = -1 if (mono.A(k) + mono.B(k)) % 2 else 1
+        edges = [[mono.edges[i][j] for j in survivors] for i in survivors]
+        pending = []
+        for c, j in enumerate(survivors):
+            pending += [("hol", c)] * mono.edges[k][j]
+        for r, i in enumerate(survivors):
+            pending += [("anti", r)] * mono.edges[i][k]
+        pending += [("pair", None)] * mono.edges[k][k]
+        rng = range(len(survivors))
+        cells = {
+            "hol": lambda c: [(m, c) for m in rng],
+            "anti": lambda r: [(r, m) for m in rng],
+            "pair": lambda _: [(m, mp) for m in rng for mp in rng],
+        }
+
+        def place(idx):
+            if idx == len(pending):
+                terms.append((ContractionMonomial(PSI, edges), coeff * sign))
+                return
+            what, at = pending[idx]
+            for r, c in cells[what](at):
+                edges[r][c] += 1
+                place(idx + 1)
+                edges[r][c] -= 1
+
+        place(0)
+    return Invariant(PSI, (0, 0), terms)
+
+
+def random_scalar_invariant(rng, sigma, weight):
+    terms = []
+    for _ in range(3):
+        edges = [[0] * sigma for _ in range(sigma)]
+        for _ in range(weight):
+            edges[rng.randrange(sigma)][rng.randrange(sigma)] += 1
+        coeff = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+        terms.append((scalar_monomial(PHI, edges), coeff))
+    return Invariant(PHI, (0, 0), terms)
+
+
+def test_local_divergence_matches_the_per_placement_reference():
+    rng = random.Random(3)
+    traced = repeated = 0
+    for sigma in (2, 3, 4):
+        for weight in range(sigma, 6):
+            for _ in range(3):
+                pol = random_scalar_invariant(rng, sigma, weight).polarize()
+                for k in range(1, sigma + 1):
+                    for mono in pol.terms:
+                        traced += mono.edges[k - 1][k - 1] > 0
+                        repeated += any(x > 1 for x in mono.edges[k - 1])
+                    assert local_divergence(pol, k) == reference_local_divergence(pol, k)
+    assert traced and repeated
+
+
+def test_divergence_matches_the_per_placement_reference():
+    for valence in ((1, 0), (0, 1)):
+        for sigma in (1, 2, 3):
+            for w in range(6):
+                monos = enumerate_monomials(w, sigma, [(0, 0)] * sigma, valence)
+                for mono in monos:
+                    t = monomial_invariant(mono)
+                    assert divergence(t) == reference_divergence(t)
+                if monos:
+                    t = Invariant(PHI, valence, [(m, i - 2) for i, m in enumerate(monos)])
+                    assert divergence(t) == reference_divergence(t)
+                    assert divergence(t.polarize()) == reference_divergence(t.polarize())

@@ -7,7 +7,7 @@ import pytest
 from invar.chern import chern_invariant
 from invar.cli import main
 from invar.calculus import divergence
-from invar.invariants import monomial_invariant
+from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.solver import Decomposition
 
@@ -369,6 +369,23 @@ def test_oracle_multilinear_input(tmp_path, capsys):
     assert main(["oracle", path, "--dim", "2", "--trials", "2"]) == 0
     rows = report_lines(capsys.readouterr().out)
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_oracle_mixed_degree_input(tmp_path, capsys):
+    # each degree block is tested on its own, as decompose does
+    mixed = chern_invariant((1,)) + chern_invariant((2,))
+    path = write_inv(tmp_path, mixed)
+    assert main(["oracle", path, "--dim", "2", "--trials", "2"]) == 0
+    captured = capsys.readouterr()
+    assert all(r["status"] == "ok" and r["lhs"] == "0" for r in report_lines(captured.out))
+    assert "formally zero; 2 trials evaluated" in captured.err
+    path = write_inv(tmp_path, mixed + SQ)
+    assert main(["oracle", path, "--dim", "1", "--trials", "2"]) == 0
+    assert "formally nonzero" in capsys.readouterr().err
+    # a psi file draws one function per factor, so its degree must be one
+    psi = Invariant(PSI, (0, 0), [(m.with_kind(PSI), c) for m, c in mixed.terms.items()])
+    argv = ["oracle", write_inv(tmp_path, psi), "--dim", "2"]
+    assert_one_line_refusal(capsys, argv, "one degree")
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

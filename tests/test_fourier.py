@@ -102,6 +102,10 @@ def test_random_phi_is_seeded_real_and_bounded():
     assert random_phi(2, seed=6).coeffs != a.coeffs
     with pytest.raises(ValueError):
         random_phi(1, mode_bound=0)
+    # a bool or a fraction is refused by name, not drawn as 1 or left to randrange
+    for bound in (True, 1.5):
+        with pytest.raises(ValueError, match="mode_bound must be an integer"):
+            random_phi(1, mode_bound=bound)
 
 
 @contextlib.contextmanager
@@ -124,6 +128,9 @@ def test_random_phi_refuses_dimension_zero():
     # no length-0 mode is ever admitted, so a draw would never end
     with deadline(5, "random_phi(0)"), pytest.raises(ValueError, match="dimension"):
         random_phi(0)
+    for n in (1.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            random_phi(n)
 
 
 @pytest.mark.parametrize("pairs", [5, 2.5, 0, -1], ids=["past-the-box", "fraction", "zero", "negative"])
