@@ -29,10 +29,8 @@ from .chern import (
 )
 from .fourier import FourierFunction, eval_integral, pairing, random_phi
 from .geometry import (
-    ComponentTensor,
     CurvaturePackage,
     NAMED_SCALARS,
-    covariant_derivative,
     curvature_package,
     kernel_coefficient_reference,
     named_scalar,
@@ -101,9 +99,7 @@ __all__ = [
     "fubini_study_jets",
     "random_hermitian_jets",
     "CurvaturePackage",
-    "ComponentTensor",
     "curvature_package",
-    "covariant_derivative",
     "named_scalar",
     "scalar_weight",
     "todd_polynomial",

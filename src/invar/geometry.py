@@ -16,13 +16,13 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import cycle_successor, perm_sign
+from .rationals import as_int
+from .rings import GaussRing
 from .series import ScalarSeries
 
 __all__ = [
     "CurvaturePackage",
-    "ComponentTensor",
     "curvature_package",
-    "covariant_derivative",
     "named_scalar",
     "scalar_weight",
     "todd_polynomial",
@@ -61,6 +61,8 @@ class CurvaturePackage:
     __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S", "_RU")
 
     def __init__(self, pot, cap):
+        if as_int(cap, "cap") < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
         n = pot.n
         ring = pot.ring
         rng = range(n)
@@ -161,109 +163,47 @@ class CurvaturePackage:
         """div of the weight-3 gradient current, the correction term in the
         third kernel coefficient.  48 Q_a = grad_a(|R|^2 - 4|Ric|^2 + 8 S^2)
         + 2 g^{d fbar} (del_d Y)_{a fbar} with Y = X - 4 S Ric and
-        X the Ricci contraction of the curvature."""
+        X the Ricci contraction of the curvature.  Only unmixed connection
+        coefficients exist, so (del_d Y)_{a fbar} = d_d Y[a][f] -
+        Gamma[e][d][a] Y[e][f] and the antiholomorphic slot takes none."""
         rng = range(self.n)
+        Ginv, Gamma, R, Ric, S = self.Ginv, self.Gamma, self.R, self.Ric, self.S
         RU = self._raised_ricci()
-        Y = {
-            (a, d): _sum_series(
-                self.R[a][b][c][d].mul(RU[b][c]) for b in rng for c in rng
-            ).sub(self.S.mul(self.Ric[a][d]).scale(4))
-            for a in rng
-            for d in rng
-        }
+        Y = _table(
+            self.n,
+            2,
+            lambda a, f: _sum_series(
+                R[a][b][c][f].mul(RU[b][c]) for b in rng for c in rng
+            ).sub(S.mul(Ric[a][f]).scale(4)),
+        )
         F = (
             self.curvature_norm2()
             .sub(self.ricci_norm2().scale(4))
-            .add(self.S.mul(self.S).scale(8))
+            .add(S.mul(S).scale(8))
         )
-        DY = covariant_derivative(ComponentTensor(self, "ha", Y), "hol")
         Q = []
         for a in rng:
             covY = _sum_series(
-                self.Ginv[f][d].mul(DY.component((d, a, f)))
+                Ginv[f][d].mul(
+                    Y[a][f]
+                    .d_hol(d)
+                    .sub(_sum_series(Gamma[e][d][a].mul(Y[e][f]) for e in rng))
+                )
                 for d in rng
                 for f in rng
             )
             Q.append(F.d_hol(a).add(covY.scale(2)).scale(Fraction(1, 48)))
-        return _sum_series(
-            self.Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng
-        )
+        return _sum_series(Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
 
 
 def curvature_package(pot, cap) -> CurvaturePackage:
     return CurvaturePackage(pot, cap)
 
 
-class ComponentTensor:
-    """Dense componentwise tensor with lower indices only.
-
-    slots is a string over {'h', 'a'}, one letter per index in component
-    order: 'h' for a holomorphic (unbarred) index, 'a' for an
-    antiholomorphic one.  components maps index tuples to series; absent
-    entries read as zero.
-    """
-
-    __slots__ = ("pkg", "slots", "components")
-
-    def __init__(self, pkg, slots, components):
-        if set(slots) - {"h", "a"}:
-            raise ValueError("slot letters are 'h' and 'a'")
-        self.pkg = pkg
-        self.slots = slots
-        self.components = {
-            idx: f for idx, f in components.items() if f
-        }
-
-    @classmethod
-    def scalar(cls, pkg, f):
-        return cls(pkg, "", {(): f})
-
-    def component(self, idx):
-        f = self.components.get(tuple(idx))
-        if f is None:
-            return ScalarSeries(self.pkg.ring, self.pkg.n, self.pkg.cap)
-        return f
-
-
-def covariant_derivative(T: ComponentTensor, kind) -> ComponentTensor:
-    """One covariant derivative, prepending the new index slot.
-
-    Only unmixed connection coefficients exist here, so a holomorphic
-    derivative corrects holomorphic slots and an antiholomorphic one the
-    conjugate slots, through the conjugated connection.
-    """
-    if kind not in ("hol", "anti"):
-        raise ValueError("kind is 'hol' or 'anti'")
-    pkg = T.pkg
-    n = pkg.n
-    out: dict = {}
-    for idx in itertools.product(range(n), repeat=len(T.slots) + 1):
-        d, rest = idx[0], idx[1:]
-        base = T.component(rest)
-        f = base.d_hol(d) if kind == "hol" else base.d_anti(d)
-        for p, letter in enumerate(T.slots):
-            if (letter == "h") != (kind == "hol"):
-                continue
-            corr = _sum_series(
-                _christoffel(pkg, e, d, rest[p], kind).mul(
-                    T.component(rest[:p] + (e,) + rest[p + 1 :])
-                )
-                for e in range(n)
-            )
-            f = f.sub(corr)
-        if f:
-            out[idx] = f
-    letter = "h" if kind == "hol" else "a"
-    return ComponentTensor(pkg, letter + T.slots, out)
-
-
-def _christoffel(pkg, e, d, c, kind):
-    gamma = pkg.Gamma[e][d][c]
-    return gamma if kind == "hol" else gamma.conjugate()
-
-
 def todd_gammas(jmax):
     """Coefficients of log(x / (e^x - 1)) through degree jmax, exactly."""
+    if as_int(jmax, "jmax") < 0:
+        raise ValueError(f"jmax must be non-negative, got {jmax}")
     u = [Fraction(0)] * (jmax + 1)
     for k in range(1, jmax + 1):
         u[k] = Fraction(1, factorial(k + 1))
@@ -315,6 +255,8 @@ def todd_polynomial(pot, j, extra=0):
     """Degree-j Todd curvature polynomial of the potential, at the center."""
     from .chern import partitions_of
 
+    if as_int(j, "j") < 0:
+        raise ValueError(f"j must be non-negative, got {j}")
     pkg = curvature_package(pot, extra)
     n = pot.n
     ring = pot.ring
@@ -367,7 +309,19 @@ def scalar_weight(name) -> int:
 
 
 def named_scalar(pot, name, extra=0):
-    """Value of a named curvature scalar at the center, exactly."""
+    """Value of a named curvature scalar at the center, exactly.
+
+    On a graded or symbolic ring the scalar's doubled weight must fit under
+    the ring's grade cap; above it every product is dropped and the value
+    would read zero."""
+    weight = scalar_weight(name)
+    if as_int(extra, "extra") < 0:
+        raise ValueError(f"extra must be non-negative, got {extra}")
+    if not isinstance(pot.ring, GaussRing) and 2 * weight > pot.ring.cap:
+        raise ValueError(
+            f"{name} has doubled weight {2 * weight}, above the ring's grade "
+            f"cap {pot.ring.cap}"
+        )
     m = re.fullmatch(r"lap(\d*)_S", name)
     if m:
         k = int(m.group(1) or "1")
@@ -384,10 +338,8 @@ def named_scalar(pot, name, extra=0):
         return curvature_package(pot, extra).ricci_norm2().at_zero()
     if name == "div_Q":
         return curvature_package(pot, 2 + extra).gradient_divergence().at_zero()
-    m = re.fullmatch(r"P(\d+)", name)
-    if m:
-        return todd_polynomial(pot, int(m.group(1)), extra)
-    raise ValueError(f"unknown scalar {name!r}")
+    # scalar_weight has accepted the name, so only P<j> is left
+    return todd_polynomial(pot, weight, extra)
 
 
 def kernel_coefficient_reference(pot, j, extra=0):

@@ -70,6 +70,8 @@ class Potential:
     @classmethod
     def graded_numeric(cls, n, raw_jets, weight_cap):
         """Same values, tagged with their jet grade and capped products."""
+        if as_int(weight_cap, "weight_cap") < 0:
+            raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
         ring = GradedRing(2 * weight_cap)
         jets = {key: ring.graded(symbol_grade(key), v) for key, v in raw_jets.items()}
         return cls(n, ring, jets)
@@ -77,6 +79,8 @@ class Potential:
     @classmethod
     def symbolic(cls, n, weight_cap, linear=False):
         """One formal symbol per jet index pair up to the weight cap."""
+        if as_int(weight_cap, "weight_cap") < 0:
+            raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
         ring = SymbolicRing(2 * weight_cap, degree_cap=1 if linear else None)
         jets = {key: ring.symbol(key) for key in jet_keys_up_to_grade(n, 2 * weight_cap)}
         return cls(n, ring, jets)

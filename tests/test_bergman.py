@@ -257,3 +257,19 @@ def test_numeric_ring_is_rejected():
     pot = Potential.numeric(1, {((2,), (2,)): 1})
     with pytest.raises(ValueError):
         bergman_coefficients(pot, 1)
+
+
+def test_weights_above_the_grade_cap_are_refused():
+    """Above the ring's grade cap every product is dropped, so a_2 and P2
+    of a weight-1 potential would read as an empty element."""
+    graded = Potential.graded_numeric(2, fubini_study_jets(2, 8), 1)
+    symbolic = Potential.symbolic(1, 1)
+    for pot in (graded, symbolic):
+        with pytest.raises(ValueError, match=r"jmax 2 needs grade 4, .* grade cap 2"):
+            bergman_coefficients(pot, 2)
+        with pytest.raises(ValueError, match=r"P2 has doubled weight 4, .* grade cap 2"):
+            named_scalar(pot, "P2")
+        with pytest.raises(ValueError, match=r"P3 has doubled weight 6"):
+            kernel_coefficient_reference(pot, 3)
+    full = Potential.graded_numeric(2, fubini_study_jets(2, 8), 3)
+    assert bergman_coefficients(full, 3)[2] == {4: GaussRat(2)}

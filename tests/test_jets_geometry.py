@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from invar.bergman import bergman_coefficients
 from invar.geometry import (
-    ComponentTensor,
     NAMED_SCALARS,
-    covariant_derivative,
     curvature_package,
     kernel_coefficient_reference,
     named_scalar,
     scalar_weight,
     todd_gammas,
+    todd_polynomial,
 )
 from invar.jets import (
     Potential,
@@ -225,36 +225,38 @@ def test_graded_scalar_sums_to_numeric_value():
     assert total == plain
 
 
-def test_covariant_derivative_scalar_slot():
-    pkg = curvature_package(random_potential(1, seed=13), 3)
-    f = pkg.S
-    grad = covariant_derivative(ComponentTensor.scalar(pkg, f), "hol")
-    assert grad.slots == "h"
-    assert grad.component((0,)) == f.d_hol(0)
-
-
-def test_covariant_derivative_center_value_is_plain_derivative():
-    pkg = curvature_package(random_potential(2, seed=14), 2)
-    n = pkg.n
-    T = ComponentTensor(pkg, "h", {(a,): pkg.S.d_hol(a) for a in range(n)})
-    DT = covariant_derivative(T, "hol")
-    assert DT.slots == "hh"
-    for d in range(n):
-        for c in range(n):
-            assert (
-                DT.component((d, c)).at_zero()
-                == T.component((c,)).d_hol(d).at_zero()
-            )
-
-
-def test_component_tensor_validation():
-    pkg = curvature_package(fs_potential(1), 1)
-    with pytest.raises(ValueError):
-        ComponentTensor(pkg, "hx", {})
-    with pytest.raises(ValueError):
-        covariant_derivative(ComponentTensor.scalar(pkg, pkg.S), "mixed")
-    empty = ComponentTensor(pkg, "h", {})
-    assert not empty.component((0,))
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: curvature_package(fs_potential(1), -1), "cap"),
+        (lambda: curvature_package(fs_potential(1), 1.0), "cap"),
+        (lambda: named_scalar(fs_potential(1), "S", extra=-1), "extra"),
+        (lambda: Potential.graded_numeric(1, {}, 2.5), "weight_cap"),
+        (lambda: Potential.graded_numeric(1, {}, -1), "weight_cap"),
+        (lambda: Potential.symbolic(1, -1), "weight_cap"),
+        (lambda: Potential.symbolic(1, True), "weight_cap"),
+        (lambda: bergman_coefficients(Potential.symbolic(1, 1), -1), "jmax"),
+        (lambda: bergman_coefficients(Potential.symbolic(1, 1), 1.0), "jmax"),
+        (lambda: todd_gammas(-1), "jmax"),
+        (lambda: todd_polynomial(fs_potential(1), -1), "j"),
+    ],
+    ids=[
+        "package-cap-negative",
+        "package-cap-float",
+        "named-scalar-extra-negative",
+        "graded-weight-cap-fraction",
+        "graded-weight-cap-negative",
+        "symbolic-weight-cap-negative",
+        "symbolic-weight-cap-bool",
+        "bergman-jmax-negative",
+        "bergman-jmax-float",
+        "todd-gammas-negative",
+        "todd-polynomial-negative",
+    ],
+)
+def test_kernel_caps_are_non_negative_integers(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        call()
 
 
 def test_potential_json_round_trip():
@@ -283,13 +285,14 @@ def _total(items):
         Potential.numeric(n, random_hermitian_jets(n, 2, random.Random(20 + n)))
         for n in (1, 2, 3)
     ]
-    + [Potential.symbolic(n, 2) for n in (1, 2)],
+    + [Potential.symbolic(n, 3) for n in (1, 2)],
     ids=["numeric-1", "numeric-2", "numeric-3", "symbolic-1", "symbolic-2"],
 )
 def test_package_matches_direct_contractions(pot):
-    """R, |R|^2 and |Ric|^2 against the textbook contractions, whole series:
-    R from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies built
-    on their own, and |Ric|^2 as the four-index sum."""
+    """R, |R|^2, |Ric|^2 and div Q against the textbook contractions, whole
+    series: R from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies
+    built on their own, |Ric|^2 as the four-index sum, and div Q with Gamma
+    formed from Ginv d g and Y from the four-index sum."""
     pkg = curvature_package(pot, 2)
     G, Ginv, Ric = pkg.G, pkg.Ginv, pkg.Ric
     rng = range(pot.n)
@@ -325,3 +328,40 @@ def test_package_matches_direct_contractions(pot):
         for a, b, c, d in idx4
     )
     assert norm_Ric and pkg.ricci_norm2() == norm_Ric
+    S = pkg.S
+    Gamma = {
+        (e, d, a): _total(Ginv[f][e].mul(G[a][f].d_hol(d)) for f in rng)
+        for e in rng
+        for d in rng
+        for a in rng
+    }
+    Y = {
+        (a, f): _total(
+            R[a, b, c, f].mul(Ginv[b][p]).mul(Ginv[q][c]).mul(Ric[p][q])
+            for b in rng
+            for c in rng
+            for p in rng
+            for q in rng
+        ).sub(S.mul(Ric[a][f]).scale(4))
+        for a in rng
+        for f in rng
+    }
+    F = norm_R.sub(norm_Ric.scale(4)).add(S.mul(S).scale(8))
+    Q = [
+        F.d_hol(a)
+        .add(
+            _total(
+                Ginv[f][d].mul(
+                    Y[a, f]
+                    .d_hol(d)
+                    .sub(_total(Gamma[e, d, a].mul(Y[e, f]) for e in rng))
+                )
+                for d in rng
+                for f in rng
+            ).scale(2)
+        )
+        .scale(Fraction(1, 48))
+        for a in rng
+    ]
+    div_Q = _total(Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
+    assert div_Q and pkg.gradient_divergence() == div_Q
