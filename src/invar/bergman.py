@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import decrement, perm_sign
-from .rationals import as_int
+from .rationals import as_count
 from .rings import GaussRing
 
 __all__ = [
@@ -217,8 +217,7 @@ def bergman_coefficients(pot, jmax):
     ring = pot.ring
     if isinstance(ring, GaussRing):
         raise ValueError("kernel runs need a graded or symbolic ring")
-    if as_int(jmax, "jmax") < 0:
-        raise ValueError(f"jmax must be non-negative, got {jmax}")
+    as_count(jmax, "jmax")
     if 2 * jmax > ring.cap:
         # a_jmax has grade 2*jmax; above the cap every product is dropped
         raise ValueError(

@@ -18,6 +18,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .bergman import bergman_coefficients
@@ -324,34 +325,20 @@ def _kernel_potential(args, raw, weight):
 # -- verify suites ------------------------------------------------------------
 
 
-def _verify_a1(args, rep):
+def _verify_symbolic(j, formula, args, rep):
+    """a_j against its closed form on the symbolic potential of weight j."""
     for n in [args.dim] if args.dim else [1, 2]:
-        pot = Potential.symbolic(n, 1)
-        got = bergman_coefficients(pot, 1)[1]
-        want = kernel_coefficient_reference(pot, 1)
+        pot = Potential.symbolic(n, j)
+        got = bergman_coefficients(pot, j)[j]
+        want = kernel_coefficient_reference(pot, j, extra=2 if audit_enabled() else 0)
         rep.line(
-            "a1",
+            f"a{j}",
             got == want,
             fmt_element(pot.ring, got, 400),
             fmt_element(pot.ring, want, 400),
             dim=n,
         )
-    rep.summary("a1 == S/2: exact" if not rep.failures else "a1 check")
-
-
-def _verify_a2(args, rep):
-    for n in [args.dim] if args.dim else [1, 2]:
-        pot = Potential.symbolic(n, 2)
-        got = bergman_coefficients(pot, 2)[2]
-        want = kernel_coefficient_reference(pot, 2, extra=2 if audit_enabled() else 0)
-        rep.line(
-            "a2",
-            got == want,
-            fmt_element(pot.ring, got, 400),
-            fmt_element(pot.ring, want, 400),
-            dim=n,
-        )
-    rep.summary("a2 == P_2 + lap(S)/3: exact" if not rep.failures else "a2 check")
+    rep.summary(f"a{j} == {formula}: exact" if not rep.failures else f"a{j} check")
 
 
 def _verify_a3(args, rep):
@@ -452,8 +439,8 @@ def _verify_roundtrip(args, rep):
 # each suite with the flags it reads; the parser leaves every flag None, so a
 # suite applies its own default and any other flag given is refused
 VERIFY_SUITES = {
-    "a1": (_verify_a1, {"dim"}),
-    "a2": (_verify_a2, {"dim"}),
+    "a1": (partial(_verify_symbolic, 1, "S/2"), {"dim"}),
+    "a2": (partial(_verify_symbolic, 2, "P_2 + lap(S)/3"), {"dim"}),
     "a3": (_verify_a3, {"dim", "trials", "seed"}),
     "linear": (_verify_linear, {"dim", "order"}),
     "chern-integrals": (

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import cycle_successor, perm_sign
-from .rationals import as_int
+from .rationals import as_count
 from .rings import GaussRing
 from .series import ScalarSeries
 
@@ -61,8 +61,7 @@ class CurvaturePackage:
     __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S", "_RU")
 
     def __init__(self, pot, cap):
-        if as_int(cap, "cap") < 0:
-            raise ValueError(f"cap must be non-negative, got {cap}")
+        as_count(cap, "cap")
         n = pot.n
         ring = pot.ring
         rng = range(n)
@@ -202,8 +201,7 @@ def curvature_package(pot, cap) -> CurvaturePackage:
 
 def todd_gammas(jmax):
     """Coefficients of log(x / (e^x - 1)) through degree jmax, exactly."""
-    if as_int(jmax, "jmax") < 0:
-        raise ValueError(f"jmax must be non-negative, got {jmax}")
+    as_count(jmax, "jmax")
     u = [Fraction(0)] * (jmax + 1)
     for k in range(1, jmax + 1):
         u[k] = Fraction(1, factorial(k + 1))
@@ -251,12 +249,23 @@ def todd_contraction(R0, n, partition, ring):
     return total
 
 
+def _check_grade(pot, name, weight):
+    """On a graded or symbolic ring a doubled weight must fit under the grade
+    cap; above it every product is dropped and the value would read zero."""
+    if not isinstance(pot.ring, GaussRing) and 2 * weight > pot.ring.cap:
+        raise ValueError(
+            f"{name} has doubled weight {2 * weight}, above the ring's grade "
+            f"cap {pot.ring.cap}"
+        )
+
+
 def todd_polynomial(pot, j, extra=0):
     """Degree-j Todd curvature polynomial of the potential, at the center."""
     from .chern import partitions_of
 
-    if as_int(j, "j") < 0:
-        raise ValueError(f"j must be non-negative, got {j}")
+    as_count(j, "j")
+    as_count(extra, "extra")
+    _check_grade(pot, f"P{j}", j)
     pkg = curvature_package(pot, extra)
     n = pot.n
     ring = pot.ring
@@ -309,19 +318,10 @@ def scalar_weight(name) -> int:
 
 
 def named_scalar(pot, name, extra=0):
-    """Value of a named curvature scalar at the center, exactly.
-
-    On a graded or symbolic ring the scalar's doubled weight must fit under
-    the ring's grade cap; above it every product is dropped and the value
-    would read zero."""
+    """Value of a named curvature scalar at the center, exactly."""
     weight = scalar_weight(name)
-    if as_int(extra, "extra") < 0:
-        raise ValueError(f"extra must be non-negative, got {extra}")
-    if not isinstance(pot.ring, GaussRing) and 2 * weight > pot.ring.cap:
-        raise ValueError(
-            f"{name} has doubled weight {2 * weight}, above the ring's grade "
-            f"cap {pot.ring.cap}"
-        )
+    as_count(extra, "extra")
+    _check_grade(pot, name, weight)
     m = re.fullmatch(r"lap(\d*)_S", name)
     if m:
         k = int(m.group(1) or "1")
@@ -348,6 +348,8 @@ def kernel_coefficient_reference(pot, j, extra=0):
     Known through j = 3: 1, S/2, P2 + lap S / 3, and P3 + div_Q +
     lap^2 S / 8.
     """
+    as_count(j, "j")
+    as_count(extra, "extra")
     ring = pot.ring
     if j == 0:
         return ring.one

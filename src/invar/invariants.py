@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 from .monomials import PHI, PSI, ContractionMonomial
-from .rationals import as_fraction, as_int, format_fraction
+from .rationals import as_count, as_fraction, format_fraction
 
 __all__ = ["Invariant", "zero_invariant", "monomial_invariant"]
 
@@ -25,9 +25,7 @@ class Invariant:
     def __init__(self, kind, valence, terms):
         collected: dict[ContractionMonomial, Fraction] = {}
         p, q = valence
-        valence = (as_int(p, "valence"), as_int(q, "valence"))
-        if p < 0 or q < 0:
-            raise ValueError(f"valence must be non-negative, got {valence}")
+        valence = (as_count(p, "valence"), as_count(q, "valence"))
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
             coeff = as_fraction(coeff)
             if not coeff:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_gauss, as_int, format_fraction
+from .rationals import GaussRat, as_count, as_gauss, as_int, format_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
 
@@ -70,8 +70,7 @@ class Potential:
     @classmethod
     def graded_numeric(cls, n, raw_jets, weight_cap):
         """Same values, tagged with their jet grade and capped products."""
-        if as_int(weight_cap, "weight_cap") < 0:
-            raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
+        as_count(weight_cap, "weight_cap")
         ring = GradedRing(2 * weight_cap)
         jets = {key: ring.graded(symbol_grade(key), v) for key, v in raw_jets.items()}
         return cls(n, ring, jets)
@@ -79,8 +78,7 @@ class Potential:
     @classmethod
     def symbolic(cls, n, weight_cap, linear=False):
         """One formal symbol per jet index pair up to the weight cap."""
-        if as_int(weight_cap, "weight_cap") < 0:
-            raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
+        as_count(weight_cap, "weight_cap")
         ring = SymbolicRing(2 * weight_cap, degree_cap=1 if linear else None)
         jets = {key: ring.symbol(key) for key in jet_keys_up_to_grade(n, 2 * weight_cap)}
         return cls(n, ring, jets)

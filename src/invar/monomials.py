@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .rationals import as_int
+from .rationals import as_count, as_int
 
 PHI = "phi"
 PSI = "psi"
@@ -148,14 +148,18 @@ class ContractionMonomial:
         cached = _CANONICAL_CACHE.get(self._key)
         if cached is not None:
             return cached
-        best = None
-        best_key = None
-        for perm in permutations(range(self.sigma)):
-            cand = self.apply_permutation(perm)
-            key = (cand.signatures, cand.edges, cand.free_hol, cand.free_anti)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = cand
+        # a factor's signature moves with it, so relabel keys, not monomials
+        sig, edges = self.signatures, self.edges
+        _, best_edges, free_hol, free_anti = min(
+            (
+                tuple(sig[i] for i in perm),
+                tuple(tuple(edges[i][j] for j in perm) for i in perm),
+                tuple(self.free_hol[i] for i in perm),
+                tuple(self.free_anti[i] for i in perm),
+            )
+            for perm in permutations(range(self.sigma))
+        )
+        best = ContractionMonomial(self.kind, best_edges, free_hol, free_anti)
         _CANONICAL_CACHE[self._key] = best
         _CANONICAL_CACHE[best._key] = best
         return best
@@ -187,8 +191,7 @@ def _counts(values, field):
     """The values as a tuple of non-negative integers; anything else is refused."""
     values = tuple(values)
     for x in values:
-        if as_int(x, field) < 0:
-            raise ValueError(f"{field} must be non-negative, got {x}")
+        as_count(x, field)
     return values
 
 

@@ -21,6 +21,14 @@ def as_int(value, field: str) -> int:
     return value
 
 
+def as_count(value, field: str) -> int:
+    """A non-negative integer argument, refused like as_int otherwise."""
+    if type(value) is not int or value < 0:
+        as_int(value, field)  # a non-integer gets as_int's message
+        raise ValueError(f"{field} must be non-negative, got {value}")
+    return value
+
+
 def as_fraction(x) -> Fraction:
     """An exact rational from a Fraction, an integer or a rational string
     such as ``"p/q"``; floats and bools are refused."""

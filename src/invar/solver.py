@@ -18,8 +18,8 @@ from .chern import chern_invariant, partitions_of
 from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
-from .monomials import PHI, ContractionMonomial, _check_restriction
-from .rationals import as_fraction, format_fraction
+from .monomials import PHI, ContractionMonomial, _check_restriction, _counts
+from .rationals import as_fraction, as_int, format_fraction
 
 __all__ = [
     "NotCoexactError",
@@ -86,36 +86,30 @@ class Decomposition:
         return cls(chern, t_hol, t_anti)
 
 
-def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0), kind=PHI):
-    """All canonical acceptable monomials of given weight, degree, valence."""
+def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
+    """All canonical acceptable monomials of given weight, degree, valence;
+    acceptability is read off the raw edge matrix before a monomial is built."""
+    if as_int(sigma, "sigma") < 1:
+        raise ValueError(f"sigma must be at least 1, got {sigma}")
     restriction = _check_restriction(restriction, sigma)
-    p, q = valence
+    p, q = _counts(valence, "valence")
+    if as_int(w, "w") < 0:
+        return []
+    rng = range(sigma)
+    frees = [(h, a) for h in compositions(p, sigma) for a in compositions(q, sigma)]
     out = set()
-    for free_hol in compositions(p, sigma):
-        for free_anti in compositions(q, sigma):
-            for edges in _edge_matrices(w, sigma):
-                mono = ContractionMonomial(kind, edges, free_hol, free_anti)
-                if mono.is_acceptable(restriction):
-                    out.add(mono.canonical())
+    for cells in compositions(w, sigma * sigma):
+        edges = tuple(cells[i * sigma : (i + 1) * sigma] for i in rng)
+        rows = [sum(row) for row in edges]
+        cols = [sum(cells[j::sigma]) for j in rng]
+        for free_hol, free_anti in frees:
+            if all(
+                rows[i] + free_hol[i] >= a and cols[i] + free_anti[i] >= b
+                for i, (a, b) in enumerate(restriction)
+            ):
+                mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+                out.add(mono.canonical())
     return sorted(out, key=lambda m: m.sort_key())
-
-
-def _edge_matrices(w, sigma):
-    cells = sigma * sigma
-    mat = [0] * cells
-
-    def rec(idx, rest):
-        if idx == cells - 1:
-            mat[idx] = rest
-            yield tuple(
-                tuple(mat[i * sigma : (i + 1) * sigma]) for i in range(sigma)
-            )
-            return
-        for v in range(rest + 1):
-            mat[idx] = v
-            yield from rec(idx + 1, rest - v)
-
-    yield from rec(0, w)
 
 
 _SYSTEM_CACHE: dict = {}
@@ -221,6 +215,8 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     combination of cycle invariants when the weight admits them, plus
     divergences of random acceptable one-forms.  May come out empty for
     unlucky draws; callers wanting a nonzero sample should redraw."""
+    if as_int(sigma, "sigma") < 1:
+        raise ValueError(f"sigma must be at least 1, got {sigma}")
     total = zero_invariant(PHI, (0, 0))
     if weight == 2 * sigma:
         for p in partitions_of(sigma):

@@ -14,7 +14,7 @@ from invar.bergman import (
     neumann_invert,
     weyl_multiply,
 )
-from invar.geometry import kernel_coefficient_reference, named_scalar
+from invar.geometry import kernel_coefficient_reference, named_scalar, todd_polynomial
 from invar.jets import Potential, fubini_study_jets, random_hermitian_jets
 from invar.rationals import GaussRat
 from invar.rings import GaussRing
@@ -269,6 +269,8 @@ def test_weights_above_the_grade_cap_are_refused():
             bergman_coefficients(pot, 2)
         with pytest.raises(ValueError, match=r"P2 has doubled weight 4, .* grade cap 2"):
             named_scalar(pot, "P2")
+        with pytest.raises(ValueError, match=r"P2 has doubled weight 4, .* grade cap 2"):
+            todd_polynomial(pot, 2)
         with pytest.raises(ValueError, match=r"P3 has doubled weight 6"):
             kernel_coefficient_reference(pot, 3)
     full = Potential.graded_numeric(2, fubini_study_jets(2, 8), 3)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import invar.cli
 from invar.chern import chern_invariant
 from invar.cli import main
 from invar.calculus import divergence
@@ -242,6 +243,28 @@ def test_verify_a1_exact(capsys):
     assert len(rows) == 1
     assert rows[0]["check"] == "a1" and rows[0]["status"] == "ok"
     assert rows[0]["dim"] == 2
+
+
+@pytest.mark.parametrize("suite", ["a1", "a2"])
+@pytest.mark.parametrize("audit, extra", [(None, 0), ("1", 2)])
+def test_verify_symbolic_suites_read_the_truncation_audit(
+    capsys, monkeypatch, suite, audit, extra
+):
+    seen = []
+    reference = invar.cli.kernel_coefficient_reference
+
+    def recording(pot, j, extra=0):
+        seen.append(extra)
+        return reference(pot, j, extra=extra)
+
+    monkeypatch.setattr(invar.cli, "kernel_coefficient_reference", recording)
+    if audit is None:
+        monkeypatch.delenv("INVAR_TRUNCATION_AUDIT", raising=False)
+    else:
+        monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", audit)
+    assert main(["verify", suite, "--dim", "1"]) == 0
+    assert f"{suite} == " in capsys.readouterr().err
+    assert seen == [extra]
 
 
 def test_verify_roundtrip_suite(capsys):

@@ -239,6 +239,10 @@ def test_graded_scalar_sums_to_numeric_value():
         (lambda: bergman_coefficients(Potential.symbolic(1, 1), 1.0), "jmax"),
         (lambda: todd_gammas(-1), "jmax"),
         (lambda: todd_polynomial(fs_potential(1), -1), "j"),
+        (lambda: todd_polynomial(fs_potential(1), 2, extra=-1), "extra"),
+        (lambda: kernel_coefficient_reference(fs_potential(1), -1), "j"),
+        (lambda: kernel_coefficient_reference(fs_potential(1), True), "j"),
+        (lambda: kernel_coefficient_reference(fs_potential(1), 0, extra=-1), "extra"),
     ],
     ids=[
         "package-cap-negative",
@@ -252,6 +256,10 @@ def test_graded_scalar_sums_to_numeric_value():
         "bergman-jmax-float",
         "todd-gammas-negative",
         "todd-polynomial-negative",
+        "todd-polynomial-extra-negative",
+        "reference-j-negative",
+        "reference-j-bool",
+        "reference-extra-negative",
     ],
 )
 def test_kernel_caps_are_non_negative_integers(call, field):

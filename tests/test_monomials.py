@@ -1,15 +1,23 @@
 """Canonical forms and counts for contraction monomials."""
 
 import itertools
+import random
 
 import pytest
 
 from invar.chern import chern_invariant
+from invar.combinat import compositions
 from invar.fourier import FourierFunction
 from invar.invariants import Invariant
 from invar.jets import Potential
-from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
-from invar.solver import decompose
+from invar.monomials import (
+    _CANONICAL_CACHE,
+    PHI,
+    PSI,
+    ContractionMonomial,
+    scalar_monomial,
+)
+from invar.solver import decompose, enumerate_monomials
 
 
 def test_factor_swap_gives_same_canonical_phi():
@@ -133,3 +141,91 @@ def test_immutability():
     m = scalar_monomial(PHI, ((2,),))
     with pytest.raises(AttributeError):
         m.sigma = 3
+
+
+# -- brute-force references: every candidate monomial is built before the ---
+# -- acceptability test, and every relabeled monomial before the comparison --
+
+
+def _reference_canonical(mono, memo):
+    """Min over every relabeled monomial, each built through apply_permutation."""
+    if mono not in memo:
+        relabeled = (
+            mono.apply_permutation(perm)
+            for perm in itertools.permutations(range(mono.sigma))
+        )
+        memo[mono] = min(
+            relabeled, key=lambda m: (m.signatures, m.edges, m.free_hol, m.free_anti)
+        )
+    return memo[mono]
+
+
+def _reference_edge_matrices(w, sigma):
+    cells = sigma * sigma
+    mat = [0] * cells
+
+    def rec(idx, rest):
+        if idx == cells - 1:
+            mat[idx] = rest
+            yield tuple(tuple(mat[i * sigma : (i + 1) * sigma]) for i in range(sigma))
+            return
+        for v in range(rest + 1):
+            mat[idx] = v
+            yield from rec(idx + 1, rest - v)
+
+    yield from rec(0, w)
+
+
+def _reference_enumerate(w, sigma, restriction, valence, memo):
+    """Build every candidate monomial, then keep the acceptable ones."""
+    out = set()
+    for free_hol in compositions(valence[0], sigma):
+        for free_anti in compositions(valence[1], sigma):
+            for edges in _reference_edge_matrices(w, sigma):
+                mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+                if mono.is_acceptable(restriction):
+                    out.add(_reference_canonical(mono, memo))
+    return sorted(out, key=lambda m: m.sort_key())
+
+
+# (sigma, highest w under the default restriction, highest w under the
+# others): the reference builds every candidate, so the loose restrictions
+# stop short of w = 2*sigma + 2 at sigma = 3 and 4.  (2, 1) is not symmetric
+# under conjugation, so a swap of the row and column tests shows at every
+# valence.
+_ENUMERATION_GRID = ((1, 4, 4), (2, 6, 6), (3, 8, 5), (4, 4, 2))
+
+
+@pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1)])
+def test_enumeration_matches_the_build_then_filter_reference(valence):
+    memo = {}
+    cases = [
+        (w, sigma, restriction)
+        for sigma, default_max, loose_max in _ENUMERATION_GRID
+        for restriction, w_max in (
+            (None, default_max),
+            (((1, 1),) * sigma, loose_max),
+            (((0, 0),) * sigma, loose_max),
+            (((2, 1),) * sigma, loose_max),
+        )
+        for w in range(w_max + 1)
+    ]
+    for w, sigma, restriction in cases:
+        got = enumerate_monomials(w, sigma, restriction, valence)
+        want = _reference_enumerate(w, sigma, restriction, valence, memo)
+        assert got == want, (w, sigma, restriction)
+        assert [m._key for m in got] == [m._key for m in want]
+
+
+def test_canonical_matches_the_relabel_every_monomial_reference():
+    rng = random.Random(2024)
+    memo = {}
+    for _ in range(400):
+        sigma = rng.randint(2, 5)
+        edges = [[rng.choice((0, 0, 1, 2)) for _ in range(sigma)] for _ in range(sigma)]
+        free_hol = [rng.choice((0, 0, 1)) for _ in range(sigma)]
+        free_anti = [rng.choice((0, 0, 1)) for _ in range(sigma)]
+        free_hol[rng.randrange(sigma)] += 1
+        mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+        _CANONICAL_CACHE.pop(mono._key, None)
+        assert mono.canonical()._key == _reference_canonical(mono, memo)._key

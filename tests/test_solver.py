@@ -45,6 +45,28 @@ def test_enumerate_with_valence_and_restriction():
     assert enumerate_monomials(1, 1) == []
 
 
+@pytest.mark.parametrize("sigma", [0, -1, 1.0, True])
+def test_enumeration_refuses_a_sigma_below_one_or_not_an_integer(sigma):
+    # sigma = 0 used to recurse without end through compositions(p, 0)
+    with pytest.raises(ValueError, match="^sigma must be"):
+        enumerate_monomials(2, sigma)
+    for weight in (0, 4):
+        with pytest.raises(ValueError, match="^sigma must be"):
+            random_coexact_invariant(weight, sigma, random.Random(0))
+
+
+def test_enumeration_of_a_negative_weight_is_empty_and_checks_its_input():
+    for sigma in (1, 2, 3):
+        assert enumerate_monomials(-1, sigma) == []
+        assert enumerate_monomials(-2, sigma, [(0, 0)] * sigma, (1, 0)) == []
+    with pytest.raises(ValueError, match="^w must be an integer"):
+        enumerate_monomials(2.0, 1)
+    with pytest.raises(ValueError, match="^valence must be non-negative"):
+        enumerate_monomials(2, 2, valence=(0, -1))
+    with pytest.raises(ValueError, match="^restriction list length"):
+        enumerate_monomials(-1, 2, restriction=[(2, 2)])
+
+
 def test_decompose_requires_scalar_phi():
     with pytest.raises(ValueError):
         decompose(monomial_invariant(scalar_monomial(PSI, ((2,),))))
