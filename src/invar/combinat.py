@@ -8,12 +8,30 @@ __all__ = ["compositions", "cycle_successor", "decrement", "perm_sign"]
 def compositions(total, parts):
     """Tuples of `parts` nonnegative integers summing to `total`, in
     lexicographic order; seeded jet draws index into this order."""
-    if parts == 1:
-        yield (total,)
+    if parts < 1:
+        raise ValueError(f"compositions need at least one part, got {parts}")
+    if total < 0:
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    c = [0] * parts
+    last = parts - 1
+    c[last] = total
+    while True:
+        yield tuple(c)
+        # the successor moves one unit from the tail to the rightmost
+        # entry before it that can grow, and the rest of the tail to the end
+        rest = c[last]
+        if rest and last:
+            c[last - 1] += 1
+            c[last] = rest - 1
+            continue
+        j = last - 1
+        while j > 0 and not c[j]:
+            j -= 1
+        if j <= 0:
+            return
+        c[last] = c[j] - 1
+        c[j] = 0
+        c[j - 1] += 1
 
 
 def cycle_successor(partition):

@@ -1,16 +1,15 @@
 """Gaussian rational arithmetic.
 
 Everything downstream is exact: real coefficients are ``fractions.Fraction``
-and complex ones are :class:`GaussRat`, a pair of Fractions.  No floats enter
-any computation in this package.
+and complex ones are :class:`GaussRat`, three Python ints ``(p, q, d)`` with
+value ``(p + q*i)/d``, kept in the canonical form ``d > 0`` and
+``gcd(p, q, d) = 1``.  No floats enter any computation in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rat = Union[int, Fraction]
+from math import gcd
 
 
 def as_int(value, field: str) -> int:
@@ -48,32 +47,67 @@ def as_gauss(x) -> "GaussRat":
 
 
 class GaussRat:
-    """A Gaussian rational ``re + im*i`` with exact Fraction parts."""
+    """A Gaussian rational ``re + im*i``, stored as ``(p + q*i)/d``.
 
-    __slots__ = ("re", "im")
+    The form is canonical (``d > 0``, ``gcd(p, q, d) = 1``), so equal values
+    have equal fields.  ``re`` and ``im`` are read-only Fraction views.
+    """
+
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        if type(re) is int and type(im) is int:
+            d = 1
+        else:
+            re = as_fraction(re)
+            im = as_fraction(im)
+            # re and im are reduced, so the shared denominator lcm(b, e)
+            # leaves gcd(p, q, d) = 1: each prime of d divides b or e fully
+            b, e = re.denominator, im.denominator
+            d = b // gcd(b, e) * e
+            re = re.numerator * (d // b)
+            im = im.numerator * (d // e)
+        _set_p(self, re)
+        _set_q(self, im)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._p + other._p, self._q + other._q, d)
+        return _make(self._p * e + other._p * d, self._q * e + other._q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._p - other._p, self._q - other._q, d)
+        return _make(self._p * e - other._p * d, self._q * e - other._q * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -82,27 +116,27 @@ class GaussRat:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p, q, a, b = self._p, self._q, other._p, other._q
+        return _make(p * a - q * b, p * b + q * a, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p, q, a, b = self._p, self._q, other._p, other._q
+        norm = a * a + b * b
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (p + qi)/d / ((a + bi)/e) = (p + qi)(a - bi) e / (d (a^2 + b^2))
+        e = other._d
+        return _make((p * a + q * b) * e, (q * a - p * b) * e, self._d * norm)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -111,11 +145,10 @@ class GaussRat:
         return other / self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _make(-self._p, -self._q, self._d)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers")
+        k = as_count(k, "exponent")
         out = GR_ONE
         base = self
         while k:
@@ -126,21 +159,25 @@ class GaussRat:
         return out
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _make(self._p, -self._q, self._d)
 
     # -- comparisons and hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._p == other._p and self._q == other._q and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if not self._q:
+            return hash(Fraction(self._p, self._d))
+        return hash((self._p, self._q, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._p or self._q)
 
     # -- presentation ------------------------------------------------------
 
@@ -158,7 +195,28 @@ class GaussRat:
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._q
+
+
+_set_p = GaussRat._p.__set__
+_set_q = GaussRat._q.__set__
+_set_d = GaussRat._d.__set__
+_new = object.__new__
+
+
+def _make(p, q, d):
+    """The GaussRat (p + q*i)/d for ints with d > 0, reduced by one gcd and
+    built without validation."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    x = _new(GaussRat)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
 
 
 def _coerce(x):
@@ -177,4 +235,3 @@ def format_fraction(x: Fraction) -> str:
     """Canonical string form used in JSON payloads: always ``p/q``."""
     x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
-

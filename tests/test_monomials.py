@@ -43,6 +43,17 @@ def test_canonical_idempotent_and_relabeling_invariant():
         assert mono.apply_permutation(perm).canonical() == canon
 
 
+def test_compositions_match_the_product_reference_in_order():
+    # seeded jet draws and the enumeration index into this order
+    for parts in range(1, 6):
+        for total in range(7):
+            want = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(compositions(total, parts)) == want
+    assert list(compositions(-1, 2)) == []
+    with pytest.raises(ValueError, match="at least one part"):
+        list(compositions(2, 0))
+
+
 def test_signature_and_count_bookkeeping():
     # factor signatures (3,2) and (2,3)
     m = ContractionMonomial(PHI, ((1, 2), (1, 1)))
