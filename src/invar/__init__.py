@@ -11,13 +11,7 @@ Two engines under one roof, sharing exact Gaussian-rational arithmetic:
   kernel expansion coefficients of a polarized potential.
 """
 
-from .bergman import (
-    adjoint,
-    bergman_coefficients,
-    build_A,
-    neumann_invert,
-    weyl_multiply,
-)
+from .bergman import adjoint, bergman_coefficients, build_A
 from .calculus import divergence, integrates_to_zero, local_divergence
 from .chern import (
     chern_basis,
@@ -107,8 +101,6 @@ __all__ = [
     "NAMED_SCALARS",
     "build_A",
     "adjoint",
-    "weyl_multiply",
-    "neumann_invert",
     "bergman_coefficients",
     "__version__",
 ]

@@ -33,8 +33,6 @@ __all__ = [
     "multiplication_terms",
     "build_A",
     "adjoint",
-    "weyl_multiply",
-    "neumann_invert",
     "bergman_coefficients",
 ]
 
@@ -126,33 +124,6 @@ def build_A(pot, jmax):
     return convolve(det, expo, ring, n, jmax)
 
 
-def weyl_multiply(t1, t2, ring, n, jmax=None):
-    """Operator product of two normal-ordered symbols.  Moving each
-    derivative block of the left factor past the z block of the right one
-    contracts any subset of slots, with falling-factorial multiplicities."""
-    out: dict = {}
-    for (g1, d1, j1), v1 in t1.items():
-        for (g2, d2, j2), v2 in t2.items():
-            j = j1 + j2
-            if jmax is not None and j > jmax:
-                continue
-            v = ring.mul(v1, v2)
-            if ring.is_zero(v):
-                continue
-            ranges = [range(min(da, ga) + 1) for da, ga in zip(d1, g2)]
-            for kappa in itertools.product(*ranges):
-                mult = 1
-                for da, ga, ka in zip(d1, g2, kappa):
-                    mult *= comb(da, ka) * comb(ga, ka) * factorial(ka)
-                key = (
-                    tuple(a + b - k for a, b, k in zip(g1, g2, kappa)),
-                    tuple(a + b - k for a, b, k in zip(d1, d2, kappa)),
-                    j,
-                )
-                _add_term(out, key, ring.scale(v, mult), ring)
-    return out
-
-
 def adjoint(terms, ring, n, jprime_cap):
     """Termwise adjoint of a normal-ordered symbol.
 
@@ -183,30 +154,6 @@ def adjoint(terms, ring, n, jprime_cap):
                 jp,
             )
             _add_term(out, key, ring.scale(base, mult), ring)
-    return out
-
-
-def neumann_invert(terms, ring, n, jmax):
-    """Full inverse of an identity-plus-lower-t-order symbol as a finite
-    geometric sum.  Reference path for small cases; the coefficient
-    extractor below only tracks states that can return to z-degree zero."""
-    ident = _zero_key(n)
-    E = dict(terms)
-    lead = E.pop(ident, ring.zero)
-    if lead != ring.one:
-        raise ValueError("inversion needs an identity leading term")
-    for (g, d, j) in E:
-        if j < 1:
-            raise ArithmeticError(
-                "adjoint term at nonnegative t-order; inversion would not close"
-            )
-    out = {ident: ring.one}
-    power = {ident: ring.one}
-    while power:
-        power = weyl_multiply(power, E, ring, n, jmax)
-        power = {k: ring.neg(v) for k, v in power.items()}
-        for key, v in power.items():
-            _add_term(out, key, v, ring)
     return out
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from math import factorial
 
-from .combinat import cycle_successor, perm_sign
+from .invariants import zero_invariant
 from .rationals import as_count
 from .rings import GaussRing
 from .series import ScalarSeries
@@ -26,7 +26,6 @@ __all__ = [
     "named_scalar",
     "scalar_weight",
     "todd_polynomial",
-    "todd_contraction",
     "todd_gammas",
     "kernel_coefficient_reference",
     "NAMED_SCALARS",
@@ -222,33 +221,6 @@ def todd_gammas(jmax):
     return [-v for v in log]
 
 
-def todd_contraction(R0, n, partition, ring):
-    """Alternating full contraction of curvature values along a cycle type.
-
-    The first index pair of each factor runs along the cycles of the
-    partition; the second pair is contracted through a signed sum over all
-    permutations of the factors.
-    """
-    j = sum(partition)
-    nxt = cycle_successor(partition)
-    total = ring.zero
-    for tau in itertools.permutations(range(j)):
-        sign = perm_sign(tau)
-        for a in itertools.product(range(n), repeat=j):
-            for c in itertools.product(range(n), repeat=j):
-                v = ring.one
-                dead = False
-                for f in range(j):
-                    v = ring.mul(v, R0[a[f]][a[nxt[f]]][c[f]][c[tau[f]]])
-                    if ring.is_zero(v):
-                        dead = True
-                        break
-                if dead:
-                    continue
-                total = ring.add(total, v if sign > 0 else ring.neg(v))
-    return total
-
-
 def _check_grade(pot, name, weight):
     """On a graded or symbolic ring a doubled weight must fit under the grade
     cap; above it every product is dropped and the value would read zero."""
@@ -259,9 +231,39 @@ def _check_grade(pot, name, weight):
         )
 
 
+def _center_value(R0, n, mono, ring):
+    """Full contraction of a scalar monomial with every factor of type (2,2)
+    on the curvature values at the center.  Each edge (i, k) is one summed
+    index, holomorphic on factor i and antiholomorphic on factor k; a factor
+    reads R0[hol1][anti1][hol2][anti2], which is symmetric in its two
+    holomorphic and in its two antiholomorphic slots."""
+    rng = range(mono.sigma)
+    edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
+    slots = []
+    for f in rng:
+        h1, h2 = (e for e, (i, _) in enumerate(edges) if i == f)
+        a1, a2 = (e for e, (_, k) in enumerate(edges) if k == f)
+        slots.append((h1, a1, h2, a2))
+    total = ring.zero
+    for idx in itertools.product(range(n), repeat=len(edges)):
+        v = ring.one
+        for h1, a1, h2, a2 in slots:
+            v = ring.mul(v, R0[idx[h1]][idx[a1]][idx[h2]][idx[a2]])
+            if ring.is_zero(v):
+                break
+        else:
+            total = ring.add(total, v)
+    return total
+
+
 def todd_polynomial(pot, j, extra=0):
-    """Degree-j Todd curvature polynomial of the potential, at the center."""
-    from .chern import partitions_of
+    """Degree-j Todd curvature polynomial of the potential, at the center.
+
+    P_j is the phi-invariant sum over partitions p of j of
+    prod_m gamma_m^r_m / r_m! * chern_invariant(p), where part m occurs r_m
+    times in p, read on the curvature values at the center.
+    """
+    from .chern import chern_invariant, partitions_of
 
     as_count(j, "j")
     as_count(extra, "extra")
@@ -269,20 +271,21 @@ def todd_polynomial(pot, j, extra=0):
     pkg = curvature_package(pot, extra)
     n = pot.n
     ring = pot.ring
-    R0 = _table(n, 4, lambda a, b, c, d: pkg.R[a][b][c][d].at_zero())
+    if not j:
+        return ring.one
     gam = todd_gammas(j)
-    total = ring.zero
+    todd = zero_invariant()
     for partition in partitions_of(j):
         coeff = Fraction(1)
-        counts: dict = {}
-        for part in partition:
-            counts[part] = counts.get(part, 0) + 1
-        for m, r in counts.items():
+        for m in set(partition):
+            r = partition.count(m)
             coeff *= gam[m] ** r / factorial(r)
-        if not coeff:
-            continue
-        contr = todd_contraction(R0, n, partition, ring)
-        total = ring.add(total, ring.scale(contr, coeff))
+        if coeff:
+            todd = todd + coeff * chern_invariant(partition)
+    R0 = _table(n, 4, lambda a, b, c, d: pkg.R[a][b][c][d].at_zero())
+    total = ring.zero
+    for mono, coeff in todd.terms.items():
+        total = ring.add(total, ring.scale(_center_value(R0, n, mono, ring), coeff))
     return total
 
 
@@ -342,6 +345,14 @@ def named_scalar(pot, name, extra=0):
     return todd_polynomial(pot, weight, extra)
 
 
+# a_j = sum of coefficient * named scalar, in the order they are evaluated
+_KERNEL_CLOSED_FORMS = {
+    1: ((Fraction(1, 2), "S"),),
+    2: ((Fraction(1), "P2"), (Fraction(1, 3), "lap_S")),
+    3: ((Fraction(1), "P3"), (Fraction(1), "div_Q"), (Fraction(1, 8), "lap2_S")),
+}
+
+
 def kernel_coefficient_reference(pot, j, extra=0):
     """Closed-form value of the j-th kernel coefficient at the center.
 
@@ -353,18 +364,9 @@ def kernel_coefficient_reference(pot, j, extra=0):
     ring = pot.ring
     if j == 0:
         return ring.one
-    if j == 1:
-        return ring.scale(named_scalar(pot, "S", extra), Fraction(1, 2))
-    if j == 2:
-        return ring.add(
-            named_scalar(pot, "P2", extra),
-            ring.scale(named_scalar(pot, "lap_S", extra), Fraction(1, 3)),
-        )
-    if j == 3:
-        return ring.add(
-            ring.add(
-                named_scalar(pot, "P3", extra), named_scalar(pot, "div_Q", extra)
-            ),
-            ring.scale(named_scalar(pot, "lap2_S", extra), Fraction(1, 8)),
-        )
-    raise ValueError("closed forms are implemented through j = 3")
+    if j not in _KERNEL_CLOSED_FORMS:
+        raise ValueError("closed forms are implemented through j = 3")
+    total = ring.zero
+    for coeff, name in _KERNEL_CLOSED_FORMS[j]:
+        total = ring.add(total, ring.scale(named_scalar(pot, name, extra), coeff))
+    return total

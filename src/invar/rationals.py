@@ -8,6 +8,7 @@ value ``(p + q*i)/d``, kept in the canonical form ``d > 0`` and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -28,15 +29,25 @@ def as_count(value, field: str) -> int:
     return value
 
 
+_RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def as_fraction(x) -> Fraction:
-    """An exact rational from a Fraction, an integer or a rational string
-    such as ``"p/q"``; floats and bools are refused."""
+    """An exact rational from a Fraction, an integer or a string of the form
+    ``"p"`` or ``"p/q"`` (optional sign, decimal digits, no spaces); floats
+    and bools are refused, and so are other strings and a zero q."""
     if isinstance(x, Fraction):
         return x
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        m = _RATIONAL_STRING.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not a rational 'p' or 'p/q' string: {x!r}")
+        den = int(m.group(2) or 1)
+        if not den:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(m.group(1)), den)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -117,6 +128,8 @@ class GaussRat:
 
     def __mul__(self, other):
         if type(other) is not GaussRat:
+            if type(other) is int:
+                return _make(self._p * other, self._q * other, self._d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented

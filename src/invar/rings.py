@@ -58,7 +58,7 @@ class GaussRing:
         return x * y
 
     def scale(self, x, c):
-        return x * as_gauss(c)
+        return x * (c if type(c) is int else as_gauss(c))
 
     def conj(self, x):
         return x.conjugate()
@@ -100,7 +100,8 @@ class _DictRing:
         return self.add(x, self.neg(y))
 
     def scale(self, x, c):
-        c = as_gauss(c)
+        if type(c) is not int:
+            c = as_gauss(c)
         if not c:
             return {}
         return {k: v * c for k, v in x.items()}

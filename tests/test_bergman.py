@@ -1,18 +1,20 @@
 """Operator-symbol pipeline for the kernel expansion coefficients."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from invar.bergman import (
+    _add_term,
+    _zero_key,
     adjoint,
     bergman_coefficients,
     build_A,
     convolve,
     multiplication_terms,
-    neumann_invert,
-    weyl_multiply,
 )
 from invar.geometry import kernel_coefficient_reference, named_scalar, todd_polynomial
 from invar.jets import Potential, fubini_study_jets, random_hermitian_jets
@@ -20,6 +22,58 @@ from invar.rationals import GaussRat
 from invar.rings import GaussRing
 
 IDENT1 = ((0,), (0,), 0)
+
+
+def weyl_multiply(t1, t2, ring, n, jmax=None):
+    """Reference: operator product of two normal-ordered symbols.  Moving
+    each derivative block of the left factor past the z block of the right
+    one contracts any subset of slots, with falling-factorial
+    multiplicities."""
+    out: dict = {}
+    for (g1, d1, j1), v1 in t1.items():
+        for (g2, d2, j2), v2 in t2.items():
+            j = j1 + j2
+            if jmax is not None and j > jmax:
+                continue
+            v = ring.mul(v1, v2)
+            if ring.is_zero(v):
+                continue
+            ranges = [range(min(da, ga) + 1) for da, ga in zip(d1, g2)]
+            for kappa in itertools.product(*ranges):
+                mult = 1
+                for da, ga, ka in zip(d1, g2, kappa):
+                    mult *= comb(da, ka) * comb(ga, ka) * factorial(ka)
+                key = (
+                    tuple(a + b - k for a, b, k in zip(g1, g2, kappa)),
+                    tuple(a + b - k for a, b, k in zip(d1, d2, kappa)),
+                    j,
+                )
+                _add_term(out, key, ring.scale(v, mult), ring)
+    return out
+
+
+def neumann_invert(terms, ring, n, jmax):
+    """Full inverse of an identity-plus-lower-t-order symbol as a finite
+    geometric sum.  Reference for the coefficient extractor, which only
+    tracks states that can return to z-degree zero."""
+    ident = _zero_key(n)
+    E = dict(terms)
+    lead = E.pop(ident, ring.zero)
+    if lead != ring.one:
+        raise ValueError("inversion needs an identity leading term")
+    for (g, d, j) in E:
+        if j < 1:
+            raise ArithmeticError(
+                "adjoint term at nonnegative t-order; inversion would not close"
+            )
+    out = {ident: ring.one}
+    power = {ident: ring.one}
+    while power:
+        power = weyl_multiply(power, E, ring, n, jmax)
+        power = {k: ring.neg(v) for k, v in power.items()}
+        for key, v in power.items():
+            _add_term(out, key, v, ring)
+    return out
 
 
 def graded_total(x):

@@ -171,21 +171,51 @@ def test_invariant_file_refuses_non_integer_fields(tmp_path, capsys, field, valu
     assert_one_line_refusal(capsys, ["canon", path], field)
 
 
+def _coefficient_argv(tmp_path, command, field, value):
+    if command == "canon":
+        payload = SQ.to_json_dict()
+        payload["terms"][0][field] = value
+        return ["canon", write_json(tmp_path, payload, "inv.json")]
+    jet = {"alpha": [2], "beta": [2], "re": "3", field: value}
+    path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
+    return ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+
+
 @pytest.mark.parametrize(
     "command, field",
     [("canon", "coeff"), ("bergman", "re"), ("bergman", "im")],
 )
 def test_files_refuse_float_coefficients(tmp_path, capsys, command, field):
-    if command == "canon":
-        payload = SQ.to_json_dict()
-        payload["terms"][0][field] = 0.1
-        argv = ["canon", write_json(tmp_path, payload, "inv.json")]
-    else:
-        jet = {"alpha": [2], "beta": [2], "re": "3", field: 0.1}
-        path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
-        argv = ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+    argv = _coefficient_argv(tmp_path, command, field, 0.1)
     # a binary fraction such as 3602879701896397/36028797018963968 is not read
     assert_one_line_refusal(capsys, argv, "not an exact rational: 0.1")
+
+
+@pytest.mark.parametrize("value", ["1/0", "1e5", "0.5", " 1/2 "])
+@pytest.mark.parametrize(
+    "command, field",
+    [("canon", "coeff"), ("bergman", "re"), ("bergman", "im")],
+)
+def test_files_refuse_coefficient_strings_that_are_not_p_over_q(
+    tmp_path, capsys, command, field, value
+):
+    argv = _coefficient_argv(tmp_path, command, field, value)
+    assert_one_line_refusal(capsys, argv, value)
+
+
+@pytest.mark.parametrize("value", ["-2/4", "6", 6])
+@pytest.mark.parametrize("command", ["canon", "bergman"])
+def test_files_read_p_over_q_strings_and_integers(tmp_path, capsys, command, value):
+    field = "coeff" if command == "canon" else "re"
+    assert main(_coefficient_argv(tmp_path, command, field, value)) == 0
+    out = capsys.readouterr().out
+    if command == "canon":
+        want = "-1/2" if value == "-2/4" else "6/1"
+        assert json.loads(out)["terms"][0]["coeff"] == want
+    else:
+        # H = c z^2 zbar^2 has a_1 = S/2 = -2c
+        want = "1" if value == "-2/4" else "-12"
+        assert out.splitlines() == ["a_0 = 1", f"a_1 = {want}"]
 
 
 def test_potential_file_refuses_repeated_jets(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Potential jets, curvature series, and the named curvature scalars."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from invar.bergman import bergman_coefficients
+from invar.chern import partitions_of
+from invar.combinat import cycle_successor, perm_sign
 from invar.geometry import (
     NAMED_SCALARS,
     curvature_package,
@@ -175,6 +179,95 @@ def test_first_todd_polynomial_is_half_curvature():
 
 def test_fubini_study_second_todd_polynomial():
     assert named_scalar(fs_potential(2), "P2") == GaussRat(2)
+
+
+def todd_contraction(R0, n, partition, ring):
+    """Reference: alternating full contraction of curvature values along a
+    cycle type.  The first index pair of each factor runs along the cycles
+    of the partition; the second pair is contracted through a signed sum
+    over all permutations of the factors."""
+    j = sum(partition)
+    nxt = cycle_successor(partition)
+    total = ring.zero
+    for tau in itertools.permutations(range(j)):
+        sign = perm_sign(tau)
+        for a in itertools.product(range(n), repeat=j):
+            for c in itertools.product(range(n), repeat=j):
+                v = ring.one
+                dead = False
+                for f in range(j):
+                    v = ring.mul(v, R0[a[f]][a[nxt[f]]][c[f]][c[tau[f]]])
+                    if ring.is_zero(v):
+                        dead = True
+                        break
+                if dead:
+                    continue
+                total = ring.add(total, v if sign > 0 else ring.neg(v))
+    return total
+
+
+def reference_todd_polynomial(pot, j):
+    """P_j as the Todd-weighted sum of todd_contraction over partitions."""
+    pkg = curvature_package(pot, 0)
+    n, ring = pot.n, pot.ring
+    rng = range(n)
+    R0 = [
+        [[[pkg.R[a][b][c][d].at_zero() for d in rng] for c in rng] for b in rng]
+        for a in rng
+    ]
+    gam = todd_gammas(j)
+    total = ring.zero
+    for partition in partitions_of(j):
+        coeff = Fraction(1)
+        counts: dict = {}
+        for part in partition:
+            counts[part] = counts.get(part, 0) + 1
+        for m, r in counts.items():
+            coeff *= gam[m] ** r / factorial(r)
+        if not coeff:
+            continue
+        contr = todd_contraction(R0, n, partition, ring)
+        total = ring.add(total, ring.scale(contr, coeff))
+    return total
+
+
+def _dense_graded(n, seed, jmax):
+    # random_hermitian_jets at weight 1 draws most (2,2) jets, the only ones
+    # the curvature at the center reads
+    jets = random_hermitian_jets(n, 1, random.Random(seed))
+    return Potential.graded_numeric(n, jets, jmax)
+
+
+@pytest.mark.parametrize(
+    "pot, jmax",
+    [(_dense_graded(n, seed, 4), 4) for n in (1, 2) for seed in (30, 31)]
+    + [(_dense_graded(3, 32, 3), 3)]
+    + [(fs_potential(n), 4) for n in (1, 2)]
+    + [(fs_potential(3), 3)]
+    + [(Potential.symbolic(n, 3), 3) for n in (1, 2)],
+    ids=[
+        "graded-1-30",
+        "graded-1-31",
+        "graded-2-30",
+        "graded-2-31",
+        "graded-3-32",
+        "fubini-study-1",
+        "fubini-study-2",
+        "fubini-study-3",
+        "symbolic-1",
+        "symbolic-2",
+    ],
+)
+def test_todd_polynomial_matches_the_signed_permutation_contraction(pot, jmax):
+    """P_j read from chern_invariant agrees with the signed sum over
+    permutations; it vanishes for j > n, and is nonzero at j <= n here.
+    Which end of an edge is holomorphic cannot show in P_j: every
+    chern_invariant(p) equals its conjugate."""
+    for j in range(jmax + 1):
+        got = todd_polynomial(pot, j)
+        assert got == reference_todd_polynomial(pot, j), j
+        if j <= pot.n:
+            assert got, j
 
 
 def test_todd_gamma_values():

@@ -12,7 +12,8 @@ from math import gcd
 
 import pytest
 
-from invar.rationals import GR_ONE, GR_ZERO, GaussRat
+from invar.rationals import GR_ONE, GR_ZERO, GaussRat, as_fraction, as_gauss
+from invar.rings import GaussRing, GradedRing, SymbolicRing
 
 
 class FractionPairGaussRat:
@@ -268,6 +269,53 @@ def test_constructor_accepts_exact_rationals_and_strings():
     assert GaussRat(0, Fraction(6, 4)).im == Fraction(3, 2)
     for x in (GaussRat(Fraction(2, 6), Fraction(5, 10)), GaussRat(-4, 0), GaussRat(0, 0)):
         _check_canonical(x)
+
+
+def test_rational_strings_are_sign_digits_and_an_optional_denominator():
+    for text, want in (("1/2", Fraction(1, 2)), ("-3", -3), ("+4/6", Fraction(2, 3))):
+        assert as_fraction(text) == want
+        assert GaussRat(text, text) == GaussRat(want, want)
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        as_fraction("1/0")
+    for bad in ("0.5", "1e5", "1e200000", " 1/2 ", "1/-2", "1/2/3", "", "inf", "½"):
+        with pytest.raises(ValueError, match=r"^not a rational 'p' or 'p/q' string"):
+            as_fraction(bad)
+        with pytest.raises(ValueError):
+            GaussRat(0, bad)
+
+
+def _ring_elements():
+    """A GaussRing value and dict-ring elements with several terms each."""
+    values = [GaussRat(Fraction(3, 4), -2), GaussRat(Fraction(-5, 6)), GaussRat(0, 7)]
+    keys = [((((2,), (2,)), 1),), ((((2,), (3,)), 2),), ()]
+    return [
+        (GaussRing(), values[0]),
+        (GradedRing(8), dict(enumerate(values))),
+        (SymbolicRing(8), dict(zip(keys, values))),
+    ]
+
+
+def test_ring_scale_matches_the_gauss_factor_for_exact_factors():
+    factors = [0, 1, -3, 10**20, Fraction(0), Fraction(-7, 9), GR_ZERO, GaussRat(2, -1)]
+    for ring, x in _ring_elements():
+        for c in factors:
+            # the factor as one GaussRat, the way scale took every factor
+            g = as_gauss(c)
+            got = ring.scale(x, c)
+            if isinstance(ring, GaussRing):
+                assert got == x * g, c
+                _check_canonical(got)
+            else:
+                assert got == {k: v * g for k, v in x.items() if g}, (ring, c)
+                for v in got.values():
+                    _check_canonical(v)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, False])
+def test_ring_scale_refuses_floats_and_bools(bad):
+    for ring, x in _ring_elements():
+        with pytest.raises(TypeError, match=f"^not an exact rational: {bad!r}$"):
+            ring.scale(x, bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, 0.0, True, False, None])
