@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from .combinat import decrement, perm_sign
 from .rationals import as_count
-from .rings import GaussRing
+from .rings import GaussRing, _add_term, _truncated_product
 
 __all__ = [
     "multiplication_terms",
@@ -42,34 +43,23 @@ def _zero_key(n):
     return (z, z, 0)
 
 
-def _add_term(terms, key, value, ring):
-    s = ring.add(terms.get(key, ring.zero), value)
-    if ring.is_zero(s):
-        terms.pop(key, None)
-    else:
-        terms[key] = s
+def _defect(key):
+    """t-order defect j' = j + |g| - |d| of the term z^g d^d t^-j."""
+    g, d, j = key
+    return j + sum(g) - sum(d)
+
+
+def _add_keys(k1, k2):
+    """Key of the commutative product of two symbol terms."""
+    (g1, d1, j1), (g2, d2, j2) = k1, k2
+    return tuple(map(add, g1, g2)), tuple(map(add, d1, d2)), j1 + j2
 
 
 def convolve(t1, t2, ring, n, jprime_cap):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order defect j' is additive and
     anything past the cap can never reach the tracked coefficients."""
-    out: dict = {}
-    for (g1, d1, j1), v1 in t1.items():
-        p1 = j1 + sum(g1) - sum(d1)
-        for (g2, d2, j2), v2 in t2.items():
-            if p1 + j2 + sum(g2) - sum(d2) > jprime_cap:
-                continue
-            v = ring.mul(v1, v2)
-            if ring.is_zero(v):
-                continue
-            key = (
-                tuple(x + y for x, y in zip(g1, g2)),
-                tuple(x + y for x, y in zip(d1, d2)),
-                j1 + j2,
-            )
-            _add_term(out, key, v, ring)
-    return out
+    return _truncated_product(t1, t2, ring, jprime_cap, _defect, _add_keys)
 
 
 def multiplication_terms(pot):
@@ -138,8 +128,9 @@ def adjoint(terms, ring, n, jprime_cap):
     so the m = 1 rung vanishes and every rung keeps t-order |b| - 1.
     """
     out: dict = {}
-    for (g, d, j), v in terms.items():
-        jp = j + sum(g) - sum(d)
+    for key, v in terms.items():
+        g, d, _ = key
+        jp = _defect(key)
         if jp > jprime_cap:
             continue
         base = ring.conj(v)

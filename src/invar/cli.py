@@ -30,7 +30,7 @@ from .invariants import Invariant
 from .jets import Potential, fubini_study_jets, random_hermitian_jets
 from .monomials import PHI, _check_restriction
 from .rationals import GR_ZERO
-from .rings import GaussRing, GradedRing
+from .rings import GradedRing
 from .solver import (
     InfeasibleError,
     NotCoexactError,
@@ -102,9 +102,8 @@ def _fmt_monomial(mono) -> str:
 
 
 def fmt_element(ring, x, limit=None) -> str:
-    """Human rendering of a ring element; optionally truncated."""
-    if isinstance(ring, GaussRing):
-        return _fmt_gauss(x)
+    """Human rendering of a graded or symbolic ring element; optionally
+    truncated."""
     if isinstance(ring, GradedRing):
         return _fmt_gauss(sum(x.values(), GR_ZERO))
     if not x:
@@ -117,8 +116,6 @@ def fmt_element(ring, x, limit=None) -> str:
 
 
 def _element_json(ring, x):
-    if isinstance(ring, GaussRing):
-        return {"re": str(x.re), "im": str(x.im)}
     if isinstance(ring, GradedRing):
         total = sum(x.values(), GR_ZERO)
         return {"re": str(total.re), "im": str(total.im)}
@@ -141,42 +138,20 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path):
+def _load(path, what, parse):
+    """parse(d) for the JSON value d in path; a file that cannot be read or
+    parsed ends in one InputError line naming the file and the fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_invariant(path) -> Invariant:
-    d = _load_json(path)
     try:
-        return Invariant.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad invariant in {path}: {exc}") from exc
-
-
-def _load_potential(path, dim) -> Potential:
-    d = _load_json(path)
-    try:
-        pot = Potential.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad potential in {path}: {exc!r}") from exc
-    if pot.n != dim:
-        raise InputError(f"--dim {dim} but potential file has n={pot.n}")
-    return pot
-
-
-def _load_restriction(path):
-    if path is None:
-        return None
-    d = _load_json(path)
-    try:
-        # any length passes here; decompose checks it against each block
-        return _check_restriction(d, len(d))
+        return parse(d)
+    except KeyError as exc:
+        raise InputError(f"bad {what} in {path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad restriction list in {path}: {exc}") from exc
+        raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _at_least(minimum):
@@ -203,7 +178,7 @@ def _emit(args, payload):
 
 
 def cmd_canon(args):
-    inv = _load_invariant(args.invariant)
+    inv = _load(args.invariant, "invariant", Invariant.from_json_dict)
     _emit(args, inv.to_json_dict())
     return 0
 
@@ -218,8 +193,13 @@ def cmd_chern(args):
 
 
 def cmd_decompose(args):
-    inv = _load_invariant(args.invariant)
-    restriction = _load_restriction(args.restrict)
+    inv = _load(args.invariant, "invariant", Invariant.from_json_dict)
+    restriction = None
+    if args.restrict is not None:
+        # any length passes here; decompose checks it against each block
+        restriction = _load(
+            args.restrict, "restriction list", lambda d: _check_restriction(d, len(d))
+        )
     try:
         dec = decompose(inv, restriction)
     except ValueError as exc:
@@ -245,7 +225,7 @@ def cmd_decompose(args):
 
 
 def cmd_oracle(args):
-    inv = _load_invariant(args.invariant)
+    inv = _load(args.invariant, "invariant", Invariant.from_json_dict)
     if inv.valence != (0, 0):
         raise InputError("the oracle integrates scalar invariants only")
     if inv.kind != PHI and len(inv.degrees()) > 1:
@@ -286,7 +266,9 @@ def cmd_bergman(args):
     order = args.order
     raw = None
     if not (args.symbolic or args.fubini_study):
-        raw = _load_potential(args.potential, args.dim)
+        raw = _load(args.potential, "potential", Potential.from_json_dict)
+        if raw.n != args.dim:
+            raise InputError(f"--dim {args.dim} but potential file has n={raw.n}")
     pot = _kernel_potential(args, raw, order)
     coeffs = bergman_coefficients(pot, order)
     if audit_enabled():
@@ -325,10 +307,10 @@ def _kernel_potential(args, raw, weight):
 # -- verify suites ------------------------------------------------------------
 
 
-def _verify_symbolic(j, formula, args, rep):
-    """a_j against its closed form on the symbolic potential of weight j."""
-    for n in [args.dim] if args.dim else [1, 2]:
-        pot = Potential.symbolic(n, j)
+def _verify_closed_form(j, formula, potentials, args, rep):
+    """a_j against its closed form on each (seed, potential) pair that
+    potentials(j, args) yields."""
+    for seed, pot in potentials(j, args):
         got = bergman_coefficients(pot, j)[j]
         want = kernel_coefficient_reference(pot, j, extra=2 if audit_enabled() else 0)
         rep.line(
@@ -336,33 +318,26 @@ def _verify_symbolic(j, formula, args, rep):
             got == want,
             fmt_element(pot.ring, got, 400),
             fmt_element(pot.ring, want, 400),
-            dim=n,
+            dim=pot.n,
+            seed=seed,
         )
     rep.summary(f"a{j} == {formula}: exact" if not rep.failures else f"a{j} check")
 
 
-def _verify_a3(args, rep):
+def _symbolic_potentials(j, args):
+    """The symbolic potential of weight j, at --dim or else at n = 1 and 2."""
+    for n in [args.dim] if args.dim else [1, 2]:
+        yield None, Potential.symbolic(n, j)
+
+
+def _random_potentials(j, args):
+    """One seeded random potential of weight j per trial."""
     n = args.dim or 2
-    trials = args.trials or 3
-    for t in range(trials):
+    for t in range(args.trials or 3):
         seed = (args.seed or 0) + t
-        rng = random.Random(seed)
-        pot = Potential.graded_numeric(n, random_hermitian_jets(n, 3, rng), 3)
-        got = bergman_coefficients(pot, 3)[3]
-        want = kernel_coefficient_reference(pot, 3, extra=2 if audit_enabled() else 0)
-        rep.line(
-            "a3",
-            got == want,
-            fmt_element(pot.ring, got, 400),
-            fmt_element(pot.ring, want, 400),
-            dim=n,
-            seed=seed,
+        yield seed, Potential.graded_numeric(
+            n, random_hermitian_jets(n, j, random.Random(seed)), j
         )
-    rep.summary(
-        "a3 == P_3 + div(Q) + lap^2(S)/8: exact"
-        if not rep.failures
-        else "a3 check"
-    )
 
 
 def _verify_linear(args, rep):
@@ -439,9 +414,17 @@ def _verify_roundtrip(args, rep):
 # each suite with the flags it reads; the parser leaves every flag None, so a
 # suite applies its own default and any other flag given is refused
 VERIFY_SUITES = {
-    "a1": (partial(_verify_symbolic, 1, "S/2"), {"dim"}),
-    "a2": (partial(_verify_symbolic, 2, "P_2 + lap(S)/3"), {"dim"}),
-    "a3": (_verify_a3, {"dim", "trials", "seed"}),
+    "a1": (partial(_verify_closed_form, 1, "S/2", _symbolic_potentials), {"dim"}),
+    "a2": (
+        partial(_verify_closed_form, 2, "P_2 + lap(S)/3", _symbolic_potentials),
+        {"dim"},
+    ),
+    "a3": (
+        partial(
+            _verify_closed_form, 3, "P_3 + div(Q) + lap^2(S)/8", _random_potentials
+        ),
+        {"dim", "trials", "seed"},
+    ),
     "linear": (_verify_linear, {"dim", "order"}),
     "chern-integrals": (
         _verify_chern_integrals,

@@ -145,9 +145,7 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
         last_ints = slots[-1][1]
         acc_re = acc_im = 0
         for head in itertools.product(*(sorted(ints) for ints in head_ints)):
-            last = tuple(-sum(v) for v in zip(*head)) if head else ()
-            if sigma == 1:
-                last = (0,) * (2 * n)
+            last = tuple(-sum(v) for v in zip(*head)) if head else (0,) * (2 * n)
             c_last = last_ints.get(last)
             if c_last is None:
                 continue

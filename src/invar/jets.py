@@ -94,8 +94,7 @@ class Potential:
         return True
 
     def series(self, cap) -> ScalarSeries:
-        terms = {k: v for k, v in self.jets.items() if sum(k[0]) + sum(k[1]) <= cap}
-        return ScalarSeries(self.ring, self.n, cap, terms)
+        return ScalarSeries(self.ring, self.n, cap, self.jets)
 
     def to_json_dict(self) -> dict:
         if not isinstance(self.ring, GaussRing):

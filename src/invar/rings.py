@@ -31,6 +31,32 @@ def symbol_grade(key) -> int:
     return sum(alpha) + sum(beta) - 2
 
 
+def _add_term(terms, key, value, ring):
+    s = ring.add(terms.get(key, ring.zero), value)
+    if ring.is_zero(s):
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
+def _truncated_product(x, y, ring, cap, order, combine):
+    """Product of two sparse dicts with ring values, truncated by an additive
+    order: ring.mul(v1, v2) accumulates at combine(k1, k2) over the pairs
+    with order(k1) + order(k2) <= cap.  Pairs are visited x outer, y inner,
+    which fixes the insertion order of the result."""
+    out: dict = {}
+    inner = [(k2, v2, order(k2)) for k2, v2 in y.items()]
+    for k1, v1 in x.items():
+        room = cap - order(k1)
+        for k2, v2, o2 in inner:
+            if o2 > room:
+                continue
+            p = ring.mul(v1, v2)
+            if not ring.is_zero(p):
+                _add_term(out, combine(k1, k2), p, ring)
+    return out
+
+
 class GaussRing:
     """Plain Gaussian rationals."""
 

@@ -7,9 +7,24 @@ so downstream products stay as small as the final evaluation allows.
 
 from __future__ import annotations
 
+from operator import add
+
 from .combinat import decrement
+from .rings import _add_term, _truncated_product
 
 __all__ = ["ScalarSeries"]
+
+
+def _order(key):
+    """Total order |alpha| + |beta| of the monomial z^alpha zbar^beta."""
+    alpha, beta = key
+    return sum(alpha) + sum(beta)
+
+
+def _add_keys(k1, k2):
+    """Key of the product of two monomials."""
+    (a1, b1), (a2, b2) = k1, k2
+    return tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
 
 
 class ScalarSeries:
@@ -21,9 +36,10 @@ class ScalarSeries:
         self.cap = cap
         clean = {}
         if terms:
-            for (alpha, beta), v in terms.items():
-                if sum(alpha) + sum(beta) > cap or ring.is_zero(v):
+            for key, v in terms.items():
+                if _order(key) > cap or ring.is_zero(v):
                     continue
+                alpha, beta = key
                 clean[(tuple(alpha), tuple(beta))] = v
         self.terms = clean
 
@@ -66,15 +82,10 @@ class ScalarSeries:
         self._check(other)
         ring = self.ring
         cap = min(self.cap, other.cap)
-        out = {k: v for k, v in self.terms.items() if sum(k[0]) + sum(k[1]) <= cap}
+        out = {k: v for k, v in self.terms.items() if _order(k) <= cap}
         for k, v in other.terms.items():
-            if sum(k[0]) + sum(k[1]) > cap:
-                continue
-            s = ring.add(out.get(k, ring.zero), v)
-            if ring.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            if _order(k) <= cap:
+                _add_term(out, k, v, ring)
         return self._like(cap, out)
 
     def neg(self):
@@ -85,27 +96,11 @@ class ScalarSeries:
 
     def mul(self, other):
         self._check(other)
-        ring = self.ring
         cap = min(self.cap, other.cap)
-        out: dict = {}
-        for (a1, b1), v1 in self.terms.items():
-            o1 = sum(a1) + sum(b1)
-            for (a2, b2), v2 in other.terms.items():
-                if o1 + sum(a2) + sum(b2) > cap:
-                    continue
-                p = ring.mul(v1, v2)
-                if ring.is_zero(p):
-                    continue
-                k = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                s = ring.add(out.get(k, ring.zero), p)
-                if ring.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return self._like(cap, out)
+        product = _truncated_product(
+            self.terms, other.terms, self.ring, cap, _order, _add_keys
+        )
+        return self._like(cap, product)
 
     def scale(self, c):
         out = {}

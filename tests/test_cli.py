@@ -116,6 +116,31 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
     assert err.startswith("error: bad potential") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            "bergman",
+            {"n": 1, "jets": [{"alpha": [2], "beta": [2], "re": "1/0"}]},
+            "bad potential in {}: zero denominator in '1/0'",
+        ),
+        ("bergman", {"n": 1}, "bad potential in {}: missing field 'jets'"),
+        ("canon", {"valence": [0, 0]}, "bad invariant in {}: missing field 'terms'"),
+        ("decompose", {"terms": [{}]}, "bad invariant in {}: missing field 'monomial'"),
+    ],
+    ids=["bad-value", "no-jets", "no-terms", "no-monomial"],
+)
+def test_bad_file_message_is_bare(tmp_path, capsys, command, payload, message):
+    path = write_json(tmp_path, payload, "in.json")
+    argv = [command, path]
+    if command == "bergman":
+        argv = ["bergman", "--dim", "1", "--potential", path, "--order", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path) + "\n"
+
+
 def test_decompose_restriction_failures_are_one_line(tmp_path, capsys):
     inv = divergence(monomial_invariant(ContractionMonomial(PHI, [[2]], [1], [0])))
     path = write_inv(tmp_path, inv)
