@@ -268,11 +268,14 @@ def todd_polynomial(pot, j, extra=0):
     as_count(j, "j")
     as_count(extra, "extra")
     _check_grade(pot, f"P{j}", j)
-    pkg = curvature_package(pot, extra)
     n = pot.n
     ring = pot.ring
+    if j > n:
+        # every chern_invariant(p) alternates over j indices with n values
+        return ring.zero
     if not j:
         return ring.one
+    pkg = curvature_package(pot, extra)
     gam = todd_gammas(j)
     todd = zero_invariant()
     for partition in partitions_of(j):

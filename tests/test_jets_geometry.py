@@ -8,10 +8,12 @@ from math import factorial
 import pytest
 
 from invar.bergman import bergman_coefficients
-from invar.chern import partitions_of
+from invar.chern import chern_invariant, partitions_of
 from invar.combinat import cycle_successor, perm_sign
 from invar.geometry import (
     NAMED_SCALARS,
+    _center_value,
+    _table,
     curvature_package,
     kernel_coefficient_reference,
     named_scalar,
@@ -19,6 +21,7 @@ from invar.geometry import (
     todd_gammas,
     todd_polynomial,
 )
+from invar.invariants import zero_invariant
 from invar.jets import (
     Potential,
     fubini_study_jets,
@@ -268,6 +271,43 @@ def test_todd_polynomial_matches_the_signed_permutation_contraction(pot, jmax):
         assert got == reference_todd_polynomial(pot, j), j
         if j <= pot.n:
             assert got, j
+
+
+def full_contraction_todd(pot, j):
+    """Reference: P_j as todd_polynomial reads it for j <= n, the Todd sum of
+    chern_invariant(p) contracted over all index tuples, with no shortcut
+    for j > n."""
+    n, ring = pot.n, pot.ring
+    pkg = curvature_package(pot, 0)
+    gam = todd_gammas(j)
+    todd = zero_invariant()
+    for partition in partitions_of(j):
+        coeff = Fraction(1)
+        for m in set(partition):
+            r = partition.count(m)
+            coeff *= gam[m] ** r / factorial(r)
+        if coeff:
+            todd = todd + coeff * chern_invariant(partition)
+    R0 = _table(n, 4, lambda a, b, c, d: pkg.R[a][b][c][d].at_zero())
+    total = ring.zero
+    for mono, coeff in todd.terms.items():
+        total = ring.add(total, ring.scale(_center_value(R0, n, mono, ring), coeff))
+    return total
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [random_potential(n, seed=40 + n) for n in (1, 2)]
+    + [Potential.symbolic(n, n + 2) for n in (1, 2)],
+    ids=["numeric-1", "numeric-2", "symbolic-1", "symbolic-2"],
+)
+def test_todd_polynomial_above_the_dimension_is_the_zero_of_the_ring(pot):
+    """For j > n, todd_polynomial returns the ring's zero without the
+    contraction, and the full contraction agrees."""
+    for j in (pot.n + 1, pot.n + 2):
+        got = todd_polynomial(pot, j)
+        assert got == pot.ring.zero, j
+        assert got == full_contraction_todd(pot, j), j
 
 
 def test_todd_gamma_values():

@@ -155,6 +155,13 @@ def test_decompose_random_round_trips():
         done += 1
 
 
+def test_decompose_a_weight_nine_degree_three_block():
+    """(w, sigma) = (9, 3) has 1550 generator columns of rank 582."""
+    inv = random_coexact_invariant(9, 3, random.Random(9))
+    assert inv
+    assert verify_decomposition(inv, decompose(inv))
+
+
 def test_verify_rejects_perturbation():
     inv = chern_invariant((2,))
     dec = decompose(inv)
