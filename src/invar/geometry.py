@@ -39,11 +39,26 @@ def _sum_series(items):
     return total
 
 
-def _table(n, rank, entry):
-    """Nested lists T[i][j]... = entry(i, j, ...), each index over range(n)."""
+def _table(n, rank, entry, canon=None):
+    """Nested lists T[i][j]... = entry(i, j, ...), each index over range(n).
+
+    With canon, entry runs only at the tuples that canon fixes, and every
+    tuple refers to the one object built at canon(i, j, ...); safe because
+    no series is mutated in place."""
+    if canon is not None:
+        built = {}
+        for idx in itertools.product(range(n), repeat=rank):
+            if canon(*idx) == idx:
+                built[idx] = entry(*idx)
+        return _table(n, rank, lambda *idx: built[canon(*idx)])
     if rank == 1:
         return [entry(i) for i in range(n)]
     return [_table(n, rank - 1, lambda *rest, i=i: entry(i, *rest)) for i in range(n)]
+
+
+def _pairs_sorted(a, b, c, d):
+    """Class key of an index tuple symmetric under a <-> c and b <-> d."""
+    return min(a, c), min(b, d), max(a, c), max(b, d)
 
 
 class CurvaturePackage:
@@ -55,6 +70,11 @@ class CurvaturePackage:
     Gamma[e][d][c] is the connection with upper index e and lower indices
     d, c; R[a][b][c][d] has holomorphic slots a, c and antiholomorphic b, d.
     Every tensor is a contraction of tensors built before it.
+
+    As G = d dbar H, Gamma[e][d][c] = Gamma[e][c][d] and R is symmetric
+    under a <-> c and b <-> d, exactly on the truncated series: each is
+    computed only at d <= c, resp. a <= c and b <= d, and the other entries
+    refer to the same ScalarSeries object, as no series is mutated in place.
     """
 
     __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S", "_RU")
@@ -90,7 +110,10 @@ class CurvaturePackage:
         dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
         dbG = _table(n, 3, lambda d, a, b: G[a][b].d_anti(d))
         Gamma = _table(
-            n, 3, lambda e, b, c: _sum_series(Ginv[d][e].mul(dG[b][c][d]) for d in rng)
+            n,
+            3,
+            lambda e, b, c: _sum_series(Ginv[d][e].mul(dG[b][c][d]) for d in rng),
+            lambda e, b, c: (e, min(b, c), max(b, c)),
         )
         # R = d dbar g - Ginv d g dbar g; Gamma[e][c][a] already holds the
         # sum over f of Ginv[f][e] d_c G[a][f]
@@ -100,6 +123,7 @@ class CurvaturePackage:
             lambda a, b, c, d: dG[c][a][b].d_anti(d).sub(
                 _sum_series(Gamma[e][c][a].mul(dbG[d][e][b]) for e in rng)
             ),
+            _pairs_sorted,
         )
         Ric = _table(
             n,
@@ -121,31 +145,37 @@ class CurvaturePackage:
         )
 
     def _raised_ricci(self):
-        """RU[b][c] = Ginv[b][p] Ginv[q][c] Ric[p][q], built on first use and
-        kept for the life of the package."""
+        """RU[b][c] = Ginv[b][p] Ginv[q][c] Ric[p][q], raised one slot at a
+        time, built on first use and kept for the life of the package."""
         if self._RU is None:
             rng = range(self.n)
             Ginv, Ric = self.Ginv, self.Ric
+            T = _table(
+                self.n, 2, lambda p, c: _sum_series(Ginv[q][c].mul(Ric[p][q]) for q in rng)
+            )
             self._RU = _table(
-                self.n,
-                2,
-                lambda b, c: _sum_series(
-                    Ginv[b][p].mul(Ginv[q][c]).mul(Ric[p][q]) for p in rng for q in rng
-                ),
+                self.n, 2, lambda b, c: _sum_series(Ginv[b][p].mul(T[p][c]) for p in rng)
             )
         return self._RU
 
     def curvature_norm2(self) -> ScalarSeries:
         """|R|^2 = W[p][b][q][d] W[b][p][d][q], with W the curvature raised
-        in both holomorphic slots; the second factor is W at swapped slots."""
-        rng = range(self.n)
+        in both holomorphic slots one at a time, through V[p][b][c][d] =
+        Ginv[p][a] R[a][b][c][d]: at most 2 n^5 + n^4 series products.  V
+        keeps R's symmetry b <-> d and W both, so each is built per class."""
+        n, rng = self.n, range(self.n)
         Ginv, R = self.Ginv, self.R
-        W = _table(
-            self.n,
+        V = _table(
+            n,
             4,
-            lambda p, b, q, d: _sum_series(
-                Ginv[p][a].mul(Ginv[q][c]).mul(R[a][b][c][d]) for a in rng for c in rng
-            ),
+            lambda p, b, c, d: _sum_series(Ginv[p][a].mul(R[a][b][c][d]) for a in rng),
+            lambda p, b, c, d: (p, min(b, d), c, max(b, d)),
+        )
+        W = _table(
+            n,
+            4,
+            lambda p, b, q, d: _sum_series(Ginv[q][c].mul(V[p][b][c][d]) for c in rng),
+            _pairs_sorted,
         )
         return _sum_series(
             W[p][b][q][d].mul(W[b][p][d][q])
@@ -236,24 +266,45 @@ def _center_value(R0, n, mono, ring):
     on the curvature values at the center.  Each edge (i, k) is one summed
     index, holomorphic on factor i and antiholomorphic on factor k; a factor
     reads R0[hol1][anti1][hol2][anti2], which is symmetric in its two
-    holomorphic and in its two antiholomorphic slots."""
+    holomorphic and in its two antiholomorphic slots.
+
+    The nonzero entries of R0 are listed once; the edge indices are bound
+    factor by factor, each factor looking up only the entries that agree
+    with the indices bound before it, so no tuple with a zero factor forms."""
     rng = range(mono.sigma)
     edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
-    slots = []
+    entries = [
+        (idx, v)
+        for idx in itertools.product(range(n), repeat=4)
+        if not ring.is_zero(v := R0[idx[0]][idx[1]][idx[2]][idx[3]])
+    ]
+    plan, known = [], set()
     for f in rng:
         h1, h2 = (e for e, (i, _) in enumerate(edges) if i == f)
         a1, a2 = (e for e, (_, k) in enumerate(edges) if k == f)
-        slots.append((h1, a1, h2, a2))
-    total = ring.zero
-    for idx in itertools.product(range(n), repeat=len(edges)):
-        v = ring.one
-        for h1, a1, h2, a2 in slots:
-            v = ring.mul(v, R0[idx[h1]][idx[a1]][idx[h2]][idx[a2]])
-            if ring.is_zero(v):
-                break
-        else:
-            total = ring.add(total, v)
-    return total
+        slots = (h1, a1, h2, a2)
+        # earlier-bound slots key the lookup; a loop edge needs equal indices
+        keyed = [p for p in range(4) if slots[p] in known]
+        agree = {}
+        for idx, v in entries:
+            if all(idx[p] == idx[slots.index(e)] for p, e in enumerate(slots)):
+                agree.setdefault(tuple(idx[p] for p in keyed), []).append((idx, v))
+        plan.append((slots, keyed, agree))
+        known.update(slots)
+    bound = {}
+
+    def walk(f, v):
+        if f == len(plan):
+            return v
+        slots, keyed, agree = plan[f]
+        total = ring.zero
+        for idx, r in agree.get(tuple(bound[slots[p]] for p in keyed), ()):
+            if not ring.is_zero(w := ring.mul(v, r)):
+                bound.update(zip(slots, idx))
+                total = ring.add(total, walk(f + 1, w))
+        return total
+
+    return walk(0, ring.one)
 
 
 def todd_polynomial(pot, j, extra=0):

@@ -71,9 +71,6 @@ class ScalarSeries:
             and self.terms == other.terms
         )
 
-    def coefficient(self, alpha, beta):
-        return self.terms.get((tuple(alpha), tuple(beta)), self.ring.zero)
-
     def at_zero(self):
         zero = (0,) * self.n
         return self.terms.get((zero, zero), self.ring.zero)
@@ -123,35 +120,6 @@ class ScalarSeries:
             if beta[a]:
                 out[(alpha, decrement(beta, a))] = self.ring.scale(v, beta[a])
         return self._like(max(self.cap - 1, 0), out)
-
-    def conjugate(self):
-        ring = self.ring
-        return self._like(
-            self.cap, {(b, a): ring.conj(v) for (a, b), v in self.terms.items()}
-        )
-
-    def _nonconstant(self):
-        zero = (0,) * self.n
-        rest = dict(self.terms)
-        c = rest.pop((zero, zero), None)
-        return c, self._like(self.cap, rest)
-
-    def log(self):
-        """log(self) for series with constant term one."""
-        from fractions import Fraction
-
-        c, x = self._nonconstant()
-        if c != self.ring.one:
-            raise ValueError("log needs constant term one")
-        out = ScalarSeries(self.ring, self.n, self.cap)
-        power = ScalarSeries.one(self.ring, self.n, self.cap)
-        for k in range(1, self.cap + 1):
-            power = power.mul(x)
-            if not power:
-                break
-            term = power.scale(Fraction((-1) ** (k - 1), k))
-            out = out.add(term)
-        return out
 
     def _check(self, other):
         if self.ring != other.ring or self.n != other.n:

@@ -144,11 +144,27 @@ def test_curvature_center_symmetries_and_reality():
                     assert R0[a][b][c][d].conjugate() == R0[b][a][d][c]
 
 
+def series_log(s):
+    """log(s) for a series with constant term one: the alternating sum of
+    the powers of s - 1, which gain order until the cap empties them."""
+    ring, n, cap = s.ring, s.n, s.cap
+    assert s.at_zero() == ring.one
+    x = s.sub(ScalarSeries.one(ring, n, cap))
+    out = ScalarSeries(ring, n, cap)
+    power = ScalarSeries.one(ring, n, cap)
+    for k in range(1, cap + 1):
+        power = power.mul(x)
+        if not power:
+            break
+        out = out.add(power.scale(Fraction((-1) ** (k - 1), k)))
+    return out
+
+
 def test_ricci_from_log_determinant_in_one_dimension():
     pot = random_potential(1, seed=6)
     pkg = curvature_package(pot, 3)
     lhs = pkg.Ric[0][0]
-    rhs = pkg.G[0][0].log().d_hol(0).d_anti(0).neg()
+    rhs = series_log(pkg.G[0][0]).d_hol(0).d_anti(0).neg()
     assert not lhs.sub(rhs)
 
 
@@ -166,10 +182,25 @@ def test_named_scalars_real_on_hermitian_input():
         assert v.im == 0, name
 
 
+def rich_jets(n, seed):
+    """Most (2,2) jets, which every scalar at the center reads, plus a sparse
+    draw up to weight 3 for the derivatives."""
+    rng = random.Random(seed)
+    return {**random_hermitian_jets(n, 1, rng), **random_hermitian_jets(n, 3, rng)}
+
+
 def test_named_scalar_truncation_stability():
-    pot = random_potential(2, seed=8)
-    for name in ("S", "lap_S", "abs_R2", "P2"):
-        assert named_scalar(pot, name) == named_scalar(pot, name, extra=2)
+    """Every scalar the first three kernel coefficients read, at its own
+    caps and with two more orders of margin; each is nonzero here, except
+    P3 at n = 2."""
+    for pot in (
+        Potential.numeric(2, rich_jets(2, 8)),
+        Potential.graded_numeric(3, rich_jets(3, 9), 3),
+    ):
+        for name in ("S", "lap_S", "lap2_S", "abs_R2", "abs_Ric2", "P2", "P3", "div_Q"):
+            value = named_scalar(pot, name)
+            assert value or name == f"P{pot.n + 1}", (pot.n, name)
+            assert value == named_scalar(pot, name, extra=2), (pot.n, name)
 
 
 def test_first_todd_polynomial_is_half_curvature():
@@ -182,6 +213,19 @@ def test_first_todd_polynomial_is_half_curvature():
 
 def test_fubini_study_second_todd_polynomial():
     assert named_scalar(fs_potential(2), "P2") == GaussRat(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fubini_study_todd_polynomials_are_elementary_symmetric(n):
+    """On P^n the Todd polynomials at the center are e_j(1..n), from
+    dim H^0(P^n, O(k)) = C(k + n, n); summed over grades, for every j <= n."""
+    want = {1: [1], 2: [3, 2], 3: [6, 11, 6], 4: [10, 35, 50, 24]}[n]
+    pot = Potential.graded_numeric(n, fubini_study_jets(n, 2 * n + 2), n)
+    for j, e_j in enumerate(want, start=1):
+        total = GaussRat(0)
+        for part in todd_polynomial(pot, j).values():
+            total = total + part
+        assert total == GaussRat(e_j), j
 
 
 def todd_contraction(R0, n, partition, ring):
@@ -420,24 +464,49 @@ def _total(items):
     return out
 
 
-@pytest.mark.parametrize(
-    "pot",
-    [
-        Potential.numeric(n, random_hermitian_jets(n, 2, random.Random(20 + n)))
+_DIRECT_POTENTIALS = {
+    **{
+        f"numeric-{n}": Potential.numeric(
+            n, random_hermitian_jets(n, 2, random.Random(20 + n))
+        )
         for n in (1, 2, 3)
-    ]
-    + [Potential.symbolic(n, 3) for n in (1, 2)],
-    ids=["numeric-1", "numeric-2", "numeric-3", "symbolic-1", "symbolic-2"],
+    },
+    "graded-3": Potential.graded_numeric(3, rich_jets(3, 23), 3),
+    **{f"symbolic-{n}": Potential.symbolic(n, 3) for n in (1, 2)},
+    "linear-2": Potential.symbolic(2, 3, linear=True),
+}
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [pytest.param(name, 2, id=name) for name in _DIRECT_POTENTIALS]
+    + [
+        pytest.param(name, 4, id=f"{name}-cap4")
+        for name, pot in _DIRECT_POTENTIALS.items()
+        if pot.n <= 2
+    ],
 )
-def test_package_matches_direct_contractions(pot):
-    """R, |R|^2, |Ric|^2 and div Q against the textbook contractions, whole
-    series: R from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies
-    built on their own, |Ric|^2 as the four-index sum, and div Q with Gamma
-    formed from Ginv d g and Y from the four-index sum."""
-    pkg = curvature_package(pot, 2)
+def test_package_matches_direct_contractions(name, cap):
+    """Gamma, R, |R|^2, |Ric|^2 and div Q against the textbook
+    contractions, whole series and entry by entry: Gamma as Ginv d g, R
+    from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies built on
+    their own, |Ric|^2 as the four-index sum, and Y in div Q from the
+    four-index sum.  Cap 4 is the one lap2_S reads.  On the linear ring
+    every product of two curvature terms vanishes, so there only Gamma, R
+    and the vanishing of the rest are checked."""
+    pot = _DIRECT_POTENTIALS[name]
+    quadratic = getattr(pot.ring, "degree_cap", None) != 1
+    pkg = curvature_package(pot, cap)
     G, Ginv, Ric = pkg.G, pkg.Ginv, pkg.Ric
     rng = range(pot.n)
     idx4 = [(a, b, c, d) for a in rng for b in rng for c in rng for d in rng]
+    Gamma = {
+        (e, d, a): _total(Ginv[f][e].mul(G[a][f].d_hol(d)) for f in rng)
+        for e in rng
+        for d in rng
+        for a in rng
+    }
+    assert all(pkg.Gamma[e][d][a] == Gamma[e, d, a] for e, d, a in Gamma)
     R = {
         (a, b, c, d): G[a][b].d_hol(c).d_anti(d).sub(
             _total(
@@ -450,35 +519,28 @@ def test_package_matches_direct_contractions(pot):
     }
     assert any(R.values())
     assert all(pkg.R[a][b][c][d] == R[a, b, c, d] for a, b, c, d in idx4)
+    # both inverse metrics of a double raising at once: GG[p, a, q, c] =
+    # Ginv[p][a] Ginv[q][c]
+    GG = {(p, a, q, c): Ginv[p][a].mul(Ginv[q][c]) for p, a, q, c in idx4}
     upper = {
-        (p, b, q, d): _total(
-            Ginv[p][a].mul(Ginv[q][c]).mul(R[a, b, c, d]) for a in rng for c in rng
-        )
+        (p, b, q, d): _total(GG[p, a, q, c].mul(R[a, b, c, d]) for a in rng for c in rng)
         for p, b, q, d in idx4
     }
     lower = {
-        (b, p, d, q): _total(
-            Ginv[b][a].mul(Ginv[d][c]).mul(R[a, p, c, q]) for a in rng for c in rng
-        )
+        (b, p, d, q): _total(GG[b, a, d, c].mul(R[a, p, c, q]) for a in rng for c in rng)
         for p, b, q, d in idx4
     }
     norm_R = _total(upper[p, b, q, d].mul(lower[b, p, d, q]) for p, b, q, d in idx4)
-    assert norm_R and pkg.curvature_norm2() == norm_R
+    assert bool(norm_R) == quadratic and pkg.curvature_norm2() == norm_R
     norm_Ric = _total(
         Ric[a][b].mul(Ginv[b][c]).mul(Ginv[d][a]).mul(Ric[c][d])
         for a, b, c, d in idx4
     )
-    assert norm_Ric and pkg.ricci_norm2() == norm_Ric
+    assert bool(norm_Ric) == quadratic and pkg.ricci_norm2() == norm_Ric
     S = pkg.S
-    Gamma = {
-        (e, d, a): _total(Ginv[f][e].mul(G[a][f].d_hol(d)) for f in rng)
-        for e in rng
-        for d in rng
-        for a in rng
-    }
     Y = {
         (a, f): _total(
-            R[a, b, c, f].mul(Ginv[b][p]).mul(Ginv[q][c]).mul(Ric[p][q])
+            R[a, b, c, f].mul(GG[b, p, q, c]).mul(Ric[p][q])
             for b in rng
             for c in rng
             for p in rng
@@ -505,4 +567,20 @@ def test_package_matches_direct_contractions(pot):
         for a in rng
     ]
     div_Q = _total(Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
-    assert div_Q and pkg.gradient_divergence() == div_Q
+    assert bool(div_Q) == quadratic and pkg.gradient_divergence() == div_Q
+
+
+def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
+    """At n = 3, |R|^2 forms at most 2 n^5 + n^4 series products and the
+    raised Ricci at most 2 n^3; raising both slots of every entry at once
+    took 2 n^6 + n^4 and 2 n^4."""
+    n = 3
+    pkg = curvature_package(Potential.numeric(n, rich_jets(n, 24)), 1)
+    calls = []
+    mul = ScalarSeries.mul
+    monkeypatch.setattr(ScalarSeries, "mul", lambda s, o: calls.append(1) or mul(s, o))
+    assert pkg.curvature_norm2()
+    assert len(calls) <= 2 * n**5 + n**4
+    calls.clear()
+    assert any(any(row) for row in pkg._raised_ricci())
+    assert len(calls) <= 2 * n**3
