@@ -26,6 +26,7 @@ from .geometry import (
     CurvaturePackage,
     NAMED_SCALARS,
     curvature_package,
+    evaluate,
     kernel_coefficient_reference,
     named_scalar,
     scalar_weight,
@@ -94,6 +95,7 @@ __all__ = [
     "random_hermitian_jets",
     "CurvaturePackage",
     "curvature_package",
+    "evaluate",
     "named_scalar",
     "scalar_weight",
     "todd_polynomial",

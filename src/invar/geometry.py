@@ -1,11 +1,11 @@
 """Curvature of a potential and the named local scalars built from it.
 
-Everything is computed from truncated series around the center in normal
+Series scalars come from truncated series around the center in normal
 coordinates: metric, inverse metric, connection, curvature, Ricci, scalar
-curvature, covariant Laplacians, norm squares, the gradient-divergence
-scalar entering the third kernel coefficient, and the Todd-type curvature
-polynomials.  Each named scalar fixes the series caps it needs; an extra
-margin can be requested to audit truncation stability.
+curvature, covariant Laplacians, norm squares and the gradient-divergence
+scalar of the third kernel coefficient, each at its own series caps plus an
+optional margin that audits truncation.  ``evaluate`` reads any scalar
+phi-invariant, the Todd polynomials P_j among them, from the jets alone.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .invariants import zero_invariant
+from .monomials import PHI
 from .rationals import as_count
 from .rings import GaussRing
 from .series import ScalarSeries
@@ -23,6 +24,7 @@ from .series import ScalarSeries
 __all__ = [
     "CurvaturePackage",
     "curvature_package",
+    "evaluate",
     "named_scalar",
     "scalar_weight",
     "todd_polynomial",
@@ -261,72 +263,87 @@ def _check_grade(pot, name, weight):
         )
 
 
-def _center_value(R0, n, mono, ring):
-    """Full contraction of a scalar monomial with every factor of type (2,2)
-    on the curvature values at the center.  Each edge (i, k) is one summed
-    index, holomorphic on factor i and antiholomorphic on factor k; a factor
-    reads R0[hol1][anti1][hol2][anti2], which is symmetric in its two
-    holomorphic and in its two antiholomorphic slots.
-
-    The nonzero entries of R0 are listed once; the edge indices are bound
-    factor by factor, each factor looking up only the entries that agree
-    with the indices bound before it, so no tuple with a zero factor forms."""
-    rng = range(mono.sigma)
-    edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
-    entries = [
-        (idx, v)
-        for idx in itertools.product(range(n), repeat=4)
-        if not ring.is_zero(v := R0[idx[0]][idx[1]][idx[2]][idx[3]])
-    ]
-    plan, known = [], set()
-    for f in rng:
-        h1, h2 = (e for e, (i, _) in enumerate(edges) if i == f)
-        a1, a2 = (e for e, (_, k) in enumerate(edges) if k == f)
-        slots = (h1, a1, h2, a2)
-        # earlier-bound slots key the lookup; a loop edge needs equal indices
-        keyed = [p for p in range(4) if slots[p] in known]
-        agree = {}
-        for idx, v in entries:
-            if all(idx[p] == idx[slots.index(e)] for p, e in enumerate(slots)):
-                agree.setdefault(tuple(idx[p] for p in keyed), []).append((idx, v))
-        plan.append((slots, keyed, agree))
-        known.update(slots)
-    bound = {}
-
-    def walk(f, v):
-        if f == len(plan):
-            return v
-        slots, keyed, agree = plan[f]
-        total = ring.zero
-        for idx, r in agree.get(tuple(bound[slots[p]] for p in keyed), ()):
-            if not ring.is_zero(w := ring.mul(v, r)):
-                bound.update(zip(slots, idx))
-                total = ring.add(total, walk(f + 1, w))
-        return total
-
-    return walk(0, ring.one)
+def _orderings(counts):
+    """Every distinct tuple holding index i counts[i] times."""
+    return set(itertools.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
 
 
-def todd_polynomial(pot, j, extra=0):
+def _derivatives(pot, A, B):
+    """Nonzero d^alpha dbar^beta phi(0), |alpha| = A and |beta| = B, of phi =
+    |z|^2 + H, keyed by each distinct order of the holomorphic then the
+    antiholomorphic indices: alpha! beta! h[alpha|beta] on a jet, delta on
+    (1,1), none at any other signature (every jet is in normal form)."""
+    ring = pot.ring
+    if (A, B) == (1, 1):
+        return [((a, a), ring.one) for a in range(pot.n)]
+    out = []
+    for (alpha, beta), h in pot.jets.items():
+        if sum(alpha) == A and sum(beta) == B:
+            v = ring.scale(h, prod(map(factorial, alpha + beta)))
+            out.extend((p + q, v) for p in _orderings(alpha) for q in _orderings(beta))
+    return out
+
+
+def evaluate(inv, pot):
+    """Center value of a scalar phi-invariant on the potential, in pot.ring.
+
+    Each edge (i, k) of a monomial is one summed index, holomorphic on
+    factor i and antiholomorphic on factor k; a factor reads _derivatives
+    at its signature.  Indices are bound factor by factor, each factor
+    taking only the entries that agree with those bound before it."""
+    if inv.kind != PHI or inv.valence != (0, 0):
+        raise ValueError("evaluate expects a scalar phi-invariant")
+    ring, total = pot.ring, pot.ring.zero
+    entries = {sig: _derivatives(pot, *sig) for m in inv.terms for sig in m.signatures}
+    for mono, coeff in inv.terms.items():
+        rng = range(mono.sigma)
+        edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
+        plan, known, bound = [], set(), {}
+        for f, sig in enumerate(mono.signatures):
+            slots = [e for e, ik in enumerate(edges) if ik[0] == f]
+            slots += [e for e, ik in enumerate(edges) if ik[1] == f]
+            # earlier-bound slots key the lookup; a loop edge needs equal indices
+            keyed = [p for p, e in enumerate(slots) if e in known]
+            first = [slots.index(e) for e in slots]
+            agree = {}
+            for idx, v in entries[sig]:
+                if all(idx[p] == idx[q] for p, q in enumerate(first)):
+                    agree.setdefault(tuple(idx[p] for p in keyed), []).append((idx, v))
+            plan.append((slots, keyed, agree))
+            known.update(slots)
+
+        def walk(f, v):
+            if f == len(plan):
+                return v
+            slots, keyed, agree = plan[f]
+            out = ring.zero
+            for idx, r in agree.get(tuple(bound[slots[p]] for p in keyed), ()):
+                if not ring.is_zero(w := ring.mul(v, r)):
+                    bound.update(zip(slots, idx))
+                    out = ring.add(out, walk(f + 1, w))
+            return out
+
+        total = ring.add(total, ring.scale(walk(0, ring.one), coeff))
+    return total
+
+
+def todd_polynomial(pot, j):
     """Degree-j Todd curvature polynomial of the potential, at the center.
 
     P_j is the phi-invariant sum over partitions p of j of
     prod_m gamma_m^r_m / r_m! * chern_invariant(p), where part m occurs r_m
-    times in p, read on the curvature values at the center.
+    times in p, evaluated on the jets.
     """
     from .chern import chern_invariant, partitions_of
 
     as_count(j, "j")
-    as_count(extra, "extra")
     _check_grade(pot, f"P{j}", j)
-    n = pot.n
     ring = pot.ring
-    if j > n:
+    if j > pot.n:
         # every chern_invariant(p) alternates over j indices with n values
         return ring.zero
     if not j:
         return ring.one
-    pkg = curvature_package(pot, extra)
     gam = todd_gammas(j)
     todd = zero_invariant()
     for partition in partitions_of(j):
@@ -336,11 +353,7 @@ def todd_polynomial(pot, j, extra=0):
             coeff *= gam[m] ** r / factorial(r)
         if coeff:
             todd = todd + coeff * chern_invariant(partition)
-    R0 = _table(n, 4, lambda a, b, c, d: pkg.R[a][b][c][d].at_zero())
-    total = ring.zero
-    for mono, coeff in todd.terms.items():
-        total = ring.add(total, ring.scale(_center_value(R0, n, mono, ring), coeff))
-    return total
+    return evaluate(todd, pot)
 
 
 NAMED_SCALARS = (
@@ -396,7 +409,7 @@ def named_scalar(pot, name, extra=0):
     if name == "div_Q":
         return curvature_package(pot, 2 + extra).gradient_divergence().at_zero()
     # scalar_weight has accepted the name, so only P<j> is left
-    return todd_polynomial(pot, weight, extra)
+    return todd_polynomial(pot, weight)
 
 
 # a_j = sum of coefficient * named scalar, in the order they are evaluated
