@@ -58,11 +58,6 @@ def _table(n, rank, entry, canon=None):
     return [_table(n, rank - 1, lambda *rest, i=i: entry(i, *rest)) for i in range(n)]
 
 
-def _pairs_sorted(a, b, c, d):
-    """Class key of an index tuple symmetric under a <-> c and b <-> d."""
-    return min(a, c), min(b, d), max(a, c), max(b, d)
-
-
 class CurvaturePackage:
     """Metric data of one potential, as series of one common truncation order.
 
@@ -70,16 +65,20 @@ class CurvaturePackage:
     antiholomorphic slot b; Ginv[b][a] is its inverse pairing antiholomorphic
     b against holomorphic a, so raising contracts Ginv[b][a]*T[...a...].
     Gamma[e][d][c] is the connection with upper index e and lower indices
-    d, c; R[a][b][c][d] has holomorphic slots a, c and antiholomorphic b, d.
-    Every tensor is a contraction of tensors built before it.
+    d, c.  K[e][c][a][d] = dbar_d Gamma[e][c][a] is the curvature with its
+    antiholomorphic slot raised: the lowered curvature, holomorphic slots
+    a, c and antiholomorphic b, d, is R[a][b][c][d] = G[e][b] K[e][c][a][d],
+    and Ric = -d dbar log det G = -dbar tr Gamma is Ric[a][d] =
+    -K[e][e][a][d] (Griffiths-Harris, ch. 0 sec. 5).  Ginv is exact to its
+    cap, so these hold exactly on the truncated series.
 
-    As G = d dbar H, Gamma[e][d][c] = Gamma[e][c][d] and R is symmetric
-    under a <-> c and b <-> d, exactly on the truncated series: each is
-    computed only at d <= c, resp. a <= c and b <= d, and the other entries
-    refer to the same ScalarSeries object, as no series is mutated in place.
+    As G = d dbar H, Gamma[e][d][c] = Gamma[e][c][d] and so K is symmetric
+    under c <-> a: each is computed only at d <= c, resp. c <= a, and the
+    other entries refer to the same ScalarSeries object, as no series is
+    mutated in place.
     """
 
-    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "R", "Ric", "S", "_RU")
+    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "K", "Ric", "S", "_T")
 
     def __init__(self, pot, cap):
         as_count(cap, "cap")
@@ -108,35 +107,24 @@ class CurvaturePackage:
             power = _table(
                 n, 2, lambda a, b: _sum_series(power[a][e].mul(E[e][b]) for e in rng)
             )
-        # dG[c][a][b] = d_c G[a][b] and dbG[d][a][b] = dbar_d G[a][b]
+        # dG[c][a][b] = d_c G[a][b]
         dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
-        dbG = _table(n, 3, lambda d, a, b: G[a][b].d_anti(d))
         Gamma = _table(
             n,
             3,
             lambda e, b, c: _sum_series(Ginv[d][e].mul(dG[b][c][d]) for d in rng),
             lambda e, b, c: (e, min(b, c), max(b, c)),
         )
-        # R = d dbar g - Ginv d g dbar g; Gamma[e][c][a] already holds the
-        # sum over f of Ginv[f][e] d_c G[a][f]
-        R = _table(
+        K = _table(
             n,
             4,
-            lambda a, b, c, d: dG[c][a][b].d_anti(d).sub(
-                _sum_series(Gamma[e][c][a].mul(dbG[d][e][b]) for e in rng)
-            ),
-            _pairs_sorted,
+            lambda e, c, a, d: Gamma[e][c][a].d_anti(d),
+            lambda e, c, a, d: (e, min(c, a), max(c, a), d),
         )
-        Ric = _table(
-            n,
-            2,
-            lambda a, b: _sum_series(
-                Ginv[d][c].mul(R[a][b][c][d]) for c in rng for d in rng
-            ).neg(),
-        )
-        self.G, self.Ginv, self.Gamma, self.R, self.Ric = G, Ginv, Gamma, R, Ric
+        Ric = _table(n, 2, lambda a, d: _sum_series(K[e][e][a][d] for e in rng).neg())
+        self.G, self.Ginv, self.Gamma, self.K, self.Ric = G, Ginv, Gamma, K, Ric
         self.S = _sum_series(Ginv[b][a].mul(Ric[a][b]) for a in rng for b in rng)
-        self._RU = None
+        self._T = None
 
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
         n = self.n
@@ -147,63 +135,57 @@ class CurvaturePackage:
         )
 
     def _raised_ricci(self):
-        """RU[b][c] = Ginv[b][p] Ginv[q][c] Ric[p][q], raised one slot at a
-        time, built on first use and kept for the life of the package."""
-        if self._RU is None:
+        """T[p][c] = Ginv[q][c] Ric[p][q], the Ricci form with its
+        antiholomorphic slot raised, built on first use and kept for the life
+        of the package."""
+        if self._T is None:
             rng = range(self.n)
             Ginv, Ric = self.Ginv, self.Ric
-            T = _table(
+            self._T = _table(
                 self.n, 2, lambda p, c: _sum_series(Ginv[q][c].mul(Ric[p][q]) for q in rng)
             )
-            self._RU = _table(
-                self.n, 2, lambda b, c: _sum_series(Ginv[b][p].mul(T[p][c]) for p in rng)
-            )
-        return self._RU
+        return self._T
 
     def curvature_norm2(self) -> ScalarSeries:
-        """|R|^2 = W[p][b][q][d] W[b][p][d][q], with W the curvature raised
-        in both holomorphic slots one at a time, through V[p][b][c][d] =
-        Ginv[p][a] R[a][b][c][d]: at most 2 n^5 + n^4 series products.  V
-        keeps R's symmetry b <-> d and W both, so each is built per class."""
+        """|R|^2 = P[x][c][a][z] P[a][z][x][c], with P[x][c][a][z] =
+        Ginv[d][z] K[x][c][a][d] the curvature with both antiholomorphic
+        slots raised: at most n^5 + n^4 series products.  P keeps K's
+        symmetry c <-> a and gains x <-> z from R's b <-> d, so it is built
+        per class."""
         n, rng = self.n, range(self.n)
-        Ginv, R = self.Ginv, self.R
-        V = _table(
+        Ginv, K = self.Ginv, self.K
+        P = _table(
             n,
             4,
-            lambda p, b, c, d: _sum_series(Ginv[p][a].mul(R[a][b][c][d]) for a in rng),
-            lambda p, b, c, d: (p, min(b, d), c, max(b, d)),
-        )
-        W = _table(
-            n,
-            4,
-            lambda p, b, q, d: _sum_series(Ginv[q][c].mul(V[p][b][c][d]) for c in rng),
-            _pairs_sorted,
+            lambda x, c, a, z: _sum_series(Ginv[d][z].mul(K[x][c][a][d]) for d in rng),
+            lambda x, c, a, z: (min(x, z), min(c, a), max(c, a), max(x, z)),
         )
         return _sum_series(
-            W[p][b][q][d].mul(W[b][p][d][q])
-            for p, b, q, d in itertools.product(rng, repeat=4)
+            P[x][c][a][z].mul(P[a][z][x][c])
+            for x, c, a, z in itertools.product(rng, repeat=4)
         )
 
     def ricci_norm2(self) -> ScalarSeries:
-        RU = self._raised_ricci()
+        T = self._raised_ricci()
         rng = range(self.n)
-        return _sum_series(self.Ric[a][b].mul(RU[b][a]) for a in rng for b in rng)
+        return _sum_series(T[a][p].mul(T[p][a]) for a in rng for p in rng)
 
     def gradient_divergence(self) -> ScalarSeries:
         """div of the weight-3 gradient current, the correction term in the
         third kernel coefficient.  48 Q_a = grad_a(|R|^2 - 4|Ric|^2 + 8 S^2)
         + 2 g^{d fbar} (del_d Y)_{a fbar} with Y = X - 4 S Ric and
-        X the Ricci contraction of the curvature.  Only unmixed connection
-        coefficients exist, so (del_d Y)_{a fbar} = d_d Y[a][f] -
-        Gamma[e][d][a] Y[e][f] and the antiholomorphic slot takes none."""
+        X[a][f] = K[p][c][a][f] T[p][c] the Ricci contraction of the
+        curvature.  Only unmixed connection coefficients exist, so
+        (del_d Y)_{a fbar} = d_d Y[a][f] - Gamma[e][d][a] Y[e][f] and the
+        antiholomorphic slot takes none."""
         rng = range(self.n)
-        Ginv, Gamma, R, Ric, S = self.Ginv, self.Gamma, self.R, self.Ric, self.S
-        RU = self._raised_ricci()
+        Ginv, Gamma, K, Ric, S = self.Ginv, self.Gamma, self.K, self.Ric, self.S
+        T = self._raised_ricci()
         Y = _table(
             self.n,
             2,
             lambda a, f: _sum_series(
-                R[a][b][c][f].mul(RU[b][c]) for b in rng for c in rng
+                K[p][c][a][f].mul(T[p][c]) for p in rng for c in rng
             ).sub(S.mul(Ric[a][f]).scale(4)),
         )
         F = (
@@ -371,19 +353,18 @@ NAMED_SCALARS = (
 )
 
 
+# lap_S, lap<k>_S for k >= 2 and P<j>, no count with a leading zero, so
+# each scalar has one spelling
+_COUNTED_NAME = re.compile(r"lap(?P<k>[2-9]|[1-9]\d+)?_S|P(?P<j>0|[1-9]\d*)")
+_FIXED_WEIGHTS = {"S": 1, "abs_R2": 2, "abs_Ric2": 2, "div_Q": 3}
+
+
 def scalar_weight(name) -> int:
-    m = re.fullmatch(r"lap(\d*)_S", name)
+    m = _COUNTED_NAME.fullmatch(name)
     if m:
-        return 1 + int(m.group(1) or "1")
-    if name == "S":
-        return 1
-    if name in ("abs_R2", "abs_Ric2"):
-        return 2
-    if name == "div_Q":
-        return 3
-    m = re.fullmatch(r"P(\d+)", name)
-    if m:
-        return int(m.group(1))
+        return int(m["j"]) if m["j"] else 1 + int(m["k"] or 1)
+    if name in _FIXED_WEIGHTS:
+        return _FIXED_WEIGHTS[name]
     raise ValueError(f"unknown scalar {name!r}")
 
 
@@ -392,9 +373,8 @@ def named_scalar(pot, name, extra=0):
     weight = scalar_weight(name)
     as_count(extra, "extra")
     _check_grade(pot, name, weight)
-    m = re.fullmatch(r"lap(\d*)_S", name)
-    if m:
-        k = int(m.group(1) or "1")
+    if name.startswith("lap"):
+        k = weight - 1
         pkg = curvature_package(pot, 2 * k + extra)
         f = pkg.S
         for _ in range(k):

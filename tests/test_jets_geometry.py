@@ -94,6 +94,7 @@ def test_fubini_study_scalar_curvature():
 
 
 def test_fubini_study_curvature_tensor_at_center():
+    # G = 1 at the center, so there R[a][b][c][d] = K[b][c][a][d]
     pkg = curvature_package(fs_potential(2), 0)
     delta = lambda i, j: 1 if i == j else 0
     for a in range(2):
@@ -101,7 +102,7 @@ def test_fubini_study_curvature_tensor_at_center():
             for c in range(2):
                 for d in range(2):
                     want = -(delta(a, b) * delta(c, d) + delta(a, d) * delta(c, b))
-                    assert pkg.R[a][b][c][d].at_zero() == GaussRat(want)
+                    assert pkg.K[b][c][a][d].at_zero() == GaussRat(want)
 
 
 def test_center_normalization():
@@ -132,7 +133,7 @@ def test_curvature_center_symmetries_and_reality():
     n = pkg.n
     R0 = [
         [
-            [[pkg.R[a][b][c][d].at_zero() for d in range(n)] for c in range(n)]
+            [[pkg.K[b][c][a][d].at_zero() for d in range(n)] for c in range(n)]
             for b in range(n)
         ]
         for a in range(n)
@@ -256,12 +257,13 @@ def todd_contraction(R0, n, partition, ring):
 
 
 def reference_todd_polynomial(pot, j):
-    """P_j as the Todd-weighted sum of todd_contraction over partitions."""
+    """P_j as the Todd-weighted sum of todd_contraction over partitions, on
+    the curvature at the center, R[a][b][c][d] = K[b][c][a][d] as G = 1."""
     pkg = curvature_package(pot, 0)
     n, ring = pot.n, pot.ring
     rng = range(n)
     R0 = [
-        [[[pkg.R[a][b][c][d].at_zero() for d in rng] for c in rng] for b in rng]
+        [[[pkg.K[b][c][a][d].at_zero() for d in rng] for c in rng] for b in rng]
         for a in rng
     ]
     gam = todd_gammas(j)
@@ -491,6 +493,20 @@ def test_scalar_weights():
         scalar_weight("curvature")
     with pytest.raises(ValueError):
         named_scalar(fs_potential(1), "curvature")
+    assert [scalar_weight(f"lap{k}_S") for k in (5, 9, 10, 12)] == [6, 10, 11, 13]
+    assert scalar_weight("P0") == 0 and scalar_weight("P10") == 10
+
+
+@pytest.mark.parametrize(
+    "alias", ["lap0_S", "lap00_S", "lap1_S", "lap01_S", "lap02_S", "P00", "P01", "P007"]
+)
+def test_every_named_scalar_has_one_spelling(alias):
+    """A count with a leading zero, lap0_S for S and lap1_S for lap_S are
+    refused, naming the scalar."""
+    with pytest.raises(ValueError, match=alias):
+        scalar_weight(alias)
+    with pytest.raises(ValueError, match=alias):
+        named_scalar(fs_potential(1), alias)
 
 
 def test_kernel_coefficient_reference_values():
@@ -571,6 +587,24 @@ def _total(items):
     return out
 
 
+def _textbook_curvature(G, Ginv, rng):
+    """R[a, b, c, d] = d_c dbar_d G[a][b] - Ginv[f][e] d_c G[a][f] dbar_d
+    G[e][b], every entry computed on its own."""
+    return {
+        (a, b, c, d): G[a][b].d_hol(c).d_anti(d).sub(
+            _total(
+                Ginv[f][e].mul(G[a][f].d_hol(c)).mul(G[e][b].d_anti(d))
+                for e in rng
+                for f in rng
+            )
+        )
+        for a in rng
+        for b in rng
+        for c in rng
+        for d in rng
+    }
+
+
 _DIRECT_POTENTIALS = {
     **{
         f"numeric-{n}": Potential.numeric(
@@ -595,12 +629,13 @@ _DIRECT_POTENTIALS = {
 )
 def test_package_matches_direct_contractions(name, cap):
     """Gamma, R, |R|^2, |Ric|^2 and div Q against the textbook
-    contractions, whole series and entry by entry: Gamma as Ginv d g, R
-    from d dbar g - Ginv d g dbar g, |R|^2 with both raised copies built on
-    their own, |Ric|^2 as the four-index sum, and Y in div Q from the
-    four-index sum.  Cap 4 is the one lap2_S reads.  On the linear ring
-    every product of two curvature terms vanishes, so there only Gamma, R
-    and the vanishing of the rest are checked."""
+    contractions, whole series and entry by entry: Gamma as Ginv d g, R =
+    G[e][b] K[e][c][a][d] against d dbar g - Ginv d g dbar g, |R|^2 with
+    both raised copies built on their own, |Ric|^2 as the four-index sum,
+    and Y in div Q from the four-index sum.  Cap 4 is the one lap2_S
+    reads.  On the linear ring every product of two curvature terms
+    vanishes, so there only Gamma, R and the vanishing of the rest are
+    checked."""
     pot = _DIRECT_POTENTIALS[name]
     quadratic = getattr(pot.ring, "degree_cap", None) != 1
     pkg = curvature_package(pot, cap)
@@ -614,18 +649,12 @@ def test_package_matches_direct_contractions(name, cap):
         for a in rng
     }
     assert all(pkg.Gamma[e][d][a] == Gamma[e, d, a] for e, d, a in Gamma)
-    R = {
-        (a, b, c, d): G[a][b].d_hol(c).d_anti(d).sub(
-            _total(
-                Ginv[f][e].mul(G[a][f].d_hol(c)).mul(G[e][b].d_anti(d))
-                for e in rng
-                for f in rng
-            )
-        )
-        for a, b, c, d in idx4
-    }
+    R = _textbook_curvature(G, Ginv, rng)
     assert any(R.values())
-    assert all(pkg.R[a][b][c][d] == R[a, b, c, d] for a, b, c, d in idx4)
+    assert all(
+        _total(G[e][b].mul(pkg.K[e][c][a][d]) for e in rng) == R[a, b, c, d]
+        for a, b, c, d in idx4
+    )
     # both inverse metrics of a double raising at once: GG[p, a, q, c] =
     # Ginv[p][a] Ginv[q][c]
     GG = {(p, a, q, c): Ginv[p][a].mul(Ginv[q][c]) for p, a, q, c in idx4}
@@ -677,17 +706,43 @@ def test_package_matches_direct_contractions(name, cap):
     assert bool(div_Q) == quadratic and pkg.gradient_divergence() == div_Q
 
 
+@pytest.mark.parametrize(
+    "name, cap",
+    [
+        pytest.param(name, cap, id=f"{name}-cap{cap}")
+        for name in _DIRECT_POTENTIALS
+        for cap in (2, 4)
+    ],
+)
+def test_ricci_is_the_trace_of_the_raised_curvature(name, cap):
+    """Ric[a][d] = -K[e][e][a][d], whole series, equals the contraction
+    -Ginv[d][c] R[a][b][c][d] of the textbook curvature."""
+    pot = _DIRECT_POTENTIALS[name]
+    pkg = curvature_package(pot, cap)
+    rng = range(pot.n)
+    R = _textbook_curvature(pkg.G, pkg.Ginv, rng)
+    want = {
+        (a, b): _total(pkg.Ginv[d][c].mul(R[a, b, c, d]) for c in rng for d in rng).neg()
+        for a in rng
+        for b in rng
+    }
+    assert any(want.values())
+    assert all(pkg.Ric[a][b] == want[a, b] for a, b in want)
+
+
 def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
-    """At n = 3, |R|^2 forms at most 2 n^5 + n^4 series products and the
-    raised Ricci at most 2 n^3; raising both slots of every entry at once
-    took 2 n^6 + n^4 and 2 n^4."""
+    """At n = 3, |R|^2 forms at most n^5 + n^4 series products and the
+    raised Ricci at most n^3: |R|^2 raises the second antiholomorphic slot
+    of K, whose first is raised already, and the Ricci form has one such
+    slot to raise.  Raising the lowered R twice took 2 n^5 + n^4, and the
+    doubly raised Ricci 2 n^3."""
     n = 3
     pkg = curvature_package(Potential.numeric(n, rich_jets(n, 24)), 1)
     calls = []
     mul = ScalarSeries.mul
     monkeypatch.setattr(ScalarSeries, "mul", lambda s, o: calls.append(1) or mul(s, o))
     assert pkg.curvature_norm2()
-    assert len(calls) <= 2 * n**5 + n**4
+    assert len(calls) <= n**5 + n**4
     calls.clear()
     assert any(any(row) for row in pkg._raised_ricci())
-    assert len(calls) <= 2 * n**3
+    assert len(calls) <= n**3
