@@ -7,19 +7,30 @@ sigma = 1 a scalar monomial is a pure trace power and integrates to zero iff
 it carries at least one derivative.  This decides the integral condition in
 the stable dimension range; low-dimensional identities are out of scope.
 
-Both divergences are one Leibniz expansion: each released derivative lands
-on one of the cells its contraction allows, and placements collect on bare
-edge matrices before any monomial is built, one per distinct nonzero matrix.
+Both divergences and the integral test are one Leibniz expansion: each
+released derivative lands on one of the cells its contraction allows, and
+placements collect on bare edge matrices before any monomial is built, one
+per distinct nonzero matrix.
+
+A phi-invariant is never polarized.  Its multilinear form is the average of
+its sigma! factor relabelings, and integrating off slot 1 of a relabeling is
+integrating off whichever factor it moved there, with the remaining factors
+relabeled.  So with Y = sum_k local_divergence(psi-copy, k), one expansion
+per factor, the first-slot residue is (1/sigma!) sum over the (sigma-1)!
+relabelings tau of tau.Y.  Its coefficient on a monomial m is |Stab m|/sigma!
+times the sum of Y over the relabeling orbit of m, so the residue vanishes
+iff every orbit sum of Y does.  An orbit is a canonical phi-monomial, and
+that is how the integral test collects Y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm
+from itertools import permutations, product
+from math import factorial, isqrt, lcm
 
 from .invariants import Invariant
-from .monomials import PHI, PSI, ContractionMonomial
+from .monomials import _CANONICAL_CACHE, PHI, PSI, ContractionMonomial
 
 __all__ = ["divergence", "local_divergence", "first_slot_residue", "integrates_to_zero"]
 
@@ -43,7 +54,7 @@ def divergence(inv: Invariant) -> Invariant:
         # edge (i, m) for a holomorphic slot, (m, i) for an antiholomorphic one
         move = range(i * s, i * s + s) if hol_free else range(i, s * s, s)
         placements.append(([x for row in mono.edges for x in row], [move], coeff))
-    return _leibniz(inv.kind, placements)
+    return _collect(inv.kind, *_leibniz(placements))
 
 
 def local_divergence(inv: Invariant, k: int) -> Invariant:
@@ -66,28 +77,41 @@ def local_divergence(inv: Invariant, k: int) -> Invariant:
             raise ValueError("local_divergence needs at least two factors")
         if not 1 <= k <= sigma:
             raise ValueError(f"factor index {k} out of range 1..{sigma}")
-    k -= 1
-    placements = []
-    for mono, coeff in inv.terms.items():
-        e, s = mono.edges, mono.sigma - 1
-        survivors = [i for i in range(mono.sigma) if i != k]
-        # an edge (k, j) lands in column c of survivor j, an edge (j, k) in
-        # its row c, and a trace (k, k) in any cell
-        moves = [range(s * s)] * e[k][k]
-        for c, j in enumerate(survivors):
-            moves += [range(c, s * s, s)] * e[k][j] + [range(c * s, c * s + s)] * e[j][k]
-        base = [e[i][j] for i in survivors for j in survivors]
-        placements.append((base, moves, (-1) ** (mono.A(k) + mono.B(k)) * coeff))
-    return _leibniz(PSI, placements)
+    placements = [_off_factor(mono, coeff, k - 1) for mono, coeff in inv.terms.items()]
+    return _collect(PSI, *_leibniz(placements))
 
 
-def _leibniz(kind, placements):
-    """The scalar invariant of every Leibniz placement, collected.
+def _off_factor(mono, coeff, k):
+    """The Leibniz placement that integrates every derivative off factor k
+    (counted from 0) of a scalar monomial, read as multilinear."""
+    e, s = mono.edges, mono.sigma - 1
+    survivors = [i for i in range(mono.sigma) if i != k]
+    # an edge (k, j) lands in column c of survivor j, an edge (j, k) in
+    # its row c, and a trace (k, k) in any cell
+    moves = [range(s * s)] * e[k][k]
+    for c, j in enumerate(survivors):
+        moves += [range(c, s * s, s)] * e[k][j] + [range(c * s, c * s + s)] * e[j][k]
+    base = [e[i][j] for i in survivors for j in survivors]
+    return base, moves, (-1) ** (mono.A(k) + mono.B(k)) * coeff
+
+
+def _every_factor(inv):
+    """Y = sum_k local_divergence(psi-copy of inv, k) over every factor k of
+    a homogeneous scalar invariant, as _leibniz's accumulation."""
+    sigma = inv.homogeneous_degree()
+    return _leibniz(
+        [_off_factor(mono, coeff, k) for mono, coeff in inv.terms.items() for k in range(sigma)]
+    )
+
+
+def _leibniz(placements):
+    """Every Leibniz placement, collected on bare flat edge matrices.
 
     Each ``(base, moves, coeff)`` holds a row-major flat edge matrix and, per
     released derivative, the range of flat cells it may land on; every choice
     of one cell per move adds coeff to the matrix it reaches, as an integer
-    numerator over the lcm q of all the denominators.
+    numerator over the lcm q of all the denominators.  Returns the map from
+    flat matrix to numerator, and q.
     """
     q = lcm(*(coeff.denominator for _, _, coeff in placements))
     acc = {}
@@ -99,28 +123,52 @@ def _leibniz(kind, placements):
                 flat[c] += 1
             flat = tuple(flat)
             acc[flat] = acc.get(flat, 0) + num
+    return acc, q
+
+
+def _collect(kind, acc, q):
+    """The scalar invariant of _leibniz's accumulation: one monomial per
+    distinct nonzero matrix."""
     terms = []
     for flat, num in acc.items():
         if num:
-            s = isqrt(len(flat))
-            rows = [flat[r : r + s] for r in range(0, s * s, s)]
+            rows = _rows(flat)
             terms.append((ContractionMonomial(kind, rows), Fraction(num, q)))
     return Invariant(kind, (0, 0), terms)
+
+
+def _rows(flat):
+    s = isqrt(len(flat))
+    return tuple(flat[r : r + s] for r in range(0, s * s, s))
 
 
 def first_slot_residue(inv: Invariant) -> Invariant:
     """What integrating every derivative off the first factor leaves.
 
     Empty iff a scalar invariant integrates to zero.  A multilinear input is
-    used as it is and a phi-invariant is polarized first; for sigma = 1 the
-    residue is the terms without a derivative, since a single factor is a
-    pure trace power and a total derivative iff w >= 1.
+    used as it is.  A phi-invariant of degree sigma is expanded once per
+    factor, Y = sum_k local_divergence(psi-copy, k), and its residue is
+    (1/sigma!) sum_tau tau.Y over the relabelings tau of the sigma - 1
+    factors that remain: the residue of its polarization, without the
+    sigma! relabeled copies.  For sigma = 1 the residue is the terms without
+    a derivative, since a single factor is a pure trace power and a total
+    derivative iff w >= 1.
     """
     if inv.valence != (0, 0):
         raise ValueError("the integral test expects a scalar invariant")
     if not inv.terms or inv.homogeneous_degree() == 1:
         return inv.filter(lambda m: m.weight < 1)
-    return local_divergence(inv.polarize() if inv.kind == PHI else inv, 1)
+    if inv.kind == PSI:
+        return local_divergence(inv, 1)
+    sigma = inv.homogeneous_degree()
+    y = _collect(PSI, *_every_factor(inv))
+    scale = Fraction(1, factorial(sigma))
+    relabel = list(permutations(range(sigma - 1)))
+    return Invariant(
+        PSI,
+        (0, 0),
+        [(m.apply_permutation(p), c * scale) for m, c in y.terms.items() for p in relabel],
+    )
 
 
 def integrates_to_zero(inv: Invariant) -> bool:
@@ -128,7 +176,29 @@ def integrates_to_zero(inv: Invariant) -> bool:
 
     Input of mixed degree is tested one degree block at a time: scaling the
     functions by t scales the block of degree sigma by t^sigma, so the
-    integral vanishes identically iff every block's does.
+    integral vanishes identically iff every block's does.  A phi block of
+    degree sigma >= 2 passes iff every relabeling-orbit sum of its Y (see
+    ``first_slot_residue``) vanishes, so its residue is never built.
     """
+    if inv.valence != (0, 0):
+        raise ValueError("the integral test expects a scalar invariant")
     blocks = [inv.filter(lambda m, s=s: m.sigma == s) for s in sorted(inv.degrees())]
-    return not any(first_slot_residue(b) for b in blocks or [inv])
+    return all(_block_integrates_to_zero(b) for b in blocks or [inv])
+
+
+def _block_integrates_to_zero(inv):
+    sigma = inv.homogeneous_degree() if inv.terms else 0
+    if inv.kind == PSI or sigma < 2:
+        return not first_slot_residue(inv)
+    acc, _ = _every_factor(inv)
+    zeros = (0,) * (sigma - 1)
+    orbits = {}
+    for flat, num in acc.items():
+        if num:
+            rows = _rows(flat)
+            # a hit is the orbit without building and validating a monomial
+            orbit = _CANONICAL_CACHE.get((PHI, rows, zeros, zeros))
+            if orbit is None:
+                orbit = ContractionMonomial(PHI, rows).canonical()
+            orbits[orbit] = orbits.get(orbit, 0) + num
+    return not any(orbits.values())

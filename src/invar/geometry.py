@@ -18,8 +18,8 @@ from math import factorial, prod
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
-from .rings import GaussRing
-from .series import ScalarSeries
+from .rings import GaussRing, _add_term
+from .series import ScalarSeries, _order
 
 __all__ = [
     "CurvaturePackage",
@@ -35,10 +35,24 @@ __all__ = [
 
 
 def _sum_series(items):
-    total = None
+    """Sum of the series in items, at the smallest of their caps.
+
+    Every term goes into one dict, in the order the pairwise fold with
+    ``ScalarSeries.add`` visits it, so the keys come out in the fold's order,
+    a cancelled key re-entering last.  The dict is filtered again only when
+    a series lowers the cap, not copied at every step."""
+    items = iter(items)
+    first = next(items)
+    ring, cap, out = first.ring, first.cap, dict(first.terms)
     for s in items:
-        total = s if total is None else total.add(s)
-    return total
+        first._check(s)
+        if s.cap < cap:
+            cap = s.cap
+            out = {k: v for k, v in out.items() if _order(k) <= cap}
+        for k, v in s.terms.items():
+            if _order(k) <= cap:
+                _add_term(out, k, v, ring)
+    return first._like(cap, out)
 
 
 def _table(n, rank, entry, canon=None):

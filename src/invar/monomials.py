@@ -16,7 +16,8 @@ labeled functions psi^1..psi^sigma and keeps factor order fixed.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, starmap
+from operator import itemgetter
 
 from .rationals import as_count, as_int
 
@@ -148,17 +149,18 @@ class ContractionMonomial:
         cached = _CANONICAL_CACHE.get(self._key)
         if cached is not None:
             return cached
-        # a factor's signature moves with it, so relabel keys, not monomials
+        # a factor's signature moves with it, so relabel keys, not monomials;
+        # itemgetter(*perm) returns a tuple only for two or more indices, and
+        # one factor is its own canonical form
         sig, edges = self.signatures, self.edges
-        _, best_edges, free_hol, free_anti = min(
-            (
-                tuple(sig[i] for i in perm),
-                tuple(tuple(edges[i][j] for j in perm) for i in perm),
-                tuple(self.free_hol[i] for i in perm),
-                tuple(self.free_anti[i] for i in perm),
+        free_hol, free_anti = self.free_hol, self.free_anti
+        if self.sigma == 1:
+            best_edges = edges
+        else:
+            _, best_edges, free_hol, free_anti = min(
+                (at(sig), tuple(map(at, at(edges))), at(free_hol), at(free_anti))
+                for at in starmap(itemgetter, permutations(range(self.sigma)))
             )
-            for perm in permutations(range(self.sigma))
-        )
         best = ContractionMonomial(self.kind, best_edges, free_hol, free_anti)
         _CANONICAL_CACHE[self._key] = best
         _CANONICAL_CACHE[best._key] = best

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import divergence, first_slot_residue
+from .calculus import divergence, first_slot_residue, integrates_to_zero
 from .chern import chern_invariant, partitions_of
 from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
@@ -88,12 +88,17 @@ class Decomposition:
 
 def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
     """All canonical acceptable monomials of given weight, degree, valence;
-    acceptability is read off the raw edge matrix before a monomial is built."""
+    acceptability is read off the raw edge matrix before a monomial is built.
+    The row sums and free holomorphic slots total w + p, the column sums and
+    free antiholomorphic slots w + q, so a restriction whose floors add up
+    to more than either admits no monomial and nothing is walked."""
     if as_int(sigma, "sigma") < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")
     restriction = _check_restriction(restriction, sigma)
     p, q = _counts(valence, "valence")
     if as_int(w, "w") < 0:
+        return []
+    if w + p < sum(a for a, _ in restriction) or w + q < sum(b for _, b in restriction):
         return []
     rng = range(sigma)
     frees = [(h, a) for h in compositions(p, sigma) for a in compositions(q, sigma)]
@@ -172,11 +177,10 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
 
 
 def _decompose_block(block, w, sigma, restriction, result):
-    residue = first_slot_residue(block)
-    if residue:
+    if not integrates_to_zero(block):
         raise NotCoexactError(
             f"block of weight {w}, degree {sigma} does not integrate to zero",
-            residue=residue,
+            residue=first_slot_residue(block),
         )
     rl = _check_restriction(restriction, sigma)
     entry = _column_space(w, sigma, rl)

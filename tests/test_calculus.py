@@ -11,10 +11,15 @@ from invar.calculus import (
     integrates_to_zero,
     local_divergence,
 )
-from invar.chern import chern_invariant
+from invar.chern import chern_invariant, partitions_of
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
-from invar.solver import enumerate_monomials, random_coexact_invariant
+from invar.solver import (
+    decompose,
+    enumerate_monomials,
+    random_coexact_invariant,
+    verify_decomposition,
+)
 
 
 def one_form():
@@ -248,3 +253,107 @@ def test_divergence_matches_the_per_placement_reference():
                     t = Invariant(PHI, valence, [(m, i - 2) for i, m in enumerate(monos)])
                     assert divergence(t) == reference_divergence(t)
                     assert divergence(t.polarize()) == reference_divergence(t.polarize())
+
+
+# -- reference parity: the residue of the polarized form, sigma! relabelings --
+
+
+def reference_first_slot_residue(inv):
+    """Polarize over every factor relabeling, then integrate off slot 1."""
+    if inv.valence != (0, 0):
+        raise ValueError("the integral test expects a scalar invariant")
+    if not inv.terms or inv.homogeneous_degree() == 1:
+        return inv.filter(lambda m: m.weight < 1)
+    return local_divergence(inv.polarize() if inv.kind == PHI else inv, 1)
+
+
+def reference_integrates_to_zero(inv):
+    blocks = [inv.filter(lambda m, s=s: m.sigma == s) for s in sorted(inv.degrees())]
+    return not any(reference_first_slot_residue(b) for b in blocks or [inv])
+
+
+def assert_residue_parity(inv):
+    """The residue and the integral test agree with the reference; returns
+    the residue."""
+    want = reference_first_slot_residue(inv)
+    assert first_slot_residue(inv) == want
+    assert integrates_to_zero(inv) == (not want)
+    return want
+
+
+# the bench's decompose blocks: (sigma, w, restriction floor or None)
+_BENCH_BLOCKS = [(s, w, None) for s in (1, 2, 3) for w in range(2 * s, 2 * s + 3)]
+_BENCH_BLOCKS += [(3, 5, (1, 1)), (4, 5, (1, 1))]
+
+
+@pytest.mark.parametrize(
+    "sigma, w, floor",
+    _BENCH_BLOCKS,
+    ids=[f"s{s}-w{w}" + ("-r11" if f else "") for s, w, f in _BENCH_BLOCKS],
+)
+def test_residue_parity_on_coexact_draws(sigma, w, floor):
+    rng = random.Random(f"residue:{sigma}:{w}:{floor}")
+    restriction = (floor,) * sigma if floor else None
+    drawn = 0
+    for _ in range(3):
+        inv = random_coexact_invariant(w, sigma, rng, restriction)
+        drawn += bool(inv)
+        assert not assert_residue_parity(inv)
+    assert drawn
+
+
+def test_residue_parity_on_chern_invariants():
+    for sigma in (1, 2, 3, 4):
+        for p in partitions_of(sigma):
+            assert not assert_residue_parity(chern_invariant(p))
+
+
+def test_residue_parity_on_non_coexact_combinations():
+    rng = random.Random(18)
+    nonzero = 0
+    for sigma in (2, 3, 4):
+        for weight in range(sigma - 1, min(2 * sigma, 6) + 1):
+            for _ in range(2):
+                inv = random_scalar_invariant(rng, sigma, weight)
+                nonzero += bool(assert_residue_parity(inv))
+    assert nonzero >= 20
+
+
+def test_residue_parity_on_psi_single_factor_and_mixed_input():
+    rng = random.Random(4)
+    for sigma in (2, 3):
+        pol = random_scalar_invariant(rng, sigma, sigma + 2).polarize()
+        assert assert_residue_parity(pol)
+        assert not assert_residue_parity(chern_invariant((sigma,)).polarize())
+    single = Invariant(PHI, (0, 0), [(scalar_monomial(PHI, ((w,),)), w + 1) for w in range(4)])
+    assert assert_residue_parity(single) == single.filter(lambda m: m.weight == 0)
+    assert not assert_residue_parity(single.filter(lambda m: m.weight > 0))
+    sq = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+    for mixed in (
+        chern_invariant((1,)) + chern_invariant((2, 1)),
+        chern_invariant((1,)) + chern_invariant((3,)) + sq,
+        single + chern_invariant((2,)),
+    ):
+        assert integrates_to_zero(mixed) == reference_integrates_to_zero(mixed)
+        with pytest.raises(ValueError, match="homogeneous"):
+            first_slot_residue(mixed)
+    assert integrates_to_zero(chern_invariant((1,)) + chern_invariant((2, 1)))
+    assert not integrates_to_zero(chern_invariant((3,)) + sq)
+
+
+def test_no_hot_path_polarizes(monkeypatch):
+    """decompose and the integral test expand once per factor; polarize
+    stays public but nothing on their path calls it."""
+    rng = random.Random(11)
+    inputs = [random_coexact_invariant(6, 3, rng), random_coexact_invariant(7, 3, rng)]
+    inputs.append(chern_invariant((4,)) - chern_invariant((2, 1, 1)).scale(Fraction(1, 2)))
+    inputs.append(random_coexact_invariant(5, 4, rng, ((1, 1),) * 4))
+
+    def refuse(self):
+        raise AssertionError("polarize was called")
+
+    monkeypatch.setattr(Invariant, "polarize", refuse)
+    for inv, restriction in zip(inputs, (None, None, None, ((1, 1),) * 4)):
+        assert inv.degrees() in ({3}, {4})
+        assert integrates_to_zero(inv)
+        assert verify_decomposition(inv, decompose(inv, restriction))

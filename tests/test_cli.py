@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -374,6 +375,52 @@ def test_decompose_rejects_non_coexact(tmp_path, capsys):
     residue = json.loads(residue_line[0])
     assert residue["terms"][0]["monomial"]["kind"] == PSI
     assert residue["terms"][0]["monomial"]["edges"] == [[4]]
+
+
+# Three fully traced factors, less half of one traced factor times two
+# factors contracted with each other: degree 3, so the residue has two
+# factors and their relabeling is not trivial, as it is for SQ.  The
+# expected text is what the polarize-based residue printed, byte for byte.
+NOT_COEXACT_DEGREE_THREE = Invariant(
+    PHI,
+    (0, 0),
+    [
+        (scalar_monomial(PHI, ((2, 0, 0), (0, 2, 0), (0, 0, 2))), 1),
+        (scalar_monomial(PHI, ((2, 0, 0), (0, 1, 1), (0, 1, 1))), Fraction(-1, 2)),
+    ],
+)
+DEGREE_THREE_RESIDUE = (
+    '{"terms": [{"coeff": "-1/3", "monomial": {"edges": [[1, 1], [1, 3]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/2", "monomial": {"edges": [[1, 1], [2, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/6", "monomial": {"edges": [[1, 1], [3, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/2", "monomial": {"edges": [[1, 2], [1, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/3", "monomial": {"edges": [[1, 2], [2, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/6", "monomial": {"edges": [[1, 3], [1, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "5/6", "monomial": {"edges": [[2, 0], [0, 4]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "3/2", "monomial": {"edges": [[2, 0], [1, 3]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "2/3", "monomial": {"edges": [[2, 0], [2, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "3/2", "monomial": {"edges": [[2, 1], [0, 3]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "2/3", "monomial": {"edges": [[2, 1], [1, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/2", "monomial": {"edges": [[2, 1], [2, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "2/3", "monomial": {"edges": [[2, 2], [0, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/2", "monomial": {"edges": [[2, 2], [1, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "5/3", "monomial": {"edges": [[3, 0], [0, 3]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "3/2", "monomial": {"edges": [[3, 0], [1, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "3/2", "monomial": {"edges": [[3, 1], [0, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "-1/3", "monomial": {"edges": [[3, 1], [1, 1]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}, '
+    '{"coeff": "5/6", "monomial": {"edges": [[4, 0], [0, 2]], "free_anti": [0, 0], "free_hol": [0, 0], "kind": "psi", "sigma": 2}}], "valence": [0, 0]}'
+)
+
+
+def test_decompose_prints_the_degree_three_residue_unchanged(tmp_path, capsys):
+    path = write_inv(tmp_path, NOT_COEXACT_DEGREE_THREE)
+    assert main(["decompose", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not co-exact: block of weight 6, degree 3 does not integrate to zero\n"
+        "nonzero first-slot residue:\n" + DEGREE_THREE_RESIDUE + "\n"
+    )
 
 
 def test_chern_then_decompose(tmp_path, capsys):

@@ -13,6 +13,7 @@ from invar.combinat import cycle_successor, perm_sign
 from invar.geometry import (
     NAMED_SCALARS,
     CurvaturePackage,
+    _sum_series,
     curvature_package,
     evaluate,
     kernel_coefficient_reference,
@@ -30,7 +31,7 @@ from invar.jets import (
 )
 from invar.monomials import PHI, PSI, ContractionMonomial
 from invar.rationals import GaussRat
-from invar.rings import GradedRing
+from invar.rings import GaussRing, GradedRing
 from invar.series import ScalarSeries
 from invar.solver import enumerate_monomials
 
@@ -126,6 +127,53 @@ def test_metric_inverse_is_exact_to_cap():
                 prod = prod.add(pkg.Ginv[a][k].mul(pkg.G[k][b]))
             target = one if a == b else ScalarSeries(pkg.ring, n, pkg.cap)
             assert not prod.sub(target)
+
+
+def pairwise_fold(items):
+    """The sum as ScalarSeries.add folds it, copying the total at each step."""
+    total = None
+    for s in items:
+        total = s if total is None else total.add(s)
+    return total
+
+
+def test_sum_series_matches_the_pairwise_fold():
+    ring = GaussRing()
+    z, e1, e2 = (0, 0), (1, 0), (0, 1)
+    # a key that cancels re-enters last, after keys that never left
+    items = [
+        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(1), (e1, z): GaussRat(2)}),
+        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(-1), (z, e2): GaussRat(1)}),
+        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(5)}),
+    ]
+    got = _sum_series(iter(items))
+    assert list(got.terms) == [(e1, z), (z, e2), (z, z)] == list(pairwise_fold(items).terms)
+    rng = random.Random(17)
+    pairs = list(itertools.product(range(3), repeat=2))
+    keys = [(a, b) for a in pairs for b in pairs]
+    lowered = reentered = 0
+    for _ in range(60):
+        items = []
+        for _ in range(rng.randint(1, 6)):
+            terms = {
+                k: GaussRat(rng.choice((-2, -1, 1, 2)), rng.choice((0, 1)))
+                for k in rng.sample(keys, 8)
+            }
+            if items and rng.random() < 0.6:
+                # cancel some of an earlier series' terms, maybe to re-add them later
+                terms.update({k: -v for k, v in list(rng.choice(items).terms.items())[:4]})
+            items.append(ScalarSeries(ring, 2, rng.randint(2, 6), terms))
+        want = pairwise_fold(items)
+        got = _sum_series(iter(items))
+        assert got.cap == want.cap == min(s.cap for s in items)
+        assert list(got.terms.items()) == list(want.terms.items())
+        lowered += any(s.cap < items[0].cap for s in items)
+        first_seen = {}
+        for s in items:
+            for k in s.terms:
+                first_seen.setdefault(k, len(first_seen))
+        reentered += list(want.terms) != sorted(want.terms, key=first_seen.get)
+    assert lowered and reentered
 
 
 def test_curvature_center_symmetries_and_reality():

@@ -203,7 +203,9 @@ def _reference_enumerate(w, sigma, restriction, valence, memo):
 # others): the reference builds every candidate, so the loose restrictions
 # stop short of w = 2*sigma + 2 at sigma = 3 and 4.  (2, 1) is not symmetric
 # under conjugation, so a swap of the row and column tests shows at every
-# valence.
+# valence.  For sigma <= 3 under the default and (1,1) restrictions, w runs
+# from where enumerate_monomials returns [] by counting (w + p or w + q below
+# the floors' sum) to where it walks, so an off-by-one in that check shows.
 _ENUMERATION_GRID = ((1, 4, 4), (2, 6, 6), (3, 8, 5), (4, 4, 2))
 
 
