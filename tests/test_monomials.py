@@ -6,7 +6,7 @@ import random
 import pytest
 
 from invar.chern import chern_invariant
-from invar.combinat import compositions
+from invar.combinat import compositions, cycle_successor
 from invar.fourier import FourierFunction
 from invar.invariants import Invariant
 from invar.jets import Potential
@@ -208,6 +208,16 @@ def _reference_enumerate(w, sigma, restriction, valence, memo):
 # the floors' sum) to where it walks, so an off-by-one in that check shows.
 _ENUMERATION_GRID = ((1, 4, 4), (2, 6, 6), (3, 8, 5), (4, 4, 2))
 
+# non-uniform lists, walked for w = 0..5: the reference tests each floor at
+# its own position, so it keeps a class when some labeling meets the list,
+# which the enumeration's assignment of entries to factors must reproduce
+_MIXED_RESTRICTIONS = (
+    ((2, 2), (1, 1)),
+    ((2, 1), (0, 2)),
+    ((2, 2), (1, 1), (0, 0)),
+    ((2, 1), (0, 2), (1, 1)),
+)
+
 
 @pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1)])
 def test_enumeration_matches_the_build_then_filter_reference(valence):
@@ -222,6 +232,11 @@ def test_enumeration_matches_the_build_then_filter_reference(valence):
             (((2, 1),) * sigma, loose_max),
         )
         for w in range(w_max + 1)
+    ]
+    cases += [
+        (w, len(restriction), restriction)
+        for restriction in _MIXED_RESTRICTIONS
+        for w in range(6)
     ]
     for w, sigma, restriction in cases:
         got = enumerate_monomials(w, sigma, restriction, valence)
@@ -242,3 +257,79 @@ def test_canonical_matches_the_relabel_every_monomial_reference():
         mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
         _CANONICAL_CACHE.pop(mono._key, None)
         assert mono.canonical()._key == _reference_canonical(mono, memo)._key
+
+
+@pytest.mark.parametrize("restriction", _MIXED_RESTRICTIONS[2:])
+def test_enumeration_ignores_the_order_of_the_restriction_list(restriction):
+    for valence in ((0, 0), (1, 0), (0, 1)):
+        for w in range(3, 7):
+            want = enumerate_monomials(w, 3, restriction, valence)
+            for perm in itertools.permutations(restriction):
+                assert enumerate_monomials(w, 3, perm, valence) == want, (w, perm)
+
+
+def _tied_monomials():
+    """Phi-monomials whose signatures tie in whole blocks, each relabeled."""
+    rng = random.Random(19)
+
+    def relabeled(edges, free_hol=None, free_anti=None):
+        mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+        perm = list(range(mono.sigma))
+        rng.shuffle(perm)
+        return mono.apply_permutation(perm)
+
+    def permutation_matrix(sigma):
+        perm = list(range(sigma))
+        rng.shuffle(perm)
+        return [[int(j == perm[i]) for j in range(sigma)] for i in range(sigma)]
+
+    out = []
+    # every signature equal: Chern cycle monomials I + P ...
+    partitions = ((3,), (2, 1), (4, 2), (3, 3), (2, 2, 1, 1), (7,), (4, 3), (3, 2, 2))
+    for partition in partitions:
+        succ = cycle_successor(partition)
+        factors = range(sum(partition))
+        edges = [[int(i == j) + int(succ[i] == j) for j in factors] for i in factors]
+        out.append(relabeled(edges))
+    # ... and permutation matrices plus k * I
+    for sigma in (4, 5, 6, 7):
+        for k in (0, 1, 2):
+            edges = permutation_matrix(sigma)
+            for i in range(sigma):
+                edges[i][i] += k
+            out.append(relabeled(edges))
+    # sums of permutation matrices tie every edge signature; free slots on
+    # some factors split the factors into two or three tied groups
+    for sigma in (5, 5, 6, 6, 6, 6, 7, 7):
+        edges = [[0] * sigma for _ in range(sigma)]
+        for _ in range(rng.randint(1, 3)):
+            for i, row in enumerate(permutation_matrix(sigma)):
+                edges[i] = [x + y for x, y in zip(edges[i], row)]
+        groups = [rng.randrange(3) for _ in range(sigma)]
+        free_hol = [int(g > 0) for g in groups]
+        free_anti = [int(g > 1) for g in groups]
+        out.append(relabeled(edges, free_hol, free_anti))
+    return out
+
+
+def test_canonical_matches_the_reference_on_tied_signatures():
+    memo = {}
+    for mono in _tied_monomials():
+        assert len(set(mono.signatures)) < mono.sigma
+        _CANONICAL_CACHE.pop(mono._key, None)
+        assert mono.canonical()._key == _reference_canonical(mono, memo)._key, mono
+
+
+def test_enumeration_builds_only_signature_sorted_matrices(monkeypatch):
+    # one canonical call per kept matrix with sorted signatures, 252 and 60
+    # here; canonicalizing every acceptable matrix would make 1134 and 240
+    calls = []
+    canonical = ContractionMonomial.canonical
+    monkeypatch.setattr(
+        ContractionMonomial, "canonical", lambda m: calls.append(1) or canonical(m)
+    )
+    enumerate_monomials(7, 3, valence=(1, 0))
+    assert len(calls) <= 252
+    calls.clear()
+    enumerate_monomials(4, 4, ((1, 1),) * 4, (1, 0))
+    assert len(calls) <= 60
