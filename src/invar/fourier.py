@@ -14,16 +14,22 @@ torus (no volume factor).
 
 The mode sum runs over Python-int Gaussian integers: each function's
 coefficients are scaled by the lcm L of their denominators, and each
-pairing is kept as -4 D.  A monomial with W edges then divides its integer
-sum once, exactly, by prod(L) * (-4)^W.  No floats enter anywhere.
+pairing is kept as -4 D.  The modes^(sigma-1) heads of the zero-sum
+assignments are walked once per factor count sigma, not once per term: each
+closed assignment's coefficient product and sigma x sigma pairing table are
+formed once and shared by every sigma-factor term.  Each term sums into its
+own integer, and a term with W edges divides that sum once, exactly, by
+prod(L) * (-4)^W.  No floats enter anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import neg
 
 from .invariants import Invariant
 from .monomials import PHI
@@ -85,9 +91,9 @@ def _integer_coeffs(f):
     denominators, as Gaussian integers."""
     scale = 1
     for c in f.coeffs.values():
-        scale = lcm(scale, c.re.denominator, c.im.denominator)
+        scale = lcm(scale, c._d)
     return scale, {
-        mode: (int(c.re * scale), int(c.im * scale)) for mode, c in f.coeffs.items()
+        mode: (c._p * (scale // c._d), c._q * (scale // c._d)) for mode, c in f.coeffs.items()
     }
 
 
@@ -99,10 +105,13 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
     """
     if inv.valence != (0, 0):
         raise ValueError("only scalar invariants integrate")
+    terms = inv.sorted_terms()
+    groups: dict = {}
+    for mono, _ in terms:
+        groups.setdefault(mono.sigma, []).append(mono)
     if inv.kind == PHI:
         if isinstance(phi, (list, tuple)):
             raise ValueError("a phi-invariant takes a single function")
-        functions = None
         n = phi.n
         single = _integer_coeffs(phi)
     else:
@@ -112,58 +121,55 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
         n = functions[0].n
         if any(f.n != n for f in functions):
             raise ValueError("mixed torus dimensions")
+        wrong = groups.keys() - {len(functions)}
+        if wrong:
+            raise ValueError(f"invariant has {min(wrong)} factors, got {len(functions)} functions")
         scaled = [_integer_coeffs(f) for f in functions]
-    cache: dict = {}
-
-    def d(xi, eta):
-        v = cache.get((xi, eta))
-        if v is None:
-            v = _pairing_int(xi, eta, n)
-            cache[(xi, eta)] = v
-        return v
-
-    total = GR_ZERO
-    for mono, coeff in inv.sorted_terms():
-        sigma = mono.sigma
-        if functions is None:
-            slots = [single] * sigma
-        elif len(functions) == sigma:
-            slots = scaled
-        else:
-            raise ValueError(f"invariant has {sigma} factors, got {len(functions)} functions")
-        pairs = [
-            (i, j, e)
-            for i, row in enumerate(mono.edges)
-            for j, e in enumerate(row)
-            if e
-        ]
-        # every product below carries prod(L) from the slots and -4 per edge
-        q = (-4) ** sum(e for _, _, e in pairs)
-        for scale, _ in slots:
-            q *= scale
+    d = functools.cache(lambda xi, eta: _pairing_int(xi, eta, n))
+    values = {}
+    for sigma, monos in groups.items():
+        slots = [single] * sigma if inv.kind == PHI else scaled
+        scale = prod(L for L, _ in slots)
+        # each term's edges index the flat sigma x sigma pairing table; every
+        # product carries prod(L) from the slots and -4 per edge
+        plans = []
+        for mono in monos:
+            edges = [
+                (i * sigma + j, e)
+                for i, row in enumerate(mono.edges)
+                for j, e in enumerate(row)
+                if e
+            ]
+            plans.append((edges, (-4) ** sum(e for _, e in edges) * scale, [0, 0]))
         head_ints = [ints for _, ints in slots[:-1]]
         last_ints = slots[-1][1]
-        acc_re = acc_im = 0
         for head in itertools.product(*(sorted(ints) for ints in head_ints)):
-            last = tuple(-sum(v) for v in zip(*head)) if head else (0,) * (2 * n)
+            last = tuple(map(neg, map(sum, zip(*head)))) if head else (0,) * (2 * n)
             c_last = last_ints.get(last)
             if c_last is None:
                 continue
             assign = head + (last,)
-            re, im = c_last
+            c_re, c_im = c_last
             for ints, xi in zip(head_ints, head):
                 a, b = ints[xi]
-                re, im = re * a - im * b, re * b + im * a
-            for i, j, e in pairs:
-                a, b = d(assign[i], assign[j])
-                if not (a or b):
-                    re = im = 0
-                    break
-                for _ in range(e):
-                    re, im = re * a - im * b, re * b + im * a
-            acc_re += re
-            acc_im += im
-        total = total + GaussRat(Fraction(acc_re, q), Fraction(acc_im, q)) * coeff
+                c_re, c_im = c_re * a - c_im * b, c_re * b + c_im * a
+            table = [d(xi, eta) for xi in assign for eta in assign]
+            for edges, _, acc in plans:
+                re, im = c_re, c_im
+                for k, e in edges:
+                    a, b = table[k]
+                    if not (a or b):
+                        re = im = 0
+                        break
+                    for _ in range(e):
+                        re, im = re * a - im * b, re * b + im * a
+                acc[0] += re
+                acc[1] += im
+        for mono, (_, q, (re, im)) in zip(monos, plans):
+            values[mono] = GaussRat(Fraction(re, q), Fraction(im, q))
+    total = GR_ZERO
+    for mono, coeff in terms:
+        total = total + values[mono] * coeff
     return total
 
 

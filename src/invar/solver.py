@@ -184,6 +184,9 @@ def _meets_floors(sigs, restriction):
     return all(place(f, set()) for f in range(len(restriction)))
 
 
+# (w, sigma, sorted restriction) -> column space.  One per process, filled by
+# decompose one block at a time (the system is factored on its first solve);
+# never evicted and unbounded (a seed-0 decompose bench pass leaves 11 entries).
 _SYSTEM_CACHE: dict = {}
 
 
@@ -250,7 +253,8 @@ def _decompose_block(block, w, sigma, restriction, result):
             residue=first_slot_residue(block),
         )
     rl = _check_restriction(restriction, sigma)
-    entry = _column_space(w, sigma, rl)
+    # the list is matched to factors up to relabeling: one entry serves every order
+    entry = _column_space(w, sigma, tuple(sorted(rl)))
     rows = entry["rows"]
     # a target monomial that no generator column reaches has no witness
     if any(m not in rows for m in block.terms):

@@ -10,6 +10,7 @@ import pytest
 
 from invar.calculus import divergence
 from invar.chern import chern_invariant, partitions_of
+from invar import fourier
 from invar.fourier import FourierFunction, eval_integral, pairing, random_phi
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, ContractionMonomial, scalar_monomial
@@ -228,6 +229,22 @@ def random_scalar_invariant(weight, sigma, rng):
     return Invariant(PHI, (0, 0), [(m, Fraction(rng.randint(1, 3), rng.randint(1, 3))) for m in picks])
 
 
+def mixed_degree_invariant():
+    """One phi-invariant with sigma = 1, 2 and 3 terms, so eval_integral
+    walks three groups and shares each walk among that group's terms."""
+    monos = enumerate_monomials(3, 1) + enumerate_monomials(5, 2)[:2] + enumerate_monomials(6, 3)[:3]
+    return Invariant(PHI, (0, 0), [(m, Fraction(k + 1, 2)) for k, m in enumerate(monos)])
+
+
+def orthogonal_triangle():
+    """A non-real function on T^4 whose modes e1, e2 and -(e1 + e2), and
+    their negatives, close triangles in which e1 and e2 pair to zero."""
+    e1, e2, e3 = (1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0)
+    coeffs = {e1: GaussRat(1, 2), e2: GaussRat(Fraction(1, 3)), e3: GaussRat(-2, 1)}
+    coeffs.update({tuple(-v for v in m): c * GaussRat(0, 3) for m, c in list(coeffs.items())})
+    return FourierFunction(2, coeffs)
+
+
 def test_integer_mode_sum_matches_the_gaussrat_reference():
     zero = []  # cases that integrate to zero: chern and co-exact invariants
     for sigma in (1, 2, 3):
@@ -252,8 +269,50 @@ def test_integer_mode_sum_matches_the_gaussrat_reference():
     nonzero.append((quintic.polarize(), [g, h]))
     nonzero.append((SQ.polarize(), [h, f]))
     nonzero.append((cubic, f))
+    mixed = mixed_degree_invariant()
+    nonzero.append((mixed, random_phi(2, seed=5)))
+    nonzero.append((mixed, h))
+    # every closed assignment of the triangle puts e1 and e2 on two factors,
+    # so each term with an edge between those factors meets a zero entry
+    assert pairing((1, 0, 0, 0), (0, 1, 0, 0), 2) == GR_ZERO
+    nonzero.append((cubic, orthogonal_triangle()))
+    nonzero.append((mixed, orthogonal_triangle()))
     for expect_zero, cases in ((True, zero), (False, nonzero)):
         for inv, phi in cases:
             value = eval_integral(inv, phi)
             assert value == reference_integral(inv, phi), (inv, phi)
             assert bool(value) != expect_zero  # the comparison is not vacuous
+    # a psi-invariant needs exactly one function per factor of every term
+    for inv, functions in ((cubic.polarize(), [f, g]), (quintic.polarize(), [f, g, h])):
+        with pytest.raises(ValueError, match="factors"):
+            eval_integral(inv, functions)
+
+
+def test_one_mode_walk_per_factor_count(monkeypatch):
+    # counts the head tuples of every zero-sum walk; a walk per term would
+    # multiply the sigma = 3 count by the number of terms
+    heads = []
+    product = itertools.product
+
+    def counting(*iterables):
+        for head in product(*iterables):
+            heads.append(len(head))
+            yield head
+
+    monkeypatch.setattr(fourier.itertools, "product", counting)
+    phi = random_phi(2, seed=5)
+    modes = len(phi.coeffs)
+    cubic = Invariant(PHI, (0, 0), [(m, k + 1) for k, m in enumerate(enumerate_monomials(6, 3))])
+    assert len(cubic.terms) >= 5
+    eval_integral(cubic, phi)
+    assert heads == [2] * modes**2
+    heads.clear()
+    eval_integral(mixed_degree_invariant(), phi)
+    assert sorted(heads) == [0] + [1] * modes + [2] * modes**2
+    # a psi-invariant with the wrong function count for its sigma = 3 terms
+    # is refused before its sigma = 2 term is walked
+    heads.clear()
+    f, g, _ = fifths_and_sevenths()
+    with pytest.raises(ValueError, match="3 factors, got 2"):
+        eval_integral(SQ.polarize() + cubic.polarize(), [f, g])
+    assert heads == []

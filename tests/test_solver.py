@@ -86,6 +86,20 @@ def test_infeasible_block_leaves_the_cached_system_alone():
     assert _SYSTEM_CACHE[key]["system"] is None
 
 
+def test_restriction_orders_share_one_cached_system():
+    # the list is matched to factors up to relabeling, so both orders name
+    # one (5, 2) block: one enumeration, one factorization
+    rl = ((2, 1), (1, 2))
+    inv = random_coexact_invariant(5, 2, random.Random(0), rl)
+    for key in [k for k in _SYSTEM_CACHE if k[:2] == (5, 2)]:
+        del _SYSTEM_CACHE[key]
+    first = decompose(inv, rl)
+    second = decompose(inv, rl[::-1])
+    assert verify_decomposition(inv, first)
+    assert first.to_json_dict() == second.to_json_dict()
+    assert [k for k in _SYSTEM_CACHE if k[:2] == (5, 2)] == [(5, 2, ((1, 2), (2, 1)))]
+
+
 def test_decompose_zero_input():
     dec = decompose(zero_invariant())
     assert not dec.chern and not dec.t_hol and not dec.t_anti
