@@ -28,7 +28,7 @@ from operator import add
 
 from .combinat import decrement, perm_sign
 from .rationals import as_count
-from .rings import GaussRing, _add_term, _truncated_product
+from .rings import GaussRing, _add_term
 
 __all__ = [
     "multiplication_terms",
@@ -58,8 +58,23 @@ def _add_keys(k1, k2):
 def convolve(t1, t2, ring, n, jprime_cap):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order defect j' is additive and
-    anything past the cap can never reach the tracked coefficients."""
-    return _truncated_product(t1, t2, ring, jprime_cap, _defect, _add_keys)
+    anything past the cap can never reach the tracked coefficients.  A pair
+    whose lowest ring grades or degrees sum past ring.caps has a zero
+    product and is skipped before ring.mul, as is every zero product; pairs
+    are visited t1 outer, t2 inner, which fixes the insertion order."""
+    gcap, dcap = ring.caps
+    out: dict = {}
+    inner = [(k2, v2, _defect(k2), *ring.lowest(v2)) for k2, v2 in t2.items()]
+    for k1, v1 in t1.items():
+        g1, d1 = ring.lowest(v1)
+        room, groom, droom = jprime_cap - _defect(k1), gcap - g1, dcap - d1
+        for k2, v2, o2, g2, d2 in inner:
+            if o2 > room or g2 > groom or d2 > droom:
+                continue
+            p = ring.mul(v1, v2)
+            if not ring.is_zero(p):
+                _add_term(out, _add_keys(k1, k2), p, ring)
+    return out
 
 
 def multiplication_terms(pot):

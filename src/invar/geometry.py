@@ -3,9 +3,10 @@
 Series scalars come from truncated series around the center in normal
 coordinates: metric, inverse metric, connection, curvature, Ricci, scalar
 curvature, covariant Laplacians, norm squares and the gradient-divergence
-scalar of the third kernel coefficient, each at its own series caps plus an
-optional margin that audits truncation.  ``evaluate`` reads any scalar
-phi-invariant, the Todd polynomials P_j among them, from the jets alone.
+scalar of the third kernel coefficient, each on the bidegree box its
+reading needs plus an optional margin that audits truncation.  ``evaluate``
+reads any scalar phi-invariant, the Todd polynomials P_j among them, from
+the jets alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
 from .rings import GaussRing, _add_term
-from .series import ScalarSeries, _order
+from .series import ScalarSeries, _inside, _sum_products
 
 __all__ = [
     "CurvaturePackage",
@@ -35,7 +36,7 @@ __all__ = [
 
 
 def _sum_series(items):
-    """Sum of the series in items, at the smallest of their caps.
+    """Sum of the series in items, at the componentwise smallest cap.
 
     Every term goes into one dict, in the order the pairwise fold with
     ``ScalarSeries.add`` visits it, so the keys come out in the fold's order,
@@ -46,11 +47,10 @@ def _sum_series(items):
     ring, cap, out = first.ring, first.cap, dict(first.terms)
     for s in items:
         first._check(s)
-        if s.cap < cap:
-            cap = s.cap
-            out = {k: v for k, v in out.items() if _order(k) <= cap}
+        if (low := tuple(map(min, cap, s.cap))) != cap:
+            cap, out = low, {k: v for k, v in out.items() if _inside(k, low)}
         for k, v in s.terms.items():
-            if _order(k) <= cap:
+            if _inside(k, cap):
                 _add_term(out, k, v, ring)
     return first._like(cap, out)
 
@@ -73,7 +73,12 @@ def _table(n, rank, entry, canon=None):
 
 
 class CurvaturePackage:
-    """Metric data of one potential, as series of one common truncation order.
+    """Metric data of one potential, as series exact on bidegree boxes.
+
+    With cap h, H is on the box (h + 2, h + 2), G and Ginv on (h + 1, h + 1),
+    Gamma on (h, h + 1), and K, Ric and S on (h, h): a center value taking
+    h derivatives on each side of them (lap^h S; div_Q at h = 1; S, |R|^2
+    and |Ric|^2 at h = 0) reads nothing outside these boxes.
 
     Index conventions: G[a][b] is the metric with holomorphic slot a and
     antiholomorphic slot b; Ginv[b][a] is its inverse pairing antiholomorphic
@@ -102,9 +107,9 @@ class CurvaturePackage:
         self.n = n
         self.ring = ring
         self.cap = cap
-        H = pot.series(cap + 4)
-        one = ScalarSeries.one(ring, n, cap + 2)
-        zero = ScalarSeries(ring, n, cap + 2)
+        H = pot.series(cap + 2)
+        one = ScalarSeries.one(ring, n, cap + 1)
+        zero = ScalarSeries(ring, n, cap + 1)
         E = _table(n, 2, lambda a, b: H.d_hol(a).d_anti(b))
         if any(E[a][b].at_zero() != ring.zero for a in rng for b in rng):
             raise ValueError("potential is not in normal form")
@@ -119,14 +124,14 @@ class CurvaturePackage:
             term = power if k % 2 else _table(n, 2, lambda a, b: power[a][b].neg())
             Ginv = _table(n, 2, lambda a, b: Ginv[a][b].add(term[a][b]))
             power = _table(
-                n, 2, lambda a, b: _sum_series(power[a][e].mul(E[e][b]) for e in rng)
+                n, 2, lambda a, b: _sum_products((power[a][e], E[e][b]) for e in rng)
             )
         # dG[c][a][b] = d_c G[a][b]
         dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
         Gamma = _table(
             n,
             3,
-            lambda e, b, c: _sum_series(Ginv[d][e].mul(dG[b][c][d]) for d in rng),
+            lambda e, b, c: _sum_products((Ginv[d][e], dG[b][c][d]) for d in rng),
             lambda e, b, c: (e, min(b, c), max(b, c)),
         )
         K = _table(
@@ -137,15 +142,13 @@ class CurvaturePackage:
         )
         Ric = _table(n, 2, lambda a, d: _sum_series(K[e][e][a][d] for e in rng).neg())
         self.G, self.Ginv, self.Gamma, self.K, self.Ric = G, Ginv, Gamma, K, Ric
-        self.S = _sum_series(Ginv[b][a].mul(Ric[a][b]) for a in rng for b in rng)
+        self.S = _sum_products((Ginv[b][a], Ric[a][b]) for a in rng for b in rng)
         self._T = None
 
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
         n = self.n
-        return _sum_series(
-            self.Ginv[b][a].mul(f.d_hol(a).d_anti(b))
-            for a in range(n)
-            for b in range(n)
+        return _sum_products(
+            (self.Ginv[b][a], f.d_hol(a).d_anti(b)) for a in range(n) for b in range(n)
         )
 
     def _raised_ricci(self):
@@ -156,7 +159,7 @@ class CurvaturePackage:
             rng = range(self.n)
             Ginv, Ric = self.Ginv, self.Ric
             self._T = _table(
-                self.n, 2, lambda p, c: _sum_series(Ginv[q][c].mul(Ric[p][q]) for q in rng)
+                self.n, 2, lambda p, c: _sum_products((Ginv[q][c], Ric[p][q]) for q in rng)
             )
         return self._T
 
@@ -171,18 +174,18 @@ class CurvaturePackage:
         P = _table(
             n,
             4,
-            lambda x, c, a, z: _sum_series(Ginv[d][z].mul(K[x][c][a][d]) for d in rng),
+            lambda x, c, a, z: _sum_products((Ginv[d][z], K[x][c][a][d]) for d in rng),
             lambda x, c, a, z: (min(x, z), min(c, a), max(c, a), max(x, z)),
         )
-        return _sum_series(
-            P[x][c][a][z].mul(P[a][z][x][c])
+        return _sum_products(
+            (P[x][c][a][z], P[a][z][x][c])
             for x, c, a, z in itertools.product(rng, repeat=4)
         )
 
     def ricci_norm2(self) -> ScalarSeries:
         T = self._raised_ricci()
         rng = range(self.n)
-        return _sum_series(T[a][p].mul(T[p][a]) for a in rng for p in rng)
+        return _sum_products((T[a][p], T[p][a]) for a in rng for p in rng)
 
     def gradient_divergence(self) -> ScalarSeries:
         """div of the weight-3 gradient current, the correction term in the
@@ -198,8 +201,8 @@ class CurvaturePackage:
         Y = _table(
             self.n,
             2,
-            lambda a, f: _sum_series(
-                K[p][c][a][f].mul(T[p][c]) for p in rng for c in rng
+            lambda a, f: _sum_products(
+                (K[p][c][a][f], T[p][c]) for p in rng for c in rng
             ).sub(S.mul(Ric[a][f]).scale(4)),
         )
         F = (
@@ -209,17 +212,16 @@ class CurvaturePackage:
         )
         Q = []
         for a in rng:
-            covY = _sum_series(
-                Ginv[f][d].mul(
-                    Y[a][f]
-                    .d_hol(d)
-                    .sub(_sum_series(Gamma[e][d][a].mul(Y[e][f]) for e in rng))
+            covY = _sum_products(
+                (
+                    Ginv[f][d],
+                    Y[a][f].d_hol(d).sub(_sum_products((Gamma[e][d][a], Y[e][f]) for e in rng)),
                 )
                 for d in rng
                 for f in rng
             )
             Q.append(F.d_hol(a).add(covY.scale(2)).scale(Fraction(1, 48)))
-        return _sum_series(Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
+        return _sum_products((Ginv[b][a], Q[a].d_anti(b)) for a in rng for b in rng)
 
 
 def curvature_package(pot, cap) -> CurvaturePackage:
@@ -389,7 +391,7 @@ def named_scalar(pot, name, extra=0):
     _check_grade(pot, name, weight)
     if name.startswith("lap"):
         k = weight - 1
-        pkg = curvature_package(pot, 2 * k + extra)
+        pkg = curvature_package(pot, k + extra)
         f = pkg.S
         for _ in range(k):
             f = pkg.laplacian(f)
@@ -401,7 +403,7 @@ def named_scalar(pot, name, extra=0):
     if name == "abs_Ric2":
         return curvature_package(pot, extra).ricci_norm2().at_zero()
     if name == "div_Q":
-        return curvature_package(pot, 2 + extra).gradient_divergence().at_zero()
+        return curvature_package(pot, 1 + extra).gradient_divergence().at_zero()
     # scalar_weight has accepted the name, so only P<j> is left
     return todd_polynomial(pot, weight)
 

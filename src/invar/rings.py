@@ -39,24 +39,6 @@ def _add_term(terms, key, value, ring):
         terms[key] = s
 
 
-def _truncated_product(x, y, ring, cap, order, combine):
-    """Product of two sparse dicts with ring values, truncated by an additive
-    order: ring.mul(v1, v2) accumulates at combine(k1, k2) over the pairs
-    with order(k1) + order(k2) <= cap.  Pairs are visited x outer, y inner,
-    which fixes the insertion order of the result."""
-    out: dict = {}
-    inner = [(k2, v2, order(k2)) for k2, v2 in y.items()]
-    for k1, v1 in x.items():
-        room = cap - order(k1)
-        for k2, v2, o2 in inner:
-            if o2 > room:
-                continue
-            p = ring.mul(v1, v2)
-            if not ring.is_zero(p):
-                _add_term(out, combine(k1, k2), p, ring)
-    return out
-
-
 class GaussRing:
     """Plain Gaussian rationals."""
 
@@ -64,6 +46,8 @@ class GaussRing:
 
     zero = GR_ZERO
     one = GR_ONE
+    # no grade or degree to cap: every product passes caps against lowest()
+    caps = (0, 0)
 
     def __eq__(self, other):
         return type(other) is GaussRing
@@ -91,6 +75,9 @@ class GaussRing:
 
     def is_zero(self, x):
         return not x
+
+    def lowest(self, x):
+        return 0, 0
 
 
 class _DictRing:
@@ -161,6 +148,13 @@ class GradedRing(_DictRing):
     def one(self):
         return {0: GR_ONE}
 
+    @property
+    def caps(self):
+        return self.cap, 0
+
+    def lowest(self, x):
+        return min(x), 0
+
     def graded(self, grade, c):
         c = as_gauss(c)
         if not c or grade > self.cap:
@@ -222,6 +216,18 @@ class SymbolicRing(_DictRing):
     @staticmethod
     def monomial_degree(mono):
         return sum(e for _, e in mono)
+
+    @property
+    def caps(self):
+        """(grade cap, degree cap), the degree cap 0 when there is none."""
+        return self.cap, self.degree_cap or 0
+
+    def lowest(self, x):
+        """(lowest grade, lowest degree) of the monomials of a nonzero x, the
+        degree 0 when there is no degree cap: x * y is zero when either sum
+        with y's is past its entry of caps."""
+        degree = min(map(self.monomial_degree, x)) if self.degree_cap is not None else 0
+        return min(map(self.monomial_grade, x)), degree
 
     def mul(self, x, y):
         out: dict = {}

@@ -1,8 +1,12 @@
 """Truncated power series in z and zbar with coefficients in a jet ring.
 
 A series is a dict from (alpha, beta) multi-index pairs to ring elements,
-kept to total order <= cap.  Differentiation lowers the declared cap by one
-so downstream products stay as small as the final evaluation allows.
+exact inside the bidegree box cap = (h, a): |alpha| <= h, |beta| <= a.
+d_hol lowers h, d_anti lowers a, products and sums take the componentwise
+smallest box.  Curvature scalars are read at the center after operators
+taking as many d as dbar (the Laplacian; a gradient then a divergence) and
+products add bidegrees, so a term outside the box (h, h) never reaches a
+center value that takes h derivatives on each side.
 """
 
 from __future__ import annotations
@@ -10,38 +14,68 @@ from __future__ import annotations
 from operator import add
 
 from .combinat import decrement
-from .rings import _add_term, _truncated_product
+from .rings import SymbolicRing, _add_term
 
 __all__ = ["ScalarSeries"]
 
 
-def _order(key):
-    """Total order |alpha| + |beta| of the monomial z^alpha zbar^beta."""
+def _inside(key, cap):
     alpha, beta = key
-    return sum(alpha) + sum(beta)
+    return sum(alpha) <= cap[0] and sum(beta) <= cap[1]
 
 
-def _add_keys(k1, k2):
-    """Key of the product of two monomials."""
-    (a1, b1), (a2, b2) = k1, k2
-    return tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
+def _sum_products(pairs):
+    """Sum of x * y over the pairs (x, y) of series, in one dict, at the
+    componentwise smallest cap of all the factors, an empty one's included;
+    a pair with an empty factor forms no product.  On the symbolic ring a
+    term pair whose lowest grades or degrees sum past ring.caps is skipped
+    too (its product is zero); on the numeric rings that check costs more
+    than it saves.  Pairs are visited in order, x outer and y inner, which
+    fixes the insertion order."""
+    pairs = list(pairs)
+    first = pairs[0][0]
+    ring = first.ring
+    h, a = map(min, zip(*(s.cap for pair in pairs for s in pair)))
+    prune = isinstance(ring, SymbolicRing)
+    gcap, dcap = ring.caps if prune else (0, 0)
+    out: dict = {}
+    for x, y in pairs:
+        first._check(x)
+        first._check(y)
+        if not x.terms or not y.terms:
+            continue
+        inner = y._indexed(prune)
+        for (a1, b1), v1, h1, c1, g1, d1 in x._indexed(prune):
+            rh, ra, rg, rd = h - h1, a - c1, gcap - g1, dcap - d1
+            if rh < 0 or ra < 0:
+                continue
+            for (a2, b2), v2, h2, c2, g2, d2 in inner:
+                if h2 > rh or c2 > ra or g2 > rg or d2 > rd:
+                    continue
+                p = ring.mul(v1, v2)
+                if not ring.is_zero(p):
+                    key = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
+                    _add_term(out, key, p, ring)
+    return first._like((h, a), out)
 
 
 class ScalarSeries:
-    __slots__ = ("ring", "n", "cap", "terms")
+    __slots__ = ("ring", "n", "cap", "terms", "_index")
 
     def __init__(self, ring, n, cap, terms=None):
         self.ring = ring
         self.n = n
-        self.cap = cap
+        # one int c is the square box (c, c)
+        self.cap = cap = (cap, cap) if isinstance(cap, int) else tuple(cap)
         clean = {}
         if terms:
             for key, v in terms.items():
-                if _order(key) > cap or ring.is_zero(v):
+                if not _inside(key, cap) or ring.is_zero(v):
                     continue
                 alpha, beta = key
                 clean[(tuple(alpha), tuple(beta))] = v
         self.terms = clean
+        self._index = None
 
     @classmethod
     def constant(cls, ring, n, cap, value):
@@ -58,7 +92,16 @@ class ScalarSeries:
         out.n = self.n
         out.cap = cap
         out.terms = terms
+        out._index = None
         return out
+
+    def _indexed(self, prune):
+        """[(key, value, |alpha|, |beta|, lowest grade, lowest degree)], built
+        on first use; the grade and degree are read only under prune."""
+        if self._index is None:
+            low = self.ring.lowest if prune else lambda v: (0, 0)
+            self._index = [(k, v, sum(k[0]), sum(k[1]), *low(v)) for k, v in self.terms.items()]
+        return self._index
 
     def __bool__(self):
         return bool(self.terms)
@@ -78,10 +121,10 @@ class ScalarSeries:
     def add(self, other):
         self._check(other)
         ring = self.ring
-        cap = min(self.cap, other.cap)
-        out = {k: v for k, v in self.terms.items() if _order(k) <= cap}
+        cap = tuple(map(min, self.cap, other.cap))
+        out = {k: v for k, v in self.terms.items() if _inside(k, cap)}
         for k, v in other.terms.items():
-            if _order(k) <= cap:
+            if _inside(k, cap):
                 _add_term(out, k, v, ring)
         return self._like(cap, out)
 
@@ -92,12 +135,7 @@ class ScalarSeries:
         return self.add(other.neg())
 
     def mul(self, other):
-        self._check(other)
-        cap = min(self.cap, other.cap)
-        product = _truncated_product(
-            self.terms, other.terms, self.ring, cap, _order, _add_keys
-        )
-        return self._like(cap, product)
+        return _sum_products(((self, other),))
 
     def scale(self, c):
         out = {}
@@ -112,14 +150,14 @@ class ScalarSeries:
         for (alpha, beta), v in self.terms.items():
             if alpha[a]:
                 out[(decrement(alpha, a), beta)] = self.ring.scale(v, alpha[a])
-        return self._like(max(self.cap - 1, 0), out)
+        return self._like((max(self.cap[0] - 1, 0), self.cap[1]), out)
 
     def d_anti(self, a):
         out = {}
         for (alpha, beta), v in self.terms.items():
             if beta[a]:
                 out[(alpha, decrement(beta, a))] = self.ring.scale(v, beta[a])
-        return self._like(max(self.cap - 1, 0), out)
+        return self._like((self.cap[0], max(self.cap[1] - 1, 0)), out)
 
     def _check(self, other):
         if self.ring != other.ring or self.n != other.n:

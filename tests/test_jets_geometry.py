@@ -196,14 +196,15 @@ def test_curvature_center_symmetries_and_reality():
 
 
 def series_log(s):
-    """log(s) for a series with constant term one: the alternating sum of
-    the powers of s - 1, which gain order until the cap empties them."""
+    """log(s) for a series with constant term one, s - 1 of bidegree at
+    least (1, 1): the alternating sum of the powers of s - 1, the k-th of
+    bidegree at least (k, k), so the box (h, a) empties it past min(h, a)."""
     ring, n, cap = s.ring, s.n, s.cap
     assert s.at_zero() == ring.one
     x = s.sub(ScalarSeries.one(ring, n, cap))
     out = ScalarSeries(ring, n, cap)
     power = ScalarSeries.one(ring, n, cap)
-    for k in range(1, cap + 1):
+    for k in range(1, min(cap) + 1):
         power = power.mul(x)
         if not power:
             break
@@ -217,6 +218,30 @@ def test_ricci_from_log_determinant_in_one_dimension():
     lhs = pkg.Ric[0][0]
     rhs = series_log(pkg.G[0][0]).d_hol(0).d_anti(0).neg()
     assert not lhs.sub(rhs)
+
+
+def test_lap4_reads_a_package_with_no_term_outside_its_box(monkeypatch):
+    """lap^4 S takes four d and four dbar, so it reads the package of cap 4:
+    S on the box (4, 4), which keeps z^alpha zbar^beta of total order 8 at
+    |alpha| = |beta| = 4 and nothing of |alpha| or |beta| above 4."""
+    import invar.geometry as geometry
+
+    built = []
+
+    def record(pot, cap):
+        built.append(CurvaturePackage(pot, cap))
+        return built[-1]
+
+    monkeypatch.setattr(geometry, "curvature_package", record)
+    pot = Potential.numeric(2, rich_jets(2, 25))
+    named_scalar(pot, "lap4_S")
+    (pkg,) = built
+    assert pkg.G[0][1].cap == pkg.Ginv[1][0].cap == (5, 5)
+    assert pkg.Gamma[0][0][1].cap == (4, 5)
+    assert pkg.K[0][0][1][1].cap == pkg.Ric[0][1].cap == pkg.S.cap == (4, 4)
+    orders = [(sum(alpha), sum(beta)) for alpha, beta in pkg.S.terms]
+    assert all(h <= 4 and a <= 4 for h, a in orders)
+    assert max(h + a for h, a in orders) == 8
 
 
 def test_laplacian_flat_limit():
@@ -680,8 +705,8 @@ def test_package_matches_direct_contractions(name, cap):
     contractions, whole series and entry by entry: Gamma as Ginv d g, R =
     G[e][b] K[e][c][a][d] against d dbar g - Ginv d g dbar g, |R|^2 with
     both raised copies built on their own, |Ric|^2 as the four-index sum,
-    and Y in div Q from the four-index sum.  Cap 4 is the one lap2_S
-    reads.  On the linear ring every product of two curvature terms
+    and Y in div Q from the four-index sum.  Cap 2 is the box lap2_S
+    reads, cap 4 the one lap4_S reads.  On the linear ring every product of two curvature terms
     vanishes, so there only Gamma, R and the vanishing of the rest are
     checked."""
     pot = _DIRECT_POTENTIALS[name]
@@ -783,12 +808,22 @@ def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
     raised Ricci at most n^3: |R|^2 raises the second antiholomorphic slot
     of K, whose first is raised already, and the Ricci form has one such
     slot to raise.  Raising the lowered R twice took 2 n^5 + n^4, and the
-    doubly raised Ricci 2 n^3."""
+    doubly raised Ricci 2 n^3.  A product is a ScalarSeries.mul call or a
+    pair handed to the one-pass contraction."""
+    import invar.geometry as geometry
+
     n = 3
     pkg = curvature_package(Potential.numeric(n, rich_jets(n, 24)), 1)
     calls = []
-    mul = ScalarSeries.mul
+    mul, contract = ScalarSeries.mul, geometry._sum_products
+
+    def counted(pairs):
+        pairs = list(pairs)
+        calls.extend(pairs)
+        return contract(pairs)
+
     monkeypatch.setattr(ScalarSeries, "mul", lambda s, o: calls.append(1) or mul(s, o))
+    monkeypatch.setattr(geometry, "_sum_products", counted)
     assert pkg.curvature_norm2()
     assert len(calls) <= n**5 + n**4
     calls.clear()

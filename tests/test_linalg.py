@@ -258,3 +258,12 @@ def test_factorization_does_no_fraction_arithmetic(monkeypatch):
     system = LinearSystem(columns)
     monkeypatch.undo()
     assert system.rank == FractionLinearSystem(columns).rank
+
+
+def test_pivots_on_the_least_touched_row_cut_fill_in():
+    """Each column pivots on its row that the fewest columns ahead and basis
+    vectors touch, which keeps the basis sparse: at (w, sigma) = (9, 3) it
+    holds 3072 nonzeros, against 4164 when the pivot is the smallest row."""
+    system = LinearSystem(_column_space(9, 3, None)["columns"])
+    assert system.rank == 582
+    assert sum(len(vec) for _, _, vec in system._basis) <= 3072

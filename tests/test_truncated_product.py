@@ -1,32 +1,34 @@
-"""The shared capped product against the two pair loops it replaced.
+"""The capped products against plain pair loops.
 
-`ScalarSeries.mul` (curvature series) and `bergman.convolve` (operator
-symbols) both run through `rings._truncated_product`.  The references below
-are the stand-alone loops each of them used before, kept verbatim in
-behaviour: x outer, y inner, cap check, ring product, zero skip, and an add
-that pops a key whose sum cancels.  Results are compared as item lists, so
-dict insertion order is pinned as well as the values.
+`ScalarSeries.mul` (curvature series, truncated to a bidegree box) and
+`bergman.convolve` (operator symbols, truncated by the t-order defect and
+pruned by ring grade) are checked against stand-alone loops: x outer,
+y inner, cap check, ring product, zero skip, and an add that pops a key
+whose sum cancels.  Results are compared as item lists, so dict insertion
+order is pinned as well as the values.
 """
 
 import random
 
 import pytest
 
-from invar.bergman import convolve
-from invar.jets import jet_keys_up_to_grade
+from invar.bergman import build_A, convolve
+from invar.geometry import curvature_package
+from invar.jets import Potential, jet_keys_up_to_grade
 from invar.rationals import GaussRat
 from invar.rings import GaussRing, GradedRing, SymbolicRing
-from invar.series import ScalarSeries
+from invar.series import ScalarSeries, _sum_products
 
 
 def reference_series_mul(s1, s2):
+    """The product on the componentwise smallest box: a pair is kept when
+    both its holomorphic and its antiholomorphic degrees fit."""
     ring = s1.ring
-    cap = min(s1.cap, s2.cap)
+    h, a = min(s1.cap[0], s2.cap[0]), min(s1.cap[1], s2.cap[1])
     out: dict = {}
     for (a1, b1), v1 in s1.terms.items():
-        o1 = sum(a1) + sum(b1)
         for (a2, b2), v2 in s2.terms.items():
-            if o1 + sum(a2) + sum(b2) > cap:
+            if sum(a1) + sum(a2) > h or sum(b1) + sum(b2) > a:
                 continue
             p = ring.mul(v1, v2)
             if ring.is_zero(p):
@@ -100,7 +102,7 @@ def random_series(ring, n, rng):
     terms = {}
     for _ in range(rng.randint(1, 9)):
         terms[(random_indices(n, rng), random_indices(n, rng))] = random_value(ring, rng)
-    return ScalarSeries(ring, n, rng.randint(1, 5), terms)
+    return ScalarSeries(ring, n, (rng.randint(0, 4), rng.randint(0, 4)), terms)
 
 
 def random_symbol(ring, n, rng):
@@ -120,7 +122,7 @@ def test_series_mul_matches_the_reference_loop(name):
         s1, s2 = random_series(ring, n, rng), random_series(ring, n, rng)
         want = reference_series_mul(s1, s2)
         got = s1.mul(s2)
-        assert got.cap == min(s1.cap, s2.cap)
+        assert got.cap == tuple(map(min, s1.cap, s2.cap))
         assert list(got.terms.items()) == list(want.items()), seed
 
 
@@ -151,19 +153,28 @@ def test_pairs_exactly_at_the_cap_are_kept():
 
 def test_cancelled_sums_are_dropped_and_reinserted_last():
     ring = GaussRing()
-    z, zb = ((1,), (0,)), ((0,), (1,))
-    x = ScalarSeries(ring, 1, 4, {z: GaussRat(1), zb: GaussRat(1)})
-    y = ScalarSeries(ring, 1, 4, {zb: GaussRat(1), z: GaussRat(-1)})
+    z, zb, zzb = ((1,), (0,)), ((0,), (1,)), ((1,), (1,))
+    x = ScalarSeries(ring, 1, (2, 2), {z: GaussRat(1), zb: GaussRat(1)})
+    y = ScalarSeries(ring, 1, (2, 2), {zb: GaussRat(1), z: GaussRat(-1)})
     # |z|^2 comes in at +1 and then cancels at -1
     assert list(x.mul(y).terms.items()) == [
         (((2,), (0,)), GaussRat(-1)),
         (((0,), (2,)), GaussRat(1)),
     ]
-    # a key that cancels and comes back moves to the end
-    x = ScalarSeries(ring, 1, 4, {z: GaussRat(1), zb: GaussRat(1), ((0,), (0,)): GaussRat(1)})
-    y = ScalarSeries(ring, 1, 4, {zb: GaussRat(1), z: GaussRat(-1), ((1,), (1,)): GaussRat(1)})
+    # a key that cancels and comes back moves to the end; on the box (2, 1)
+    # zbar^2 and z zbar^2 are dropped, though their total order 2 and 3 fit
+    one = ((0,), (0,))
+    x = ScalarSeries(ring, 1, (2, 2), {z: GaussRat(1), zb: GaussRat(1), one: GaussRat(1)})
+    y = ScalarSeries(ring, 1, (3, 1), {zb: GaussRat(1), z: GaussRat(-1), zzb: GaussRat(1)})
     got = list(x.mul(y).terms.items())
-    assert len(got) == 7 and got[-1] == (((1,), (1,)), GaussRat(1))
+    assert got == [
+        (((2,), (0,)), GaussRat(-1)),
+        (((2,), (1,)), GaussRat(1)),
+        (((0,), (1,)), GaussRat(1)),
+        (((1,), (0,)), GaussRat(-1)),
+        (zzb, GaussRat(1)),
+    ]
+    assert x.mul(y).cap == (2, 1)
     assert got == list(reference_series_mul(x, y).items())
 
 
@@ -174,3 +185,39 @@ def test_the_linear_ring_skips_vanishing_products():
     y = {((0,), (1,), 0): sym}
     # sym * sym has degree two and vanishes; only one * sym survives
     assert list(convolve(x, y, ring, 1, 5).items()) == [(((1,), (1,), 0), sym)]
+
+
+def test_build_A_forms_no_symbolic_product_past_the_caps(monkeypatch):
+    """convolve skips a pair whose lowest grades or degrees sum past the
+    ring's caps, so no SymbolicRing product comes back empty; the full pair
+    loop formed 36,401 products here, almost all of them empty."""
+    products = []
+    mul = SymbolicRing.mul
+    monkeypatch.setattr(
+        SymbolicRing, "mul", lambda self, x, y: products.append(p := mul(self, x, y)) or p
+    )
+    assert build_A(Potential.symbolic(2, 3, linear=True), 3)
+    assert products and all(products)
+
+
+def test_a_contraction_with_an_empty_factor_forms_no_product(monkeypatch):
+    ring_products, series_products = [], []
+    monkeypatch.setattr(GaussRing, "mul", lambda self, x, y: ring_products.append(1) or x * y)
+    mul = ScalarSeries.mul
+    monkeypatch.setattr(ScalarSeries, "mul", lambda s, o: series_products.append(1) or mul(s, o))
+    ring = GaussRing()
+    x = ScalarSeries(ring, 1, (3, 3), {((1,), (0,)): GaussRat(2), ((0,), (1,)): GaussRat(1)})
+    empty = ScalarSeries(ring, 1, (1, 2))
+    got = _sum_products([(x, empty), (empty, x)])
+    assert not got and got.cap == (1, 2) and not ring_products
+    # the empty factor's cap still bounds the pairs that are formed
+    got = _sum_products([(x, empty), (x, x)])
+    assert got.cap == (1, 2) and list(got.terms) == [((1,), (1,)), ((0,), (2,))]
+    assert len(ring_products) == 3
+    # the Laplacian of an empty series contracts empty factors only
+    pkg = curvature_package(Potential.numeric(2, {((2, 0), (2, 0)): GaussRat(1)}), 2)
+    ring_products.clear()
+    series_products.clear()
+    lap = pkg.laplacian(ScalarSeries(ring, 2, (2, 2)))
+    assert not lap and lap.cap == (1, 1)
+    assert not ring_products and not series_products
