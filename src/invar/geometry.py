@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import reduce
 from math import factorial, prod
 
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
-from .rings import GaussRing, _add_term
-from .series import ScalarSeries, _inside, _sum_products
+from .rings import GaussRing
+from .series import ScalarSeries, _sum_products
 
 __all__ = [
     "CurvaturePackage",
@@ -33,26 +34,6 @@ __all__ = [
     "kernel_coefficient_reference",
     "NAMED_SCALARS",
 ]
-
-
-def _sum_series(items):
-    """Sum of the series in items, at the componentwise smallest cap.
-
-    Every term goes into one dict, in the order the pairwise fold with
-    ``ScalarSeries.add`` visits it, so the keys come out in the fold's order,
-    a cancelled key re-entering last.  The dict is filtered again only when
-    a series lowers the cap, not copied at every step."""
-    items = iter(items)
-    first = next(items)
-    ring, cap, out = first.ring, first.cap, dict(first.terms)
-    for s in items:
-        first._check(s)
-        if (low := tuple(map(min, cap, s.cap))) != cap:
-            cap, out = low, {k: v for k, v in out.items() if _inside(k, low)}
-        for k, v in s.terms.items():
-            if _inside(k, cap):
-                _add_term(out, k, v, ring)
-    return first._like(cap, out)
 
 
 def _table(n, rank, entry, canon=None):
@@ -87,9 +68,10 @@ class CurvaturePackage:
     d, c.  K[e][c][a][d] = dbar_d Gamma[e][c][a] is the curvature with its
     antiholomorphic slot raised: the lowered curvature, holomorphic slots
     a, c and antiholomorphic b, d, is R[a][b][c][d] = G[e][b] K[e][c][a][d],
-    and Ric = -d dbar log det G = -dbar tr Gamma is Ric[a][d] =
-    -K[e][e][a][d] (Griffiths-Harris, ch. 0 sec. 5).  Ginv is exact to its
-    cap, so these hold exactly on the truncated series.
+    and Ric = -d dbar log det G = -dbar tr Gamma is computed from the trace
+    as Ric[a][d] = -dbar_d Gamma[e][e][a], summed over e before the one
+    d_anti, so it equals -K[e][e][a][d] (Griffiths-Harris, ch. 0 sec. 5).
+    Ginv is exact to its cap, so these hold exactly on the truncated series.
 
     As G = d dbar H, Gamma[e][d][c] = Gamma[e][c][d] and so K is symmetric
     under c <-> a: each is computed only at d <= c, resp. c <= a, and the
@@ -140,7 +122,9 @@ class CurvaturePackage:
             lambda e, c, a, d: Gamma[e][c][a].d_anti(d),
             lambda e, c, a, d: (e, min(c, a), max(c, a), d),
         )
-        Ric = _table(n, 2, lambda a, d: _sum_series(K[e][e][a][d] for e in rng).neg())
+        # tr Gamma[a] = Gamma[e][e][a] summed over e, on the box (h, h + 1)
+        trace = [reduce(ScalarSeries.add, (Gamma[e][e][a] for e in rng)) for a in rng]
+        Ric = _table(n, 2, lambda a, d: trace[a].d_anti(d).neg())
         self.G, self.Ginv, self.Gamma, self.K, self.Ric = G, Ginv, Gamma, K, Ric
         self.S = _sum_products((Ginv[b][a], Ric[a][b]) for a in rng for b in rng)
         self._T = None

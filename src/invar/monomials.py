@@ -110,7 +110,10 @@ class ContractionMonomial:
         )
 
     def is_acceptable(self, restriction=None) -> bool:
+        """Floors met: by phi factors up to relabeling, by psi factors in place."""
         restriction = _check_restriction(restriction, self.sigma)
+        if self.kind == PHI:
+            return _meets_floors(self.signatures, restriction)
         return all(
             self.A(i) >= a and self.B(i) >= b for i, (a, b) in enumerate(restriction)
         )
@@ -213,6 +216,30 @@ def _check_restriction(restriction, sigma):
     if len(restriction) != sigma:
         raise ValueError("restriction list length must equal the factor count")
     return restriction
+
+
+def _meets_floors(sigs, restriction):
+    """Some one-to-one assignment of the restriction's entries to factors
+    meets every floor; a factor of signature (A, B) takes (a, b) when
+    A >= a and B >= b.  Found by augmenting paths (Kuhn, 1955), each entry
+    taking a free factor before it displaces a placed one."""
+    owner = {}
+
+    def place(f, seen):
+        a, b = restriction[f]
+        fits = [
+            i for i, (A, B) in enumerate(sigs) if A >= a and B >= b and i not in seen
+        ]
+        seen.update(fits)
+        i = next((i for i in fits if i not in owner), None)
+        if i is None:
+            i = next((i for i in fits if place(owner[i], seen)), None)
+        if i is None:
+            return False
+        owner[i] = f
+        return True
+
+    return all(place(f, set()) for f in range(len(restriction)))
 
 
 def scalar_monomial(kind, edges) -> ContractionMonomial:

@@ -2,7 +2,8 @@
 
 A series is a dict from (alpha, beta) multi-index pairs to ring elements,
 exact inside the bidegree box cap = (h, a): |alpha| <= h, |beta| <= a.
-d_hol lowers h, d_anti lowers a, products and sums take the componentwise
+d_hol lowers h and d_anti lowers a, refusing a side already at 0 (the terms
+it would need were truncated); products and sums take the componentwise
 smallest box.  Curvature scalars are read at the center after operators
 taking as many d as dbar (the Laplacian; a gradient then a divergence) and
 products add bidegrees, so a term outside the box (h, h) never reaches a
@@ -146,18 +147,22 @@ class ScalarSeries:
         return self._like(self.cap, out)
 
     def d_hol(self, a):
+        if self.cap[0] < 1:
+            raise ValueError(f"d_hol past the holomorphic order of the box {self.cap}")
         out = {}
         for (alpha, beta), v in self.terms.items():
             if alpha[a]:
                 out[(decrement(alpha, a), beta)] = self.ring.scale(v, alpha[a])
-        return self._like((max(self.cap[0] - 1, 0), self.cap[1]), out)
+        return self._like((self.cap[0] - 1, self.cap[1]), out)
 
     def d_anti(self, a):
+        if self.cap[1] < 1:
+            raise ValueError(f"d_anti past the antiholomorphic order of the box {self.cap}")
         out = {}
         for (alpha, beta), v in self.terms.items():
             if beta[a]:
                 out[(alpha, decrement(beta, a))] = self.ring.scale(v, beta[a])
-        return self._like((self.cap[0], max(self.cap[1] - 1, 0)), out)
+        return self._like((self.cap[0], self.cap[1] - 1), out)
 
     def _check(self, other):
         if self.ring != other.ring or self.n != other.n:

@@ -18,7 +18,7 @@ from .chern import chern_invariant, partitions_of
 from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
-from .monomials import PHI, ContractionMonomial, _check_restriction, _counts
+from .monomials import PHI, ContractionMonomial, _check_restriction, _counts, _meets_floors
 from .rationals import as_fraction, as_int, format_fraction
 
 __all__ = [
@@ -160,32 +160,8 @@ def _sorted_matrices(w, free_hol, free_anti, restriction):
     return walk(0, [0] * sigma, w, 0)
 
 
-def _meets_floors(sigs, restriction):
-    """Some one-to-one assignment of the restriction's entries to factors
-    meets every floor; a factor of signature (A, B) takes (a, b) when
-    A >= a and B >= b.  Found by augmenting paths (Kuhn, 1955), each entry
-    taking a free factor before it displaces a placed one."""
-    owner = {}
-
-    def place(f, seen):
-        a, b = restriction[f]
-        fits = [
-            i for i, (A, B) in enumerate(sigs) if A >= a and B >= b and i not in seen
-        ]
-        seen.update(fits)
-        i = next((i for i in fits if i not in owner), None)
-        if i is None:
-            i = next((i for i in fits if place(owner[i], seen)), None)
-        if i is None:
-            return False
-        owner[i] = f
-        return True
-
-    return all(place(f, set()) for f in range(len(restriction)))
-
-
-# (w, sigma, sorted restriction) -> column space.  One per process, filled by
-# decompose one block at a time (the system is factored on its first solve);
+# (w, sigma, sorted restriction) -> column space.  One per process, filled one
+# block at a time by decompose and by draws (factored on a block's first solve);
 # never evicted and unbounded (a seed-0 decompose bench pass leaves 11 entries).
 _SYSTEM_CACHE: dict = {}
 
@@ -288,10 +264,15 @@ def verify_decomposition(inv: Invariant, dec: Decomposition) -> bool:
 def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     """Random input that integrates to zero by construction: a rational
     combination of cycle invariants when the weight admits them, plus
-    divergences of random acceptable one-forms.  May come out empty for
-    unlucky draws; callers wanting a nonzero sample should redraw."""
+    divergences of random acceptable one-forms, drawn from the block's cached
+    generators (the column space decompose solves in).  May come out empty
+    for unlucky draws; callers wanting a nonzero sample should redraw."""
+    # checked before the cache lookup: (6.0, 3, ...) hashes like (6, 3, ...)
+    as_int(weight, "weight")
     if as_int(sigma, "sigma") < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")
+    rl = _check_restriction(restriction, sigma)
+    tmonos = _column_space(weight, sigma, tuple(sorted(rl)))["tmonos"]
     total = zero_invariant(PHI, (0, 0))
     if weight == 2 * sigma:
         for p in partitions_of(sigma):
@@ -299,7 +280,7 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
             if c:
                 total = total + chern_invariant(p).scale(c)
     for valence in ((1, 0), (0, 1)):
-        gens = enumerate_monomials(weight - 1, sigma, restriction, valence)
+        gens = [m for m in tmonos if m.valence == valence]
         if not gens:
             continue
         for mono in rng.sample(gens, k=min(3, len(gens))):

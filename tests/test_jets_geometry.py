@@ -13,7 +13,6 @@ from invar.combinat import cycle_successor, perm_sign
 from invar.geometry import (
     NAMED_SCALARS,
     CurvaturePackage,
-    _sum_series,
     curvature_package,
     evaluate,
     kernel_coefficient_reference,
@@ -129,53 +128,6 @@ def test_metric_inverse_is_exact_to_cap():
             assert not prod.sub(target)
 
 
-def pairwise_fold(items):
-    """The sum as ScalarSeries.add folds it, copying the total at each step."""
-    total = None
-    for s in items:
-        total = s if total is None else total.add(s)
-    return total
-
-
-def test_sum_series_matches_the_pairwise_fold():
-    ring = GaussRing()
-    z, e1, e2 = (0, 0), (1, 0), (0, 1)
-    # a key that cancels re-enters last, after keys that never left
-    items = [
-        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(1), (e1, z): GaussRat(2)}),
-        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(-1), (z, e2): GaussRat(1)}),
-        ScalarSeries(ring, 2, 3, {(z, z): GaussRat(5)}),
-    ]
-    got = _sum_series(iter(items))
-    assert list(got.terms) == [(e1, z), (z, e2), (z, z)] == list(pairwise_fold(items).terms)
-    rng = random.Random(17)
-    pairs = list(itertools.product(range(3), repeat=2))
-    keys = [(a, b) for a in pairs for b in pairs]
-    lowered = reentered = 0
-    for _ in range(60):
-        items = []
-        for _ in range(rng.randint(1, 6)):
-            terms = {
-                k: GaussRat(rng.choice((-2, -1, 1, 2)), rng.choice((0, 1)))
-                for k in rng.sample(keys, 8)
-            }
-            if items and rng.random() < 0.6:
-                # cancel some of an earlier series' terms, maybe to re-add them later
-                terms.update({k: -v for k, v in list(rng.choice(items).terms.items())[:4]})
-            items.append(ScalarSeries(ring, 2, rng.randint(2, 6), terms))
-        want = pairwise_fold(items)
-        got = _sum_series(iter(items))
-        assert got.cap == want.cap == min(s.cap for s in items)
-        assert list(got.terms.items()) == list(want.terms.items())
-        lowered += any(s.cap < items[0].cap for s in items)
-        first_seen = {}
-        for s in items:
-            for k in s.terms:
-                first_seen.setdefault(k, len(first_seen))
-        reentered += list(want.terms) != sorted(want.terms, key=first_seen.get)
-    assert lowered and reentered
-
-
 def test_curvature_center_symmetries_and_reality():
     pkg = curvature_package(random_potential(2, seed=5), 0)
     n = pkg.n
@@ -249,6 +201,31 @@ def test_laplacian_flat_limit():
     pkg = curvature_package(pot, 4)
     f = ScalarSeries(pkg.ring, 1, 4, {((2,), (2,)): GaussRat(3)})
     assert pkg.laplacian(f) == f.d_hol(0).d_anti(0)
+
+
+def test_a_derivative_of_an_exhausted_side_is_refused():
+    """A side of the box already at 0 has lost the terms a derivative needs,
+    so d_hol and d_anti refuse it rather than read zero."""
+    ring = GaussRing()
+    z = {((1,), (0,)): GaussRat(1)}
+    with pytest.raises(ValueError, match=r"^d_hol past the holomorphic order of .* \(0, 1\)$"):
+        ScalarSeries(ring, 1, (0, 1), z).d_hol(0)
+    assert ScalarSeries(ring, 1, (1, 1), z).d_hol(0).at_zero() == GaussRat(1)
+    with pytest.raises(ValueError, match=r"^d_anti past the antiholomorphic .* \(1, 0\)$"):
+        ScalarSeries(ring, 1, (1, 0)).d_anti(0)
+    # div Q takes one d and one dbar of curvature series: a cap-0 package
+    # cannot give it
+    pot = Potential.numeric(1, dense_jets(1, 70, hermitian=True))
+    assert named_scalar(pot, "div_Q") == GaussRat(-165)
+    with pytest.raises(ValueError, match=r"box \(0, 0\)$"):
+        curvature_package(pot, 0).gradient_divergence()
+    # a cap-1 package holds lap S exactly, but not lap^2 S
+    pot = Potential.numeric(2, rich_jets(2, 8))
+    assert named_scalar(pot, "lap2_S") == GaussRat(105219)
+    pkg = curvature_package(pot, 1)
+    lap_s = pkg.laplacian(pkg.S)
+    with pytest.raises(ValueError, match=r"box \(0, 0\)$"):
+        pkg.laplacian(lap_s)
 
 
 def test_named_scalars_real_on_hermitian_input():

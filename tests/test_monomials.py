@@ -89,6 +89,22 @@ def test_acceptability_floor():
     assert bad.is_acceptable(((1, 2), (2, 1))) or bad.is_acceptable(((2, 1), (1, 2)))
 
 
+def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
+    # signatures (2, 1) and (1, 2)
+    phi = scalar_monomial(PHI, ((1, 1), (0, 1)))
+    psi = scalar_monomial(PSI, ((1, 1), (0, 1)))
+    assert phi.signatures == psi.signatures == ((2, 1), (1, 2))
+    as_given, swapped = ((2, 1), (1, 2)), ((1, 2), (2, 1))
+    assert phi.is_acceptable(as_given) and phi.is_acceptable(swapped)
+    assert Invariant(PHI, (0, 0), [(phi, 1)]).is_acceptable(swapped)
+    # psi factors are labeled: entry i is a floor on factor i
+    assert psi.is_acceptable(as_given)
+    assert not psi.is_acceptable(swapped)
+    assert not Invariant(PSI, (0, 0), [(psi, 1)]).is_acceptable(swapped)
+    # one factor must take each entry: two (2, 1) floors do not fit
+    assert not phi.is_acceptable(((2, 1), (2, 1)))
+
+
 def test_order_against_custom_restriction():
     m = scalar_monomial(PHI, ((3,),))
     assert m.order(((2, 2),)) == 2
@@ -188,13 +204,16 @@ def _reference_edge_matrices(w, sigma):
 
 
 def _reference_enumerate(w, sigma, restriction, valence, memo):
-    """Build every candidate monomial, then keep the acceptable ones."""
+    """Build every candidate monomial, then keep the acceptable ones.  Each
+    floor is tested at its own position, not through is_acceptable, so a
+    class is kept when one of its labelings meets the list as given."""
+    floors = restriction or ((2, 2),) * sigma
     out = set()
     for free_hol in compositions(valence[0], sigma):
         for free_anti in compositions(valence[1], sigma):
             for edges in _reference_edge_matrices(w, sigma):
                 mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
-                if mono.is_acceptable(restriction):
+                if all(mono.A(i) >= a and mono.B(i) >= b for i, (a, b) in enumerate(floors)):
                     out.add(_reference_canonical(mono, memo))
     return sorted(out, key=lambda m: m.sort_key())
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from invar import solver
 from invar.calculus import divergence, integrates_to_zero
 from invar.chern import chern_invariant, chern_reduce, partitions_of
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
@@ -205,3 +206,40 @@ def test_decomposition_json_round_trip():
     assert back.t_hol == dec.t_hol
     assert back.t_anti == dec.t_anti
     assert back.reconstruct() == inv
+
+
+def test_a_witness_is_acceptable_under_every_order_of_its_list():
+    # the floors are matched to factors up to relabeling, in the enumeration
+    # and in is_acceptable alike
+    rl = ((3, 2), (2, 2))
+    inv = random_coexact_invariant(5, 2, random.Random(1), rl)
+    dec = decompose(inv, rl)
+    assert dec.t_hol and verify_decomposition(inv, dec)
+    for order in (rl, rl[::-1]):
+        assert dec.t_hol.is_acceptable(order)
+        assert dec.t_anti.is_acceptable(order)
+
+
+def test_a_draw_and_its_decompose_enumerate_the_block_once(monkeypatch):
+    # one call per one-form valence; the decompose reads the draw's block
+    calls = []
+    original = solver.enumerate_monomials
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "enumerate_monomials", counted)
+    monkeypatch.setattr(solver, "_SYSTEM_CACHE", {})
+    inv = random_coexact_invariant(8, 3, random.Random(0))
+    assert len(calls) == 2
+    assert verify_decomposition(inv, decompose(inv))
+    assert len(calls) == 2
+
+
+def test_a_draw_refuses_a_non_integer_weight_after_a_cached_block():
+    # (6.0, 3, ...) hashes like the cached (6, 3, ...) key
+    rng = random.Random(4)
+    random_coexact_invariant(6, 3, rng)
+    with pytest.raises(ValueError, match="^weight must be an integer"):
+        random_coexact_invariant(6.0, 3, rng)
