@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from operator import add
 
 from .combinat import decrement, perm_sign
@@ -107,14 +107,14 @@ def build_A(pot, jmax):
                     ring,
                 )
     det = {}
-    for perm in itertools.permutations(range(n)):
-        prod = one
+    for sigma in itertools.permutations(range(n)):
+        product = one
         for a in range(n):
-            prod = convolve(prod, entries[a][perm[a]], ring, n, jmax)
-            if not prod:
+            product = convolve(product, entries[a][sigma[a]], ring, n, jmax)
+            if not product:
                 break
-        sign = perm_sign(perm)
-        for key, v in prod.items():
+        sign = perm_sign(sigma)
+        for key, v in product.items():
             _add_term(det, key, v if sign > 0 else ring.neg(v), ring)
     mult = multiplication_terms(pot)
     expo = dict(one)
@@ -196,12 +196,10 @@ def bergman_coefficients(pot, jmax):
                 nj = j + j2
                 if nj > jmax:
                     continue
-                if any(bi < ci for bi, ci in zip(b, cz)):
+                # falling factorials, 0 where a derivative outruns its power
+                mult = prod(map(perm, b, cz))
+                if not mult:
                     continue
-                mult = 1
-                for bi, ci in zip(b, cz):
-                    for step in range(ci):
-                        mult *= bi - step
                 nb = tuple(bi - ci + di for bi, ci, di in zip(b, cz, dd))
                 contrib = ring.scale(ring.mul(xv, ev), -mult)
                 if not ring.is_zero(contrib):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .combinat import cycle_successor, perm_sign
+from .combinat import cycle_lengths, cycle_successor, perm_sign
 from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
 from .rationals import as_int
@@ -97,56 +97,25 @@ def max_height_terms(inv: Invariant) -> Invariant:
 
 
 def _read_partition(mono):
-    """Partition encoded by an all-trace (2,2)-monomial.
-
-    Factors with a double trace are parts of size 1; the remaining factors
-    carry exactly one off-diagonal out-edge and in-edge, so their edges form
-    a permutation whose cycles give the larger parts.
-    """
-    parts = []
-    rest = []
-    for i in range(mono.sigma):
-        d = mono.edges[i][i]
-        if d == 2:
-            parts.append(1)
-        elif d == 1:
-            rest.append(i)
-        else:
-            raise ValueError("not an all-trace monomial of type (2,2)")
-    nxt = {}
-    for i in rest:
-        outs = [
-            j
-            for j in range(mono.sigma)
-            for _ in range(mono.edges[i][j])
-            if j != i
-        ]
-        if len(outs) != 1:
-            raise ValueError("factor is not of type (2,2)")
-        nxt[i] = outs[0]
-    seen = set()
-    for i in rest:
-        if i in seen:
-            continue
-        length = 0
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = nxt[j]
-            length += 1
-        parts.append(length)
-    return tuple(sorted(parts, reverse=True))
+    """Partition encoded by an all-trace (2,2)-monomial: every row and column
+    of its edge matrix sums to 2 and every diagonal entry is at least 1, so
+    edges - I is a permutation matrix, whose cycle type is the partition (a
+    double trace is a fixed point, a part of size 1)."""
+    rows = enumerate(mono.edges)
+    succ = [next(j for j, e in enumerate(row) if e - (i == j)) for i, row in rows]
+    return tuple(sorted(cycle_lengths(succ), reverse=True))
 
 
 def chern_reduce(inv: Invariant):
     """Split an order-0 invariant as sum(c_p * chern_invariant(p)) + remainder.
 
     The remainder has at least one trace-free factor in every term.  Raises
-    if some factor is not of type (2,2).
+    unless inv is a scalar phi-invariant with every factor of type (2,2).
     """
-    for m in inv.terms:
-        if any(s != (2, 2) for s in m.signatures):
-            raise ValueError("chern_reduce expects every factor of type (2,2)")
+    if inv.kind != PHI or inv.valence != (0, 0):
+        raise ValueError("chern_reduce expects a scalar phi-invariant")
+    if any(s != (2, 2) for m in inv.terms for s in m.signatures):
+        raise ValueError("chern_reduce expects every factor of type (2,2)")
     chern_part: dict[tuple, Fraction] = {}
     rest = inv
     while True:

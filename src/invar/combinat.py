@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["compositions", "cycle_successor", "decrement", "perm_sign"]
+__all__ = ["compositions", "cycle_lengths", "cycle_successor", "decrement", "perm_sign"]
 
 
 def compositions(total, parts):
@@ -45,6 +45,23 @@ def cycle_successor(partition):
     return succ
 
 
+def cycle_lengths(perm):
+    """Cycle lengths of a permutation of range(len(perm)), by smallest
+    element: the inverse of cycle_successor up to the order of the parts."""
+    seen = [False] * len(perm)
+    lengths = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
 def decrement(index, a):
     """The multi-index with entry a lowered by one: the jet index of one
     derivative in direction a."""
@@ -52,18 +69,5 @@ def decrement(index, a):
 
 
 def perm_sign(perm):
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation of range(len(perm)), (-1)^(len - cycles)."""
+    return (-1) ** (len(perm) - len(cycle_lengths(perm)))

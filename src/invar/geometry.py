@@ -15,8 +15,9 @@ import itertools
 import re
 from fractions import Fraction
 from functools import reduce
-from math import factorial, prod
+from math import comb, factorial, prod
 
+from .chern import chern_invariant, partitions_of
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
@@ -213,26 +214,15 @@ def curvature_package(pot, cap) -> CurvaturePackage:
 
 
 def todd_gammas(jmax):
-    """Coefficients of log(x / (e^x - 1)) through degree jmax, exactly."""
+    """Coefficients of log(x / (e^x - 1)) through degree jmax: gamma_k =
+    -B_k / (k k!), with sum_{i <= k} C(k + 1, i) B_i = k + 1, so B_1 = +1/2
+    (the Todd series; Hirzebruch, Topological Methods in Algebraic Geometry)."""
     as_count(jmax, "jmax")
-    u = [Fraction(0)] * (jmax + 1)
-    for k in range(1, jmax + 1):
-        u[k] = Fraction(1, factorial(k + 1))
-    log = [Fraction(0)] * (jmax + 1)
-    power = [Fraction(0)] * (jmax + 1)
-    power[0] = Fraction(1)
-    for m in range(1, jmax + 1):
-        nxt = [Fraction(0)] * (jmax + 1)
-        for i, a in enumerate(power):
-            if not a:
-                continue
-            for k in range(1, jmax + 1 - i):
-                nxt[i + k] += a * u[k]
-        power = nxt
-        c = Fraction((-1) ** (m - 1), m)
-        for i in range(jmax + 1):
-            log[i] += c * power[i]
-    return [-v for v in log]
+    bern = []
+    for k in range(jmax + 1):
+        rest = sum(comb(k + 1, i) * b for i, b in enumerate(bern))
+        bern.append(Fraction(k + 1 - rest, k + 1))
+    return [Fraction(0)] + [-b / (k * factorial(k)) for k, b in enumerate(bern) if k]
 
 
 def _check_grade(pot, name, weight):
@@ -276,7 +266,8 @@ def evaluate(inv, pot):
     if inv.kind != PHI or inv.valence != (0, 0):
         raise ValueError("evaluate expects a scalar phi-invariant")
     ring, total = pot.ring, pot.ring.zero
-    entries = {sig: _derivatives(pot, *sig) for m in inv.terms for sig in m.signatures}
+    sigs = {sig for m in inv.terms for sig in m.signatures}
+    entries = {sig: _derivatives(pot, *sig) for sig in sigs}
     for mono, coeff in inv.terms.items():
         rng = range(mono.sigma)
         edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
@@ -316,8 +307,6 @@ def todd_polynomial(pot, j):
     prod_m gamma_m^r_m / r_m! * chern_invariant(p), where part m occurs r_m
     times in p, evaluated on the jets.
     """
-    from .chern import chern_invariant, partitions_of
-
     as_count(j, "j")
     _check_grade(pot, f"P{j}", j)
     ring = pot.ring

@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+def _check_dimension(n):
+    if as_int(n, "n") < 1:
+        raise ValueError("need at least one complex dimension")
+    return n
+
+
 def _check_key(key, n):
     alpha, beta = key
     alpha = tuple(as_int(v, "alpha") for v in alpha)
@@ -50,9 +56,7 @@ class Potential:
     __slots__ = ("n", "ring", "jets")
 
     def __init__(self, n, ring, jets):
-        if as_int(n, "n") < 1:
-            raise ValueError("need at least one complex dimension")
-        self.n = n
+        self.n = _check_dimension(n)
         self.ring = ring
         clean = {}
         for key, v in jets.items():
@@ -79,8 +83,9 @@ class Potential:
     def symbolic(cls, n, weight_cap, linear=False):
         """One formal symbol per jet index pair up to the weight cap."""
         as_count(weight_cap, "weight_cap")
+        keys = jet_keys_up_to_grade(n, 2 * weight_cap)
         ring = SymbolicRing(2 * weight_cap, degree_cap=1 if linear else None)
-        jets = {key: ring.symbol(key) for key in jet_keys_up_to_grade(n, 2 * weight_cap)}
+        jets = {key: ring.symbol(key) for key in keys}
         return cls(n, ring, jets)
 
     def max_order(self):
@@ -124,6 +129,8 @@ class Potential:
 
 def jet_keys_up_to_grade(n, grade_cap):
     """All normal-form jet index pairs with doubled weight <= grade_cap."""
+    _check_dimension(n)
+    as_count(grade_cap, "grade_cap")
     out = []
     for ka in range(2, grade_cap + 1):
         for kb in range(2, grade_cap + 3 - ka):
@@ -135,6 +142,8 @@ def jet_keys_up_to_grade(n, grade_cap):
 
 def fubini_study_jets(n, max_order) -> dict:
     """Jets of log(1 + |z|^2) - |z|^2 through the given total order."""
+    _check_dimension(n)
+    as_count(max_order, "max_order")
     jets = {}
     for k in range(2, max_order // 2 + 1):
         c = Fraction((-1) ** (k - 1)) * factorial(k - 1)
@@ -151,6 +160,7 @@ _COEFF_BOUND = 3
 
 def random_hermitian_jets(n, weight_cap, rng) -> dict:
     """Sparse random real potential: conjugate pairs of rational jets."""
+    as_count(weight_cap, "weight_cap")
     keys = jet_keys_up_to_grade(n, 2 * weight_cap)
     jets: dict = {}
     attempts = 0

@@ -7,6 +7,7 @@ import pytest
 
 from invar.calculus import integrates_to_zero
 from invar.chern import (
+    _read_partition,
     chern_basis,
     chern_invariant,
     chern_reduce,
@@ -15,7 +16,8 @@ from invar.chern import (
     partitions_of,
 )
 from invar.invariants import Invariant, monomial_invariant
-from invar.monomials import PHI, scalar_monomial
+from invar.combinat import cycle_successor
+from invar.monomials import PHI, ContractionMonomial, scalar_monomial
 from invar.solver import enumerate_monomials
 
 LAP2 = scalar_monomial(PHI, ((2,),))
@@ -123,3 +125,67 @@ def test_reduce_reconstruction_and_trace_free_remainder():
             assert total == inv
             for m in rest.terms:
                 assert any(m.edges[i][i] == 0 for i in range(m.sigma))
+
+
+def test_reduce_refuses_psi_and_non_scalar_invariants():
+    vector = monomial_invariant(ContractionMonomial(PHI, [[1]], [1], [1]))
+    assert [m.signatures for m in vector.terms] == [((2, 2),)]
+    for inv in (chern_invariant((2,)).polarize(), vector):
+        with pytest.raises(ValueError, match="scalar phi-invariant"):
+            chern_reduce(inv)
+
+
+def reference_read_partition(mono):
+    """The partition parser walking the double traces and the off-diagonal
+    out-edges separately, kept to check the cycle-type reading."""
+    parts = []
+    rest = []
+    for i in range(mono.sigma):
+        d = mono.edges[i][i]
+        if d == 2:
+            parts.append(1)
+        elif d == 1:
+            rest.append(i)
+        else:
+            raise ValueError("not an all-trace monomial of type (2,2)")
+    nxt = {}
+    for i in rest:
+        outs = [
+            j
+            for j in range(mono.sigma)
+            for _ in range(mono.edges[i][j])
+            if j != i
+        ]
+        if len(outs) != 1:
+            raise ValueError("factor is not of type (2,2)")
+        nxt[i] = outs[0]
+    seen = set()
+    for i in rest:
+        if i in seen:
+            continue
+        length = 0
+        j = i
+        while j not in seen:
+            seen.add(j)
+            j = nxt[j]
+            length += 1
+        parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_read_partition_is_the_cycle_type_of_edges_minus_identity():
+    rng = random.Random(23)
+    for sigma in range(1, 9):
+        factors = range(sigma)
+        for p in partitions_of(sigma):
+            succ = cycle_successor(p)
+            lead = ContractionMonomial(
+                PHI, [[int(i == j) + int(succ[i] == j) for j in factors] for i in factors]
+            )
+            relabeled = []
+            for _ in range(3):
+                perm = list(factors)
+                rng.shuffle(perm)
+                relabeled.append(lead.apply_permutation(perm))
+            for mono in [lead, *relabeled]:
+                assert _read_partition(mono) == reference_read_partition(mono) == p

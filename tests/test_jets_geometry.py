@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from invar import geometry
 from invar.bergman import bergman_coefficients
 from invar.chern import chern_invariant, partitions_of
 from invar.combinat import cycle_successor, perm_sign
@@ -523,6 +524,48 @@ def test_todd_gamma_values():
     assert g[4] == Fraction(1, 2880)
 
 
+def reference_todd_gammas(jmax):
+    """log(x / (e^x - 1)) through degree jmax by composing the series
+    log(1 + u) with u = (e^x - 1)/x - 1, kept to check the Bernoulli form."""
+    u = [Fraction(0)] * (jmax + 1)
+    for k in range(1, jmax + 1):
+        u[k] = Fraction(1, factorial(k + 1))
+    log = [Fraction(0)] * (jmax + 1)
+    power = [Fraction(0)] * (jmax + 1)
+    power[0] = Fraction(1)
+    for m in range(1, jmax + 1):
+        nxt = [Fraction(0)] * (jmax + 1)
+        for i, a in enumerate(power):
+            if not a:
+                continue
+            for k in range(1, jmax + 1 - i):
+                nxt[i + k] += a * u[k]
+        power = nxt
+        c = Fraction((-1) ** (m - 1), m)
+        for i in range(jmax + 1):
+            log[i] += c * power[i]
+    return [-v for v in log]
+
+
+def test_todd_gammas_match_the_series_logarithm():
+    for j in range(25):
+        assert todd_gammas(j) == reference_todd_gammas(j), j
+
+
+def test_evaluate_reads_each_signature_once(monkeypatch):
+    calls = []
+    derivatives = geometry._derivatives
+
+    def counted(pot, A, B):
+        calls.append((A, B))
+        return derivatives(pot, A, B)
+
+    monkeypatch.setattr(geometry, "_derivatives", counted)
+    pot = Potential.graded_numeric(3, fubini_study_jets(3, 8), 3)
+    todd_polynomial(pot, 3)
+    assert calls == [(2, 2)]
+
+
 def test_scalar_weights():
     weights = {
         "S": 1,
@@ -614,6 +657,37 @@ def test_graded_scalar_sums_to_numeric_value():
 )
 def test_kernel_caps_are_non_negative_integers(call, field):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Potential.symbolic(1.5, 1), "n must be an integer"),
+        (lambda: Potential.symbolic(0, 1), "need at least one complex dimension"),
+        (lambda: fubini_study_jets(1.5, 8), "n must be an integer"),
+        (lambda: fubini_study_jets(0, 8), "need at least one complex dimension"),
+        (lambda: fubini_study_jets(1, 8.0), "max_order must be an integer"),
+        (lambda: jet_keys_up_to_grade(2, 2.5), "grade_cap must be an integer"),
+        (lambda: random_hermitian_jets(1.5, 2, random.Random(0)), "n must be an integer"),
+        (
+            lambda: random_hermitian_jets(1, 2.5, random.Random(0)),
+            "weight_cap must be an integer",
+        ),
+    ],
+    ids=[
+        "symbolic-n-float",
+        "symbolic-n-zero",
+        "fubini-study-n-float",
+        "fubini-study-n-zero",
+        "fubini-study-order-float",
+        "jet-keys-grade-float",
+        "random-n-float",
+        "random-weight-cap-float",
+    ],
+)
+def test_jet_constructors_refuse_a_bad_dimension_or_order(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}"):
         call()
 
 
