@@ -55,7 +55,7 @@ def _add_keys(k1, k2):
     return tuple(map(add, g1, g2)), tuple(map(add, d1, d2)), j1 + j2
 
 
-def convolve(t1, t2, ring, n, jprime_cap):
+def convolve(t1, t2, ring, jprime_cap):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order defect j' is additive and
     anything past the cap can never reach the tracked coefficients.  A pair
@@ -87,6 +87,7 @@ def multiplication_terms(pot):
 
 def build_A(pot, jmax):
     """Terms of A for the potential, pruned to reachable t-order defects."""
+    as_count(jmax, "jmax")
     n = pot.n
     ring = pot.ring
     one = {_zero_key(n): ring.one}
@@ -110,7 +111,7 @@ def build_A(pot, jmax):
     for sigma in itertools.permutations(range(n)):
         product = one
         for a in range(n):
-            product = convolve(product, entries[a][sigma[a]], ring, n, jmax)
+            product = convolve(product, entries[a][sigma[a]], ring, jmax)
             if not product:
                 break
         sign = perm_sign(sigma)
@@ -122,11 +123,11 @@ def build_A(pot, jmax):
     k = 0
     while power:
         k += 1
-        power = convolve(power, mult, ring, n, jmax)
+        power = convolve(power, mult, ring, jmax)
         power = {key: ring.scale(v, Fraction(-1, k)) for key, v in power.items()}
         for key, v in power.items():
             _add_term(expo, key, v, ring)
-    return convolve(det, expo, ring, n, jmax)
+    return convolve(det, expo, ring, jmax)
 
 
 def adjoint(terms, ring, n, jprime_cap):
@@ -142,6 +143,7 @@ def adjoint(terms, ring, n, jprime_cap):
     The -1/m! part is the adjoint of -H t, the +m/m! part that of the trace,
     so the m = 1 rung vanishes and every rung keeps t-order |b| - 1.
     """
+    as_count(jprime_cap, "jprime_cap")
     out: dict = {}
     for key, v in terms.items():
         g, d, _ = key

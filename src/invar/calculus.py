@@ -31,6 +31,7 @@ from math import factorial, isqrt, lcm
 
 from .invariants import Invariant
 from .monomials import _CANONICAL_CACHE, PHI, PSI, ContractionMonomial
+from .rationals import as_int
 
 __all__ = ["divergence", "local_divergence", "first_slot_residue", "integrates_to_zero"]
 
@@ -67,6 +68,7 @@ def local_divergence(inv: Invariant, k: int) -> Invariant:
     overall sign is (-1)^(A_k + B_k).  Output factors are renumbered by
     deleting slot k; weight is preserved and degree drops by one.
     """
+    as_int(k, "k")
     if inv.kind != PSI:
         raise ValueError("local_divergence expects a psi-invariant")
     if inv.valence != (0, 0):

@@ -24,7 +24,7 @@ from itertools import permutations
 from .combinat import cycle_lengths, cycle_successor, perm_sign
 from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
-from .rationals import as_int
+from .rationals import as_count, as_int, as_positive
 
 __all__ = [
     "partitions_of",
@@ -47,7 +47,7 @@ def partitions_of(n: int):
             for tail in gen(rest - first, first):
                 yield (first,) + tail
 
-    return list(gen(n, n))
+    return list(gen(as_count(n, "n"), n))
 
 
 def _normalize_partition(p):
@@ -73,9 +73,7 @@ def chern_invariant(p) -> Invariant:
 
 def chern_basis(sigma: int):
     """[chern_invariant(p) for partitions p of sigma], descending lex order."""
-    if sigma < 1:
-        raise ValueError("sigma must be positive")
-    return [chern_invariant(p) for p in partitions_of(sigma)]
+    return [chern_invariant(p) for p in partitions_of(as_positive(sigma, "sigma"))]
 
 
 def height(mono: ContractionMonomial) -> int:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from .rationals import as_int
+
 __all__ = ["compositions", "cycle_lengths", "cycle_successor", "decrement", "perm_sign"]
 
 
 def compositions(total, parts):
     """Tuples of `parts` nonnegative integers summing to `total`, in
     lexicographic order; seeded jet draws index into this order."""
-    if parts < 1:
+    if as_int(parts, "parts") < 1:
         raise ValueError(f"compositions need at least one part, got {parts}")
-    if total < 0:
+    if as_int(total, "total") < 0:
         return
     c = [0] * parts
     last = parts - 1

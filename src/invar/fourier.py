@@ -33,7 +33,7 @@ from operator import neg
 
 from .invariants import Invariant
 from .monomials import PHI
-from .rationals import GR_ZERO, GaussRat, as_gauss, as_int
+from .rationals import GR_ZERO, GaussRat, as_dimension, as_gauss, as_int, as_positive
 
 __all__ = ["FourierFunction", "pairing", "eval_integral", "random_phi"]
 
@@ -44,9 +44,7 @@ class FourierFunction:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        if as_int(n, "n") < 1:
-            raise ValueError("need at least one complex dimension")
-        self.n = n
+        self.n = as_dimension(n)
         clean = {}
         for mode, c in coeffs.items():
             mode = tuple(as_int(v, "mode") for v in mode)
@@ -185,10 +183,8 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     triple for n >= 2 in practice, which would blind degree-3 sampling for
     support reasons alone.
     """
-    if as_int(n, "n") < 1:
-        raise ValueError("dimension must be at least 1")
-    if as_int(mode_bound, "mode_bound") < 1:
-        raise ValueError("mode bound must be at least 1")
+    as_dimension(n)
+    as_positive(mode_bound, "mode_bound")
     limit = ((2 * mode_bound + 1) ** (2 * n) - 1) // 2
     if not 1 <= as_int(pairs, "pairs") <= limit:
         raise ValueError(

@@ -362,15 +362,14 @@ def named_scalar(pot, name, extra=0):
     weight = scalar_weight(name)
     as_count(extra, "extra")
     _check_grade(pot, name, weight)
-    if name.startswith("lap"):
+    if name.endswith("S"):
+        # S is lap^0 S
         k = weight - 1
         pkg = curvature_package(pot, k + extra)
         f = pkg.S
         for _ in range(k):
             f = pkg.laplacian(f)
         return f.at_zero()
-    if name == "S":
-        return curvature_package(pot, extra).S.at_zero()
     if name == "abs_R2":
         return curvature_package(pot, extra).curvature_norm2().at_zero()
     if name == "abs_Ric2":

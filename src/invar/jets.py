@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_gauss, as_int, format_fraction
+from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_int, format_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
 
@@ -29,12 +29,6 @@ __all__ = [
     "random_hermitian_jets",
     "jet_keys_up_to_grade",
 ]
-
-
-def _check_dimension(n):
-    if as_int(n, "n") < 1:
-        raise ValueError("need at least one complex dimension")
-    return n
 
 
 def _check_key(key, n):
@@ -56,7 +50,7 @@ class Potential:
     __slots__ = ("n", "ring", "jets")
 
     def __init__(self, n, ring, jets):
-        self.n = _check_dimension(n)
+        self.n = as_dimension(n)
         self.ring = ring
         clean = {}
         for key, v in jets.items():
@@ -129,7 +123,7 @@ class Potential:
 
 def jet_keys_up_to_grade(n, grade_cap):
     """All normal-form jet index pairs with doubled weight <= grade_cap."""
-    _check_dimension(n)
+    as_dimension(n)
     as_count(grade_cap, "grade_cap")
     out = []
     for ka in range(2, grade_cap + 1):
@@ -142,7 +136,7 @@ def jet_keys_up_to_grade(n, grade_cap):
 
 def fubini_study_jets(n, max_order) -> dict:
     """Jets of log(1 + |z|^2) - |z|^2 through the given total order."""
-    _check_dimension(n)
+    as_dimension(n)
     as_count(max_order, "max_order")
     jets = {}
     for k in range(2, max_order // 2 + 1):

@@ -29,6 +29,20 @@ def as_count(value, field: str) -> int:
     return value
 
 
+def as_positive(value, field: str) -> int:
+    """An integer argument of at least 1, refused like as_int otherwise."""
+    if as_int(value, field) < 1:
+        raise ValueError(f"{field} must be at least 1, got {value}")
+    return value
+
+
+def as_dimension(n) -> int:
+    """A complex dimension: an integer of at least 1."""
+    if as_int(n, "n") < 1:
+        raise ValueError("need at least one complex dimension")
+    return n
+
+
 _RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 

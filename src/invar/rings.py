@@ -83,18 +83,13 @@ class GaussRing:
 class _DictRing:
     """Linear structure shared by the graded rings: an element is a dict from
     a key (a grade, or a symbol monomial) to a nonzero Gaussian rational.
-    Subclasses supply mul, conj, _params (what equality compares) and
-    _grade (the doubled weight of a key)."""
+    Subclasses supply mul, conj and _grade (the doubled weight of a key).
+    A ring is equal only to itself, so series combine only on one ring
+    object."""
 
     __slots__ = ()
 
     zero: dict = {}
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other._params() == self._params()
-
-    def __hash__(self):
-        return hash((type(self), self._params()))
 
     def add(self, x, y):
         out = dict(x)
@@ -136,9 +131,6 @@ class GradedRing(_DictRing):
 
     def __init__(self, cap):
         self.cap = cap
-
-    def _params(self):
-        return (self.cap,)
 
     @staticmethod
     def _grade(g):
@@ -192,9 +184,6 @@ class SymbolicRing(_DictRing):
     def __init__(self, cap, degree_cap=None):
         self.cap = cap
         self.degree_cap = degree_cap
-
-    def _params(self):
-        return (self.cap, self.degree_cap)
 
     @property
     def one(self):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from operator import add
 
 from .combinat import decrement
+from .rationals import as_count, as_dimension
 from .rings import SymbolicRing, _add_term
 
 __all__ = ["ScalarSeries"]
@@ -65,9 +66,12 @@ class ScalarSeries:
 
     def __init__(self, ring, n, cap, terms=None):
         self.ring = ring
-        self.n = n
-        # one int c is the square box (c, c)
-        self.cap = cap = (cap, cap) if isinstance(cap, int) else tuple(cap)
+        self.n = as_dimension(n)
+        if type(cap) is int:
+            cap = (cap, cap)  # one count c is the square box (c, c)
+        if not isinstance(cap, (tuple, list)) or len(cap) != 2:
+            raise ValueError(f"cap must be a count or a pair of counts, got {cap!r}")
+        self.cap = cap = (as_count(cap[0], "cap"), as_count(cap[1], "cap"))
         clean = {}
         if terms:
             for key, v in terms.items():

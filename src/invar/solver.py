@@ -19,7 +19,7 @@ from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
 from .monomials import PHI, ContractionMonomial, _check_restriction, _counts, _meets_floors
-from .rationals import as_fraction, as_int, format_fraction
+from .rationals import as_fraction, as_int, as_positive, format_fraction
 
 __all__ = [
     "NotCoexactError",
@@ -97,8 +97,7 @@ def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
     w + p, the column sums and free antiholomorphic slots w + q, so a
     restriction whose floors add up to more than either admits no monomial
     and nothing is walked."""
-    if as_int(sigma, "sigma") < 1:
-        raise ValueError(f"sigma must be at least 1, got {sigma}")
+    as_positive(sigma, "sigma")
     restriction = _check_restriction(restriction, sigma)
     p, q = _counts(valence, "valence")
     if as_int(w, "w") < 0:
@@ -269,8 +268,7 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     for unlucky draws; callers wanting a nonzero sample should redraw."""
     # checked before the cache lookup: (6.0, 3, ...) hashes like (6, 3, ...)
     as_int(weight, "weight")
-    if as_int(sigma, "sigma") < 1:
-        raise ValueError(f"sigma must be at least 1, got {sigma}")
+    as_positive(sigma, "sigma")
     rl = _check_restriction(restriction, sigma)
     tmonos = _column_space(weight, sigma, tuple(sorted(rl)))["tmonos"]
     total = zero_invariant(PHI, (0, 0))

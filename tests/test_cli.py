@@ -11,6 +11,8 @@ from invar.cli import main
 from invar.calculus import divergence
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from invar.rationals import GR_ONE, GaussRat
+from invar.rings import SymbolicRing
 from invar.solver import Decomposition
 
 SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
@@ -540,3 +542,96 @@ def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "file.json"])
     assert exc.value.code == 2
+
+
+def test_verify_a3_and_linear_suites_pass(capsys):
+    assert main(["verify", "a3", "--dim", "2", "--trials", "1"]) == 0
+    captured = capsys.readouterr()
+    assert [(r["check"], r["status"], r["dim"]) for r in report_lines(captured.out)] == [
+        ("a3", "ok", 2)
+    ]
+    assert "a3 == P_3 + div(Q) + lap^2(S)/8: exact [1 checks: ok]" in captured.err
+    assert main(["verify", "linear", "--dim", "1", "--order", "3"]) == 0
+    captured = capsys.readouterr()
+    rows = report_lines(captured.out)
+    assert [(r["check"], r["status"]) for r in rows] == [("linear", "ok")] * 3
+    assert [r["rhs"] for r in rows] == [f"{j}/{j + 1}! * lap^{j - 1}(S)" for j in (1, 2, 3)]
+    assert "[3 checks: ok]" in captured.err
+
+
+def test_a_failed_check_is_reported_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(
+        invar.cli, "kernel_coefficient_reference", lambda pot, j, extra=0: pot.ring.zero
+    )
+    assert main(["verify", "a1", "--dim", "1"]) == 1
+    captured = capsys.readouterr()
+    assert [r["status"] for r in report_lines(captured.out)] == ["failed"]
+    assert captured.err == "a1 check [1 checks: 1 FAILED]\n"
+
+
+def test_decompose_refuses_to_print_a_witness_that_fails_verification(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(invar.cli, "verify_decomposition", lambda inv, dec: False)
+    assert main(["decompose", write_inv(tmp_path, chern_invariant((2,)))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: witness failed re-verification\n"
+
+
+def test_oracle_refuses_a_one_form(tmp_path, capsys):
+    one_form = monomial_invariant(ContractionMonomial(PHI, ((2,),), (1,), (0,)))
+    argv = ["oracle", write_inv(tmp_path, one_form), "--dim", "1"]
+    assert_one_line_refusal(capsys, argv, "scalar invariants only")
+
+
+def test_bergman_refuses_a_dim_the_potential_file_does_not_have(tmp_path, capsys):
+    jet = {"alpha": [2], "beta": [2], "re": "3"}
+    path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
+    argv = ["bergman", "--dim", "2", "--potential", path, "--order", "1"]
+    assert_one_line_refusal(capsys, argv, "--dim 2 but potential file has n=1")
+
+
+def test_a_truncation_audit_that_sees_values_move_fails(capsys, monkeypatch):
+    real = invar.cli.bergman_coefficients
+    calls = []
+
+    def moving(pot, order):
+        calls.append(order)
+        out = real(pot, order)
+        return out if len(calls) == 1 else out[:-1] + [pot.ring.one]
+
+    monkeypatch.setattr(invar.cli, "bergman_coefficients", moving)
+    monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", "1")
+    assert main(["bergman", "--dim", "1", "--fubini-study", "--order", "2"]) == 1
+    captured = capsys.readouterr()
+    assert calls == [2, 2] and captured.out == ""
+    assert captured.err == "truncation audit FAILED: values moved with the cap\n"
+
+
+def test_a_roundtrip_draw_that_raises_is_a_failed_line(capsys, monkeypatch):
+    def broken(inv, restriction=None):
+        raise RuntimeError("no solve")
+
+    monkeypatch.setattr(invar.cli, "decompose", broken)
+    assert main(["verify", "roundtrip", "--trials", "2", "--seed", "4"]) == 1
+    captured = capsys.readouterr()
+    rows = report_lines(captured.out)
+    assert [(r["status"], r["lhs"]) for r in rows] == [("failed", "RuntimeError: no solve")] * 2
+    assert "[2 checks: 2 FAILED]" in captured.err
+
+
+def test_symbolic_values_render_with_every_sign_and_truncate_at_the_limit():
+    ring = SymbolicRing(8)
+    assert invar.cli._fmt_gauss(GaussRat(0, 2)) == "2*i"
+    assert invar.cli._fmt_gauss(GaussRat(Fraction(1, 2), -3)) == "1/2-3*i"
+    assert invar.cli._fmt_gauss(GaussRat(1, 1)) == "1+1*i"
+    assert invar.cli.fmt_element(ring, ring.zero) == "0"
+    assert invar.cli.fmt_element(ring, {(): GaussRat(0, -1)}) == "(-1*i)*1"
+    x = {(): GR_ONE}
+    for k in range(2, 7):
+        x = ring.add(x, ring.symbol(((k,), (2,))))
+    full = invar.cli.fmt_element(ring, x)
+    assert full == "(1)*1 + " + " + ".join(f"(1)*a[{k}|2]" for k in range(2, 7))
+    assert invar.cli.fmt_element(ring, x, limit=len(full)) == full
+    assert invar.cli.fmt_element(ring, x, limit=30) == full[:10] + " ... [6 terms]"

@@ -12,8 +12,17 @@ from math import gcd
 
 import pytest
 
+from invar.bergman import adjoint, build_A
+from invar.calculus import local_divergence
+from invar.chern import chern_basis, partitions_of
+from invar.combinat import compositions
+from invar.fourier import random_phi
+from invar.invariants import monomial_invariant
+from invar.jets import Potential
+from invar.monomials import PSI, scalar_monomial
 from invar.rationals import GR_ONE, GR_ZERO, GaussRat, as_fraction, as_gauss
 from invar.rings import GaussRing, GradedRing, SymbolicRing
+from invar.series import ScalarSeries
 
 
 class FractionPairGaussRat:
@@ -370,3 +379,65 @@ def test_equal_values_hash_alike(seed):
     assert 1 in {GaussRat(1)}
     assert GaussRat(Fraction(1, 2)) in {Fraction(1, 2)}
     assert len({GaussRat(1, 1), GaussRat(Fraction(2, 2), 1)}) == 1
+
+
+_TWO_FACTORS = monomial_invariant(scalar_monomial(PSI, ((1, 1), (1, 1))))
+_GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partitions_of(2.5), "n must be an integer"),
+        (lambda: partitions_of(True), "n must be an integer"),
+        (lambda: local_divergence(_TWO_FACTORS, 1.5), "k must be an integer"),
+        (lambda: local_divergence(_TWO_FACTORS, True), "k must be an integer"),
+        (lambda: next(compositions(2.5, 2)), "total must be an integer"),
+        (lambda: next(compositions(True, 2)), "total must be an integer"),
+        (lambda: next(compositions(2, 1.5)), "parts must be an integer"),
+        (lambda: build_A(_GRADED, 1.5), "jmax must be an integer"),
+        (lambda: build_A(_GRADED, True), "jmax must be an integer"),
+        (lambda: adjoint({}, _GRADED.ring, 1, 1.5), "jprime_cap must be an integer"),
+        (lambda: ScalarSeries(GaussRing(), 1, (2.5, 2.5)), "cap must be an integer"),
+        (lambda: ScalarSeries(GaussRing(), 1.5, 2), "n must be an integer"),
+        (lambda: _GRADED.series(2.5), "cap must be a count or a pair of counts"),
+        (lambda: chern_basis(1.5), "sigma must be an integer"),
+        (lambda: chern_basis(True), "sigma must be an integer"),
+        (lambda: chern_basis(0), "sigma must be at least 1, got 0$"),
+        (lambda: random_phi(0), "need at least one complex dimension"),
+    ],
+    ids=[
+        "partitions-float",
+        "partitions-bool",
+        "local-divergence-float",
+        "local-divergence-bool",
+        "compositions-total-float",
+        "compositions-total-bool",
+        "compositions-parts-float",
+        "build-A-float",
+        "build-A-bool",
+        "adjoint-float",
+        "series-cap-floats",
+        "series-n-float",
+        "potential-series-float",
+        "chern-basis-float",
+        "chern-basis-bool",
+        "chern-basis-zero",
+        "random-phi-zero",
+    ],
+)
+def test_integer_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+def test_a_graded_or_symbolic_ring_is_equal_only_to_itself():
+    for make in (lambda: GradedRing(4), lambda: SymbolicRing(4, 1)):
+        ring, twin = make(), make()
+        assert ring == ring and ring != twin
+        x, y = ScalarSeries.one(ring, 1, 2), ScalarSeries.one(twin, 1, 2)
+        assert x == ScalarSeries.one(ring, 1, 2) and x != y
+        for combine in (x.add, x.mul):
+            with pytest.raises(ValueError, match="^series mismatch$"):
+                combine(y)
+    assert GaussRing() == GaussRing()
