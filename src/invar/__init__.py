@@ -24,7 +24,6 @@ from .chern import (
 from .fourier import FourierFunction, eval_integral, pairing, random_phi
 from .geometry import (
     CurvaturePackage,
-    NAMED_SCALARS,
     curvature_package,
     evaluate,
     kernel_coefficient_reference,
@@ -100,7 +99,6 @@ __all__ = [
     "scalar_weight",
     "todd_polynomial",
     "kernel_coefficient_reference",
-    "NAMED_SCALARS",
     "build_A",
     "adjoint",
     "bergman_coefficients",

@@ -130,7 +130,7 @@ def build_A(pot, jmax):
     return convolve(det, expo, ring, jmax)
 
 
-def adjoint(terms, ring, n, jprime_cap):
+def adjoint(terms, ring, jprime_cap):
     """Termwise adjoint of a normal-ordered symbol.
 
     In the linear theory (degree cap 1) A is 1 - H t + tr(g - 1), and after
@@ -179,7 +179,7 @@ def bergman_coefficients(pot, jmax):
             f"jmax {jmax} needs grade {2 * jmax}, above the ring's grade cap {ring.cap}"
         )
     A = build_A(pot, jmax)
-    Astar = adjoint(A, ring, n, jmax)
+    Astar = adjoint(A, ring, jmax)
     E = dict(Astar)
     ident = _zero_key(n)
     _add_term(E, ident, ring.neg(ring.one), ring)

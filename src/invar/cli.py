@@ -6,8 +6,9 @@ JSON-lines reports with fields check/status/lhs/rhs/dim/seed); the human
 summary goes to stderr.  Exit codes: 0 success, 1 verification failure, a
 not-co-exact input or no witness under the restriction, 2 malformed input.
 
-Set INVAR_TRUNCATION_AUDIT=1 to re-run kernel computations with enlarged
-series caps and fail if any value moves.
+Set INVAR_TRUNCATION_AUDIT=1 to audit truncation: bergman recomputes from
+the potential rebuilt at one more weight, verify a1-a3 read the closed forms
+on series boxes two wider; either fails if any value moves.
 """
 
 from __future__ import annotations

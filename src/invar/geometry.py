@@ -33,7 +33,6 @@ __all__ = [
     "todd_polynomial",
     "todd_gammas",
     "kernel_coefficient_reference",
-    "NAMED_SCALARS",
 ]
 
 
@@ -327,21 +326,6 @@ def todd_polynomial(pot, j):
     return evaluate(todd, pot)
 
 
-NAMED_SCALARS = (
-    "S",
-    "lap_S",
-    "lap2_S",
-    "lap3_S",
-    "lap4_S",
-    "abs_R2",
-    "abs_Ric2",
-    "P1",
-    "P2",
-    "P3",
-    "div_Q",
-)
-
-
 # lap_S, lap<k>_S for k >= 2 and P<j>, no count with a leading zero, so
 # each scalar has one spelling
 _COUNTED_NAME = re.compile(r"lap(?P<k>[2-9]|[1-9]\d+)?_S|P(?P<j>0|[1-9]\d*)")
@@ -358,7 +342,9 @@ def scalar_weight(name) -> int:
 
 
 def named_scalar(pot, name, extra=0):
-    """Value of a named curvature scalar at the center, exactly."""
+    """Value of a named curvature scalar at the center, exactly: S, lap_S,
+    lap<k>_S (lap^k S, k >= 2), abs_R2, abs_Ric2, div_Q or P<j>, each count
+    written without a leading zero."""
     weight = scalar_weight(name)
     as_count(extra, "extra")
     _check_grade(pot, name, weight)

@@ -165,16 +165,11 @@ def random_hermitian_jets(n, weight_cap, rng) -> dict:
         if key in jets:
             continue
         re = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3))
-        if a == b:
-            v = GaussRat(re)
-            if not v:
-                continue
-            jets[key] = v
-        else:
-            im = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3))
-            v = GaussRat(re, im)
-            if not v:
-                continue
-            jets[key] = v
-            jets[(b, a)] = v.conjugate()
+        # a diagonal jet is real: its conjugate rewrites it under the same key
+        im = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)) if a != b else 0
+        v = GaussRat(re, im)
+        if not v:
+            continue
+        jets[key] = v
+        jets[(b, a)] = v.conjugate()
     return jets

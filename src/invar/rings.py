@@ -14,8 +14,11 @@ Three interchangeable rings sit under the power series and kernel pipeline:
   linearized theory).
 
 Elements are plain values (GaussRat, dict of grades, dict of monomials);
-all arithmetic goes through the ring object so generic code never needs to
-know which representation it is holding.
+all arithmetic goes through the ring object.  Code that needs more than
+arithmetic branches on the ring class: the CLI prints a GradedRing element
+as one total, the kernel pipeline refuses a GaussRing and the grade check
+skips it, only a GaussRing potential serializes, and series products prune
+by grade only on a SymbolicRing.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ class GaussRing:
     def neg(self, x):
         return -x
 
-    def sub(self, x, y):
-        return x - y
-
     def mul(self, x, y):
         return x * y
 
@@ -103,9 +103,6 @@ class _DictRing:
 
     def neg(self, x):
         return {k: -c for k, c in x.items()}
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def scale(self, x, c):
         if type(c) is not int:

@@ -83,13 +83,9 @@ class ScalarSeries:
         self._index = None
 
     @classmethod
-    def constant(cls, ring, n, cap, value):
-        zero = (0,) * n
-        return cls(ring, n, cap, {(zero, zero): value})
-
-    @classmethod
     def one(cls, ring, n, cap):
-        return cls.constant(ring, n, cap, ring.one)
+        zero = (0,) * as_dimension(n)
+        return cls(ring, n, cap, {(zero, zero): ring.one})
 
     def _like(self, cap, terms):
         out = ScalarSeries.__new__(ScalarSeries)

@@ -264,8 +264,11 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     """Random input that integrates to zero by construction: a rational
     combination of cycle invariants when the weight admits them, plus
     divergences of random acceptable one-forms, drawn from the block's cached
-    generators (the column space decompose solves in).  May come out empty
-    for unlucky draws; callers wanting a nonzero sample should redraw."""
+    generators (the column space decompose solves in).  A block with no
+    acceptable one-form of weight w - 1 and w != 2 sigma (under the default
+    restriction, every w < 2 sigma) gives the empty invariant on every draw
+    and leaves rng untouched: a caller wanting a nonzero sample redraws on
+    another block.  Elsewhere an unlucky draw may still come out empty."""
     # checked before the cache lookup: (6.0, 3, ...) hashes like (6, 3, ...)
     as_int(weight, "weight")
     as_positive(sigma, "sigma")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from invar.calculus import first_slot_residue, local_divergence
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 
@@ -156,3 +157,48 @@ def test_from_json_rejects_garbage():
         Invariant.from_json_dict({"valence": [0, 0]})
     with pytest.raises((ValueError, KeyError, TypeError)):
         Invariant.from_json_dict({"valence": [0, 0], "terms": [{"coeff": "1"}]})
+
+
+def _term(kind):
+    return {"monomial": scalar_monomial(kind, ((2,),)).to_json_dict(), "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: local_divergence(
+                monomial_invariant(ContractionMonomial(PSI, ((1, 1), (1, 1)), (1, 0), (0, 0))), 1
+            ),
+            "local_divergence expects a scalar invariant",
+        ),
+        (
+            lambda: first_slot_residue(
+                monomial_invariant(ContractionMonomial(PHI, ((1,),), (1,), (0,)))
+            ),
+            "the integral test expects a scalar invariant",
+        ),
+        (
+            lambda: ContractionMonomial.from_json_dict({"kind": PHI, "edges": [[2]], "sigma": 2}),
+            "sigma does not match edge matrix size",
+        ),
+        (
+            lambda: lap2_phi().multiply(monomial_invariant(scalar_monomial(PSI, ((2,),)))),
+            "cannot multiply invariants of different kind",
+        ),
+        (
+            lambda: Invariant.from_json_dict({"terms": [_term(PHI), _term(PSI)]}),
+            "mixed monomial kinds in invariant",
+        ),
+    ],
+    ids=[
+        "local-divergence-one-form",
+        "residue-one-form",
+        "monomial-sigma-mismatch",
+        "multiply-across-kinds",
+        "json-mixed-kinds",
+    ],
+)
+def test_malformed_inputs_are_refused_by_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -12,7 +12,6 @@ from invar.bergman import bergman_coefficients
 from invar.chern import chern_invariant, partitions_of
 from invar.combinat import cycle_successor, perm_sign
 from invar.geometry import (
-    NAMED_SCALARS,
     CurvaturePackage,
     curvature_package,
     evaluate,
@@ -580,8 +579,8 @@ def test_scalar_weights():
         "P3": 3,
         "div_Q": 3,
     }
-    for name in NAMED_SCALARS:
-        assert scalar_weight(name) == weights[name]
+    for name, weight in weights.items():
+        assert scalar_weight(name) == weight
     with pytest.raises(ValueError):
         scalar_weight("curvature")
     with pytest.raises(ValueError):

@@ -397,9 +397,11 @@ _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
         (lambda: next(compositions(2, 1.5)), "parts must be an integer"),
         (lambda: build_A(_GRADED, 1.5), "jmax must be an integer"),
         (lambda: build_A(_GRADED, True), "jmax must be an integer"),
-        (lambda: adjoint({}, _GRADED.ring, 1, 1.5), "jprime_cap must be an integer"),
+        (lambda: adjoint({}, _GRADED.ring, 1.5), "jprime_cap must be an integer"),
         (lambda: ScalarSeries(GaussRing(), 1, (2.5, 2.5)), "cap must be an integer"),
         (lambda: ScalarSeries(GaussRing(), 1.5, 2), "n must be an integer"),
+        (lambda: ScalarSeries.one(GaussRing(), 1.5, 2), "n must be an integer"),
+        (lambda: ScalarSeries.one(GaussRing(), "2", 2), "n must be an integer"),
         (lambda: _GRADED.series(2.5), "cap must be a count or a pair of counts"),
         (lambda: chern_basis(1.5), "sigma must be an integer"),
         (lambda: chern_basis(True), "sigma must be an integer"),
@@ -419,6 +421,8 @@ _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
         "adjoint-float",
         "series-cap-floats",
         "series-n-float",
+        "series-one-n-float",
+        "series-one-n-string",
         "potential-series-float",
         "chern-basis-float",
         "chern-basis-bool",

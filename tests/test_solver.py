@@ -194,6 +194,18 @@ def test_random_coexact_samples_integrate_to_zero():
     assert seen_nonzero
 
 
+@pytest.mark.parametrize("weight, sigma", [(3, 2), (3, 3), (4, 3), (5, 3)])
+def test_a_block_without_one_forms_draws_empty_every_time(weight, sigma):
+    # w != 2 sigma, so no cycle invariants either: redrawing here never ends
+    for valence in ((1, 0), (0, 1)):
+        assert enumerate_monomials(weight - 1, sigma, None, valence) == []
+    for seed in range(50):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert not random_coexact_invariant(weight, sigma, rng)
+        assert rng.getstate() == state
+
+
 def test_decomposition_json_round_trip():
     rng = random.Random(31)
     inv = zero_invariant()
