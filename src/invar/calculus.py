@@ -9,8 +9,8 @@ the stable dimension range; low-dimensional identities are out of scope.
 
 Both divergences and the integral test are one Leibniz expansion: each
 released derivative lands on one of the cells its contraction allows, and
-placements collect on bare edge matrices before any monomial is built, one
-per distinct nonzero matrix.
+placements collect on bare edge matrices before any monomial is built, at
+most one per distinct nonzero matrix.
 
 A phi-invariant is never polarized.  Its multilinear form is the average of
 its sigma! factor relabelings, and integrating off slot 1 of a relabeling is
@@ -129,19 +129,30 @@ def _leibniz(placements):
 
 
 def _collect(kind, acc, q):
-    """The scalar invariant of _leibniz's accumulation: one monomial per
-    distinct nonzero matrix."""
-    terms = []
+    """The scalar invariant of _leibniz's accumulation: each distinct nonzero
+    matrix's numerator is added to its canonical monomial in the order and
+    with the cancel-and-delete rule of ``Invariant``'s constructor."""
+    nums = {}
     for flat, num in acc.items():
         if num:
-            rows = _rows(flat)
-            terms.append((ContractionMonomial(kind, rows), Fraction(num, q)))
-    return Invariant(kind, (0, 0), terms)
+            mono = _canonical(kind, flat)
+            new = nums.get(mono, 0) + num
+            if new:
+                nums[mono] = new
+            else:
+                del nums[mono]
+    return Invariant._raw(kind, (0, 0), {m: Fraction(n, q) for m, n in nums.items()})
 
 
-def _rows(flat):
+def _canonical(kind, flat):
+    """The canonical scalar monomial of a bare flat edge matrix.  A phi hit
+    in the memo skips building and validating a monomial; psi keys never
+    enter it, and a psi monomial is its own canonical form."""
     s = isqrt(len(flat))
-    return tuple(flat[r : r + s] for r in range(0, s * s, s))
+    rows = tuple(flat[r : r + s] for r in range(0, s * s, s))
+    zeros = (0,) * s
+    mono = _CANONICAL_CACHE.get((kind, rows, zeros, zeros))
+    return mono if mono is not None else ContractionMonomial(kind, rows).canonical()
 
 
 def first_slot_residue(inv: Invariant) -> Invariant:
@@ -192,15 +203,5 @@ def _block_integrates_to_zero(inv):
     sigma = inv.homogeneous_degree() if inv.terms else 0
     if inv.kind == PSI or sigma < 2:
         return not first_slot_residue(inv)
-    acc, _ = _every_factor(inv)
-    zeros = (0,) * (sigma - 1)
-    orbits = {}
-    for flat, num in acc.items():
-        if num:
-            rows = _rows(flat)
-            # a hit is the orbit without building and validating a monomial
-            orbit = _CANONICAL_CACHE.get((PHI, rows, zeros, zeros))
-            if orbit is None:
-                orbit = ContractionMonomial(PHI, rows).canonical()
-            orbits[orbit] = orbits.get(orbit, 0) + num
-    return not any(orbits.values())
+    # Y collected on canonical phi-monomials is the sum over each orbit
+    return not _collect(PHI, *_every_factor(inv))

@@ -162,6 +162,8 @@ def _sorted_matrices(w, free_hol, free_anti, restriction):
 # (w, sigma, sorted restriction) -> column space.  One per process, filled one
 # block at a time by decompose and by draws (factored on a block's first solve);
 # never evicted and unbounded (a seed-0 decompose bench pass leaves 11 entries).
+# An entry's presence also orders decompose's integral test: after the solve
+# on a cached block, before the column build on an uncached one.
 _SYSTEM_CACHE: dict = {}
 
 
@@ -202,10 +204,15 @@ def _column_space(w, sigma, restriction):
 def decompose(inv: Invariant, restriction=None) -> Decomposition:
     """Witness decomposition of a co-exact scalar phi-invariant.
 
+    Every generator column is a Chern invariant or a divergence and
+    integrates to zero, so a found witness proves a block co-exact.  The
+    formal integral test runs before the columns are built on a block whose
+    column space is not cached, and on a cached one only if no witness is found.
+
     Raises NotCoexactError when the formal integral test fails,
     InfeasibleError when no witness exists over the generated columns, and
     ValueError on a non-scalar or psi input or a restriction list whose
-    length is not a block's factor count.
+    length is not a block's factor count (checked before the integral test).
     """
     if inv.kind != PHI:
         raise ValueError("decompose expects a phi-invariant")
@@ -222,14 +229,13 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
 
 
 def _decompose_block(block, w, sigma, restriction, result):
-    if not integrates_to_zero(block):
-        raise NotCoexactError(
-            f"block of weight {w}, degree {sigma} does not integrate to zero",
-            residue=first_slot_residue(block),
-        )
     rl = _check_restriction(restriction, sigma)
     # the list is matched to factors up to relabeling: one entry serves every order
-    entry = _column_space(w, sigma, tuple(sorted(rl)))
+    key = (w, sigma, tuple(sorted(rl)))
+    cold = key not in _SYSTEM_CACHE
+    if cold:
+        _require_coexact(block, w, sigma)
+    entry = _column_space(*key)
     rows = entry["rows"]
     # a target monomial that no generator column reaches has no witness
     if any(m not in rows for m in block.terms):
@@ -239,6 +245,8 @@ def _decompose_block(block, w, sigma, restriction, result):
             entry["system"] = LinearSystem(entry["columns"])
         x = entry["system"].solve({rows[m]: c for m, c in block.terms.items()})
     if x is None:
+        if not cold:
+            _require_coexact(block, w, sigma)
         raise InfeasibleError(
             f"no witness found for block of weight {w}, degree {sigma}"
         )
@@ -253,6 +261,14 @@ def _decompose_block(block, w, sigma, restriction, result):
         result.t_hol = result.t_hol + Invariant(PHI, (1, 0), hol)
     if anti:
         result.t_anti = result.t_anti + Invariant(PHI, (0, 1), anti)
+
+
+def _require_coexact(block, w, sigma):
+    if not integrates_to_zero(block):
+        raise NotCoexactError(
+            f"block of weight {w}, degree {sigma} does not integrate to zero",
+            residue=first_slot_residue(block),
+        )
 
 
 def verify_decomposition(inv: Invariant, dec: Decomposition) -> bool:

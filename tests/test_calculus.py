@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from invar import calculus, solver
 from invar.calculus import (
     divergence,
     first_slot_residue,
@@ -302,6 +304,20 @@ def test_residue_parity_on_coexact_draws(sigma, w, floor):
     assert drawn
 
 
+@pytest.mark.parametrize(
+    "sigma, w, floor",
+    _BENCH_BLOCKS,
+    ids=[f"s{s}-w{w}" + ("-r11" if f else "") for s, w, f in _BENCH_BLOCKS],
+)
+def test_every_generator_column_integrates_to_zero(sigma, w, floor):
+    """A witness proves a block co-exact only because each column does."""
+    entry = solver._column_space(w, sigma, (floor or (2, 2),) * sigma)
+    rows = list(entry["rows"])
+    assert entry["columns"]
+    for col in entry["columns"]:
+        assert integrates_to_zero(Invariant(PHI, (0, 0), [(rows[r], c) for r, c in col.items()]))
+
+
 def test_residue_parity_on_chern_invariants():
     for sigma in (1, 2, 3, 4):
         for p in partitions_of(sigma):
@@ -357,3 +373,57 @@ def test_no_hot_path_polarizes(monkeypatch):
         assert inv.degrees() in ({3}, {4})
         assert integrates_to_zero(inv)
         assert verify_decomposition(inv, decompose(inv, restriction))
+
+
+# -- reference parity: one monomial per nonzero matrix, collected by Invariant --
+
+
+def reference_collect(kind, acc, q):
+    terms = []
+    for flat, num in acc.items():
+        if num:
+            s = isqrt(len(flat))
+            rows = tuple(flat[r : r + s] for r in range(0, s * s, s))
+            terms.append((ContractionMonomial(kind, rows), Fraction(num, q)))
+    return Invariant(kind, (0, 0), terms)
+
+
+def assert_collect_parity(kind, acc, q, got):
+    want = reference_collect(kind, acc, q)
+    assert (got.kind, got.valence) == (want.kind, want.valence)
+    # insertion order included
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_collect_matches_the_constructor_in_order(monkeypatch):
+    calls = []
+    original = calculus._collect
+
+    def recorded(kind, acc, q):
+        out = original(kind, acc, q)
+        calls.append((kind, acc, q, out))
+        return out
+
+    monkeypatch.setattr(calculus, "_collect", recorded)
+    rng = random.Random(26)
+    for sigma in (1, 2, 3, 4):
+        for w in range(sigma + 1, sigma + 3):
+            for valence in ((1, 0), (0, 1)):
+                monos = enumerate_monomials(w - 1, sigma, [(1, 1)] * sigma, valence)
+                t = Invariant(PHI, valence, [(m, rng.randint(-3, 3)) for m in monos])
+                divergence(t)
+                divergence(t.polarize())
+            if sigma > 1:
+                pol = random_scalar_invariant(rng, sigma, w).polarize()
+                for k in range(1, sigma + 1):
+                    local_divergence(pol, k)
+    assert {kind for kind, *_ in calls} == {PHI, PSI}
+    for call in calls:
+        assert_collect_parity(*call)
+    # one orbit's relabelings cancel, and the orbit comes back after another
+    orbit = [(2, 0, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 2, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 2)]
+    other = (1, 1, 0, 0, 1, 1, 1, 0, 1)
+    acc = {orbit[0]: 1, other: 3, orbit[1]: -1, orbit[2]: 2}
+    got = original(PHI, acc, 5)
+    assert_collect_parity(PHI, acc, 5, got)
+    assert list(got.terms.values()) == [Fraction(3, 5), Fraction(2, 5)]

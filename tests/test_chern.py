@@ -66,7 +66,7 @@ def test_basis_sizes_and_homogeneity():
 
 
 def test_cycle_invariants_integrate_to_zero():
-    for sigma in (1, 2, 3):
+    for sigma in (1, 2, 3, 4):
         for p in partitions_of(sigma):
             assert integrates_to_zero(chern_invariant(p))
 

@@ -159,6 +159,16 @@ def test_decompose_restriction_failures_are_one_line(tmp_path, capsys):
 
 
 
+def test_decompose_refuses_a_wrong_length_list_before_the_integral_test(tmp_path, capsys):
+    # SQ does not integrate to zero, but the malformed list is named first
+    path = write_inv(tmp_path, SQ)
+    restrict = write_json(tmp_path, [[2, 2]], "caps.json")
+    assert main(["decompose", path, "--restrict", restrict]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restriction list length must equal the factor count\n"
+
+
 def assert_one_line_refusal(capsys, argv, field):
     assert main(argv) == 2
     captured = capsys.readouterr()

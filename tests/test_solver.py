@@ -255,3 +255,78 @@ def test_a_draw_refuses_a_non_integer_weight_after_a_cached_block():
     random_coexact_invariant(6, 3, rng)
     with pytest.raises(ValueError, match="^weight must be an integer"):
         random_coexact_invariant(6.0, 3, rng)
+
+
+# -- the integral test runs only where it decides something --
+
+SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+SQ_KEY = (4, 2, ((2, 2), (2, 2)))
+SQ_RESIDUE = monomial_invariant(scalar_monomial(PSI, ((4,),)))
+
+
+@pytest.fixture
+def integral_tests(monkeypatch):
+    """The blocks decompose runs the integral test on, from an empty cache."""
+    calls = []
+    original = solver.integrates_to_zero
+
+    def counted(inv):
+        calls.append(inv)
+        return original(inv)
+
+    monkeypatch.setattr(solver, "integrates_to_zero", counted)
+    monkeypatch.setattr(solver, "_SYSTEM_CACHE", {})
+    return calls
+
+
+def test_a_witness_on_a_warm_block_skips_the_integral_test(integral_tests):
+    inv = random_coexact_invariant(8, 3, random.Random(0))
+    assert verify_decomposition(inv, decompose(inv))
+    assert integral_tests == []
+
+
+def test_a_cold_block_is_tested_once_before_its_columns_are_built(integral_tests):
+    inv = random_coexact_invariant(8, 3, random.Random(0))
+    solver._SYSTEM_CACHE.clear()
+    assert verify_decomposition(inv, decompose(inv))
+    assert integral_tests == [inv]
+    with pytest.raises(NotCoexactError) as exc:
+        decompose(SQ)
+    assert exc.value.residue == SQ_RESIDUE
+    assert SQ_KEY not in solver._SYSTEM_CACHE
+    # a large block raises before its column space would be enumerated
+    diag = monomial_invariant(
+        scalar_monomial(PHI, [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    )
+    with pytest.raises(NotCoexactError, match="weight 10, degree 4"):
+        decompose(diag)
+    assert list(solver._SYSTEM_CACHE) == [(8, 3, ((2, 2),) * 3)]
+    assert len(integral_tests) == 3
+
+
+def test_a_non_coexact_block_raises_the_same_error_warm(integral_tests):
+    with pytest.raises(NotCoexactError) as cold:
+        decompose(SQ)
+    decompose(chern_invariant((2,)))
+    assert SQ_KEY in solver._SYSTEM_CACHE
+    with pytest.raises(NotCoexactError) as warm:
+        decompose(SQ)
+    assert str(warm.value) == str(cold.value)
+    assert warm.value.residue == cold.value.residue == SQ_RESIDUE
+    assert integral_tests == [SQ, chern_invariant((2,)), SQ]
+
+
+def test_an_unreachable_block_is_infeasible_cold_and_warm(integral_tests):
+    inv = divergence(monomial_invariant(ContractionMonomial(PHI, [[2]], [1], [0])))
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            decompose(inv, ((3, 3),))
+    # once before the cold build, once after the warm solve finds nothing
+    assert integral_tests == [inv, inv]
+    assert solver._SYSTEM_CACHE[(3, 1, ((3, 3),))]["system"] is None
+
+
+def test_a_wrong_length_list_is_refused_before_the_integral_test(integral_tests):
+    with pytest.raises(ValueError, match="^restriction list length must equal the factor count$"):
+        decompose(SQ, [(2, 2)])
+    assert integral_tests == []
