@@ -13,17 +13,20 @@ expansion.  The adjoint acts termwise by the calibrated reordering rule
 
 with j' = j + |g| - |d| and every sign plus, as the curvature anchors and
 the sign test require.  Every non-identity adjoint term sits at t-order
-<= -1, so the inverse is a finite geometric sum.  Multiplying left to right can only raise the accumulated
-z-degree, so only zero-z-degree states are kept; the j-th coefficient is
-the zero-state value at t-order -j, and the weight grading of the ring
-checks it comes out homogeneous.
+<= -1, so the inverse is a finite geometric sum.  The extractor walks it
+over states (z-degree b, t-order j) from (0, 0), keeping every state it
+reaches: a step reads an adjoint term (cz, dd, j') with b >= cz and moves
+to (b - cz + dd, j + j').  The j-th coefficient is the sum of the zero-z-degree
+states at t-order j, and the weight grading of the ring checks it comes
+out homogeneous.  Only the A terms that some walk from zero back to zero
+can read are adjointed.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, factorial, inf, perm, prod
 from operator import add
 
 from .combinat import decrement, perm_sign
@@ -55,21 +58,22 @@ def _add_keys(k1, k2):
     return tuple(map(add, g1, g2)), tuple(map(add, d1, d2)), j1 + j2
 
 
-def convolve(t1, t2, ring, jprime_cap):
+def convolve(t1, t2, ring, jprime_cap, j_cap=inf):
     """Commutative product of two symbol term dicts, used before the middle
-    slot is read as a derivative.  The t-order defect j' is additive and
-    anything past the cap can never reach the tracked coefficients.  A pair
+    slot is read as a derivative.  The t-order defect j' and the t-order j
+    are additive, and a pair past either cap is skipped.  A pair
     whose lowest ring grades or degrees sum past ring.caps has a zero
     product and is skipped before ring.mul, as is every zero product; pairs
     are visited t1 outer, t2 inner, which fixes the insertion order."""
     gcap, dcap = ring.caps
     out: dict = {}
-    inner = [(k2, v2, _defect(k2), *ring.lowest(v2)) for k2, v2 in t2.items()]
+    inner = [(k2, v2, _defect(k2), k2[2], *ring.lowest(v2)) for k2, v2 in t2.items()]
     for k1, v1 in t1.items():
         g1, d1 = ring.lowest(v1)
-        room, groom, droom = jprime_cap - _defect(k1), gcap - g1, dcap - d1
-        for k2, v2, o2, g2, d2 in inner:
-            if o2 > room or g2 > groom or d2 > droom:
+        room, jroom = jprime_cap - _defect(k1), j_cap - k1[2]
+        groom, droom = gcap - g1, dcap - d1
+        for k2, v2, o2, j2, g2, d2 in inner:
+            if o2 > room or j2 > jroom or g2 > groom or d2 > droom:
                 continue
             p = ring.mul(v1, v2)
             if not ring.is_zero(p):
@@ -86,7 +90,10 @@ def multiplication_terms(pot):
 
 
 def build_A(pot, jmax):
-    """Terms of A for the potential, pruned to reachable t-order defects."""
+    """Terms of A for the potential with t-order j and defect j' at most
+    jmax.  Both are additive and nonnegative on every factor, so partial
+    products past jmax are never formed.  Every term but the identity has
+    j >= 1 and j' >= 1, since a normal-form jet has |alpha|, |beta| >= 2."""
     as_count(jmax, "jmax")
     n = pot.n
     ring = pot.ring
@@ -111,7 +118,7 @@ def build_A(pot, jmax):
     for sigma in itertools.permutations(range(n)):
         product = one
         for a in range(n):
-            product = convolve(product, entries[a][sigma[a]], ring, jmax)
+            product = convolve(product, entries[a][sigma[a]], ring, jmax, jmax)
             if not product:
                 break
         sign = perm_sign(sigma)
@@ -123,11 +130,11 @@ def build_A(pot, jmax):
     k = 0
     while power:
         k += 1
-        power = convolve(power, mult, ring, jmax)
+        power = convolve(power, mult, ring, jmax, jmax)
         power = {key: ring.scale(v, Fraction(-1, k)) for key, v in power.items()}
         for key, v in power.items():
             _add_term(expo, key, v, ring)
-    return convolve(det, expo, ring, jmax)
+    return convolve(det, expo, ring, jmax, jmax)
 
 
 def adjoint(terms, ring, jprime_cap):
@@ -165,6 +172,16 @@ def adjoint(terms, ring, jprime_cap):
     return out
 
 
+def _readable(key, jmax):
+    """Whether the walk from z-degree zero back to zero within t-order jmax
+    can read an adjoint term of the A term key (derivation in the README)."""
+    g, d, _ = key
+    # the least derivative order and z-degree over kappa, both at kappa = min(g, d)
+    cz = sum(max(0, y - x) for x, y in zip(g, d))
+    dd = sum(max(0, x - y) for x, y in zip(g, d))
+    return cz <= max(0, jmax - 1 - _defect(key)) and dd <= max(0, jmax - 2)
+
+
 def bergman_coefficients(pot, jmax):
     """Exact expansion coefficients [a_0 .. a_jmax]; each comes out
     homogeneous of its own weight, asserted through the ring grading."""
@@ -179,15 +196,15 @@ def bergman_coefficients(pot, jmax):
             f"jmax {jmax} needs grade {2 * jmax}, above the ring's grade cap {ring.cap}"
         )
     A = build_A(pot, jmax)
-    Astar = adjoint(A, ring, jmax)
-    E = dict(Astar)
     ident = _zero_key(n)
-    _add_term(E, ident, ring.neg(ring.one), ring)
-    for (g, d, jp), v in E.items():
-        if jp < 1:
+    for key, v in A.items():
+        # the adjoint keeps j' and is injective on each t-order
+        if _defect(key) < 1 and (key != ident or v != ring.one):
             raise ArithmeticError(
                 "adjoint term at nonnegative t-order; inversion would not close"
             )
+    E = adjoint({k: v for k, v in A.items() if _readable(k, jmax)}, ring, jmax)
+    _add_term(E, ident, ring.neg(ring.one), ring)
     zero = (0,) * n
     X = {(zero, 0): ring.one}
     Q = {0: ring.one}

@@ -3,12 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm, prod
+from operator import sub
 
 import pytest
 
+from invar import bergman
 from invar.bergman import (
     _add_term,
+    _defect,
+    _readable,
     _zero_key,
     adjoint,
     bergman_coefficients,
@@ -329,3 +333,184 @@ def test_weights_above_the_grade_cap_are_refused():
             kernel_coefficient_reference(pot, 3)
     full = Potential.graded_numeric(2, fubini_study_jets(2, 8), 3)
     assert bergman_coefficients(full, 3)[2] == {4: GaussRat(2)}
+
+
+def reference_build_A(pot, jmax):
+    """A with no t-order cut: the products are pruned by the defect j' alone."""
+    n, ring = pot.n, pot.ring
+    one = {_zero_key(n): ring.one}
+    entries = [[dict() for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                entries[a][b][_zero_key(n)] = ring.one
+            for (alpha, beta), v in pot.jets.items():
+                if alpha[a] and beta[b]:
+                    db = tuple(x - (i == b) for i, x in enumerate(beta))
+                    da = tuple(x - (i == a) for i, x in enumerate(alpha))
+                    _add_term(entries[a][b], (da, db, sum(db)), ring.scale(v, alpha[a] * beta[b]), ring)
+    det = {}
+    for sigma in itertools.permutations(range(n)):
+        product = one
+        for a in range(n):
+            product = convolve(product, entries[a][sigma[a]], ring, jmax)
+        inversions = sum(x > y for x, y in itertools.combinations(sigma, 2))
+        for key, v in product.items():
+            _add_term(det, key, ring.neg(v) if inversions % 2 else v, ring)
+    expo, power, k = dict(one), dict(one), 0
+    while power:
+        k += 1
+        power = convolve(power, multiplication_terms(pot), ring, jmax)
+        power = {key: ring.scale(v, Fraction(-1, k)) for key, v in power.items()}
+        for key, v in power.items():
+            _add_term(expo, key, v, ring)
+    return convolve(det, expo, ring, jmax)
+
+
+def reference_bergman_coefficients(pot, jmax):
+    """The extractor before the readability filter: the full A, the adjoint
+    of every term and the same walk over states (z-degree, t-order)."""
+    n, ring = pot.n, pot.ring
+    ident, zero = _zero_key(n), (0,) * n
+    E = adjoint(reference_build_A(pot, jmax), ring, jmax)
+    _add_term(E, ident, ring.neg(ring.one), ring)
+    if any(jp < 1 for (_, _, jp) in E):
+        raise ArithmeticError("adjoint term at nonnegative t-order")
+    X, Q = {(zero, 0): ring.one}, {0: ring.one}
+    for _ in range(jmax):
+        Xn: dict = {}
+        for (b, j), xv in X.items():
+            for (cz, dd, j2), ev in E.items():
+                mult = prod(map(perm, b, cz))
+                if j + j2 > jmax or not mult:
+                    continue
+                nb = tuple(bi - ci + di for bi, ci, di in zip(b, cz, dd))
+                contrib = ring.scale(ring.mul(xv, ev), -mult)
+                if not ring.is_zero(contrib):
+                    _add_term(Xn, (nb, j + j2), contrib, ring)
+        X = Xn
+        for (b, j), xv in X.items():
+            if b == zero:
+                Q[j] = ring.add(Q.get(j, ring.zero), xv)
+    return [ring.split_grades(Q.get(j, ring.zero)).get(2 * j, ring.zero) for j in range(jmax + 1)]
+
+
+def _parity_cases():
+    for n in (1, 2, 3):
+        for jmax in range(1, 5):
+            for seed in range(3):
+                jets = random_hermitian_jets(n, jmax, random.Random(10 * n + seed))
+                yield Potential.graded_numeric(n, jets, jmax), jmax
+        for jmax in range(4):
+            yield Potential.graded_numeric(n, fubini_study_jets(n, 2 * jmax + 2), max(jmax, 1)), jmax
+    for n, top in ((1, 3), (2, 3)):
+        for j in range(top + 1):
+            yield Potential.symbolic(n, max(j, 1)), j
+    for j in range(6):
+        yield Potential.symbolic(1, max(j, 1), linear=True), j
+
+
+def test_extractor_matches_the_unfiltered_reference_in_order():
+    """Cutting A at t-order jmax and adjointing only readable terms leaves
+    every coefficient equal, item order included."""
+    for pot, jmax in _parity_cases():
+        got = bergman_coefficients(pot, jmax)
+        want = reference_bergman_coefficients(pot, jmax)
+        assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (pot.n, jmax)
+
+
+def _walk_keys(E, n, jmax):
+    """Adjoint keys read on some walk from z-degree zero back to zero,
+    found from keys alone: states reachable from (0, 0) that step, through
+    the key, to a state that can reach z-degree zero."""
+    zero = (0,) * n
+
+    def steps(state):
+        b, j = state
+        for key in E:
+            cz, dd, jp = key
+            if j + jp <= jmax and all(x >= c for x, c in zip(b, cz)):
+                yield key, (tuple(x - c + e for x, c, e in zip(b, cz, dd)), j + jp)
+
+    reach, todo = {(zero, 0)}, [(zero, 0)]
+    while todo:
+        for _, nxt in steps(todo.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+    back = {s for s in reach if s[0] == zero}
+    for s in sorted(reach, key=lambda s: -s[1]):
+        if any(nxt in back for _, nxt in steps(s)):
+            back.add(s)
+    return {key for s in reach for key, nxt in steps(s) if nxt in back}
+
+
+def _soundness_cases():
+    for n, jmax in ((1, 2), (1, 4), (2, 3), (2, 4), (3, 3), (3, 4)):
+        for seed in range(4):
+            jets = random_hermitian_jets(n, jmax, random.Random(seed))
+            yield Potential.graded_numeric(n, jets, jmax), jmax
+    yield Potential.symbolic(1, 4), 4
+    yield Potential.symbolic(2, 3), 3
+
+
+def test_every_read_adjoint_term_comes_from_a_readable_A_term():
+    """Soundness of the filter, checked on keys with no values: every key
+    of the full adjoint that a walk from zero back to zero reads passes the
+    bound, every A term that adjoints onto it is readable, and every
+    non-identity A term has j >= 1 and j' >= 1."""
+    reads = 0
+    for pot, jmax in _soundness_cases():
+        ring, ident = pot.ring, _zero_key(pot.n)
+        A = reference_build_A(pot, jmax)
+        E = adjoint(A, ring, jmax)
+        E.pop(ident)
+        read = _walk_keys(E, pot.n, jmax)
+        reads += len(read)
+        for cz, dd, jp in read:
+            assert sum(cz) <= max(0, jmax - 1 - jp) and sum(dd) <= max(0, jmax - 2)
+        for key in A:
+            if key == ident:
+                continue
+            g, d, j = key
+            assert j >= 1 and _defect(key) >= 1
+            ranges = [range(min(x, y) + 1) for x, y in zip(g, d)]
+            images = {
+                (tuple(map(sub, d, k)), tuple(map(sub, g, k)), _defect(key))
+                for k in itertools.product(*ranges)
+            }
+            if images & read:
+                assert _readable(key, jmax)
+            if _readable(key, jmax) and _defect(key) <= jmax:
+                assert j <= jmax
+        # build_A is the reference cut at t-order jmax, in the same order
+        cut = [(k, v) for k, v in A.items() if k[2] <= jmax]
+        assert list(build_A(pot, jmax).items()) == cut
+    assert reads == 73
+
+
+def test_adjoint_gets_only_the_readable_terms(monkeypatch):
+    """The terms adjoint receives inside the extractor.  A Fubini-Study
+    potential is diagonal (g = d on every term), so all 40 terms of A are
+    readable; a seeded and a symbolic potential keep 13 of 47 and 90 of
+    396."""
+    sizes = []
+    full = bergman.adjoint
+    monkeypatch.setattr(bergman, "adjoint", lambda t, r, c: sizes.append(len(t)) or full(t, r, c))
+    bergman_coefficients(Potential.graded_numeric(2, fubini_study_jets(2, 8), 3), 3)
+    bergman_coefficients(Potential.graded_numeric(2, random_hermitian_jets(2, 3, random.Random(2)), 3), 3)
+    bergman_coefficients(Potential.symbolic(2, 3), 3)
+    assert sizes == [40, 13, 90]
+
+
+def test_t_order_check_sees_terms_the_filter_drops(monkeypatch):
+    """A term the readability bound drops still fails the t-order check,
+    as does an identity coefficient other than one."""
+    pot = Potential.graded_numeric(1, {}, 1)
+    one = pot.ring.one
+    unreadable = ((0,), (5,), 2)
+    assert _defect(unreadable) == -3 and not _readable(unreadable, 1)
+    for A in ({IDENT1: one, unreadable: one}, {IDENT1: pot.ring.scale(one, 2)}):
+        monkeypatch.setattr(bergman, "build_A", lambda pot, jmax, A=A: dict(A))
+        with pytest.raises(ArithmeticError, match="nonnegative t-order"):
+            bergman_coefficients(pot, 1)
