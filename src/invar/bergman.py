@@ -61,10 +61,11 @@ def _add_keys(k1, k2):
 def convolve(t1, t2, ring, jprime_cap, j_cap=inf):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order defect j' and the t-order j
-    are additive, and a pair past either cap is skipped.  A pair
-    whose lowest ring grades or degrees sum past ring.caps has a zero
-    product and is skipped before ring.mul, as is every zero product; pairs
-    are visited t1 outer, t2 inner, which fixes the insertion order."""
+    are additive, and a pair past either cap is skipped.  A pair whose
+    lowest ring grades or degrees sum past ring.caps has a zero product and
+    is skipped before ring.mul (only a SymbolicRing prunes so; see rings),
+    as is every zero product; pairs are visited t1 outer, t2 inner, which
+    fixes the insertion order."""
     gcap, dcap = ring.caps
     out: dict = {}
     inner = [(k2, v2, _defect(k2), k2[2], *ring.lowest(v2)) for k2, v2 in t2.items()]

@@ -184,9 +184,17 @@ def cmd_canon(args):
     return 0
 
 
+# chern_invariant canonicalizes sigma! terms whose signatures all tie, so its
+# cost grows as sigma!^2: degree sigma = 6 took 1.6 s and 7 over 80 s
+_CHERN_DEGREE_LIMIT = 6
+
+
 def cmd_chern(args):
     try:
-        inv = chern_invariant(tuple(int(v) for v in args.partition.split(",")))
+        parts = tuple(int(v) for v in args.partition.split(","))
+        if sum(parts) > _CHERN_DEGREE_LIMIT:
+            raise ValueError(f"degree {sum(parts)} is above the limit {_CHERN_DEGREE_LIMIT}")
+        inv = chern_invariant(parts)
     except ValueError as exc:
         raise InputError(f"bad partition {args.partition!r}: {exc}") from exc
     _emit(args, inv.to_json_dict())

@@ -96,9 +96,6 @@ class Invariant:
     def degrees(self) -> set:
         return {m.sigma for m in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1 and len(self.degrees()) <= 1
-
     def homogeneous_degree(self) -> int:
         degs = self.degrees()
         if len(degs) != 1:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_int, format_fraction
+from .rationals import GaussRat, as_count, as_dimension, as_gauss, format_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
-from .series import ScalarSeries
+from .series import ScalarSeries, _check_index
 
 __all__ = [
     "Potential",
@@ -32,13 +32,7 @@ __all__ = [
 
 
 def _check_key(key, n):
-    alpha, beta = key
-    alpha = tuple(as_int(v, "alpha") for v in alpha)
-    beta = tuple(as_int(v, "beta") for v in beta)
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError(f"jet index {key} does not match dimension {n}")
-    if min(alpha + beta, default=0) < 0:
-        raise ValueError(f"negative jet index {key}")
+    alpha, beta = _check_index(key, n)
     if sum(alpha) < 2 or sum(beta) < 2:
         raise ValueError(
             f"jet {key} is not in normal form; need order >= 2 in z and zbar"
@@ -81,9 +75,6 @@ class Potential:
         ring = SymbolicRing(2 * weight_cap, degree_cap=1 if linear else None)
         jets = {key: ring.symbol(key) for key in keys}
         return cls(n, ring, jets)
-
-    def max_order(self):
-        return max((sum(a) + sum(b) for a, b in self.jets), default=0)
 
     def is_hermitian(self) -> bool:
         ring = self.ring

@@ -87,27 +87,12 @@ class ContractionMonomial:
         return sum(x for row in self.edges for x in row)
 
     @property
-    def degree(self) -> int:
-        return self.sigma
-
-    @property
-    def geometric_weight(self) -> int:
-        return self.weight - self.sigma
-
-    @property
     def trace_count(self) -> int:
         return sum(self.edges[i][i] for i in range(self.sigma))
 
     @property
     def valence(self):
         return (sum(self.free_hol), sum(self.free_anti))
-
-    def order(self, restriction=None) -> int:
-        """Total derivative excess over the restriction list (default all (2,2))."""
-        restriction = _check_restriction(restriction, self.sigma)
-        return sum(
-            self.A(i) + self.B(i) - a - b for i, (a, b) in enumerate(restriction)
-        )
 
     def is_acceptable(self, restriction=None) -> bool:
         """Floors met: by phi factors up to relabeling, by psi factors in place."""
@@ -117,10 +102,6 @@ class ContractionMonomial:
         return all(
             self.A(i) >= a and self.B(i) >= b for i, (a, b) in enumerate(restriction)
         )
-
-    def special_contraction_count(self, i: int, j: int) -> int:
-        """Contractions psi^i_sbar psi^j_s: holomorphic slot on j, anti on i."""
-        return self.edges[j][i]
 
     # -- transformations ---------------------------------------------------
 
@@ -210,12 +191,16 @@ def _counts(values, field):
 def _check_restriction(restriction, sigma):
     if restriction is None:
         return ((2, 2),) * sigma
-    restriction = tuple(
-        (as_int(a, "restriction"), as_int(b, "restriction")) for a, b in restriction
-    )
+    restriction = tuple(map(_floor_pair, restriction))
     if len(restriction) != sigma:
         raise ValueError("restriction list length must equal the factor count")
     return restriction
+
+
+def _floor_pair(entry):
+    if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+        raise ValueError(f"restriction entries must be [alpha, beta] pairs, got {entry!r}")
+    return as_int(entry[0], "restriction"), as_int(entry[1], "restriction")
 
 
 def _meets_floors(sigs, restriction):

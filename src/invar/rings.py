@@ -17,8 +17,9 @@ Elements are plain values (GaussRat, dict of grades, dict of monomials);
 all arithmetic goes through the ring object.  Code that needs more than
 arithmetic branches on the ring class: the CLI prints a GradedRing element
 as one total, the kernel pipeline refuses a GaussRing and the grade check
-skips it, only a GaussRing potential serializes, and series products prune
-by grade only on a SymbolicRing.
+skips it, and only a GaussRing potential serializes.  Whether a product is
+worth forming is the ring's own answer (caps against lowest): only a
+SymbolicRing prunes, and the numeric rings share one never-prune answer.
 """
 
 from __future__ import annotations
@@ -42,15 +43,25 @@ def _add_term(terms, key, value, ring):
         terms[key] = s
 
 
-class GaussRing:
+class _NeverPrunes:
+    """The numeric rings' prune answer: no grade or degree to cap, so every
+    product passes caps against lowest().  Only SymbolicRing overrides it."""
+
+    __slots__ = ()
+
+    caps = (0, 0)
+
+    def lowest(self, x):
+        return 0, 0
+
+
+class GaussRing(_NeverPrunes):
     """Plain Gaussian rationals."""
 
     __slots__ = ()
 
     zero = GR_ZERO
     one = GR_ONE
-    # no grade or degree to cap: every product passes caps against lowest()
-    caps = (0, 0)
 
     def __eq__(self, other):
         return type(other) is GaussRing
@@ -76,11 +87,8 @@ class GaussRing:
     def is_zero(self, x):
         return not x
 
-    def lowest(self, x):
-        return 0, 0
 
-
-class _DictRing:
+class _DictRing(_NeverPrunes):
     """Linear structure shared by the graded rings: an element is a dict from
     a key (a grade, or a symbol monomial) to a nonzero Gaussian rational.
     Subclasses supply mul, conj and _grade (the doubled weight of a key).
@@ -136,13 +144,6 @@ class GradedRing(_DictRing):
     @property
     def one(self):
         return {0: GR_ONE}
-
-    @property
-    def caps(self):
-        return self.cap, 0
-
-    def lowest(self, x):
-        return min(x), 0
 
     def graded(self, grade, c):
         c = as_gauss(c)

@@ -15,10 +15,26 @@ from __future__ import annotations
 from operator import add
 
 from .combinat import decrement
-from .rationals import as_count, as_dimension
-from .rings import SymbolicRing, _add_term
+from .rationals import as_count, as_dimension, as_int
+from .rings import _add_term
 
 __all__ = ["ScalarSeries"]
+
+
+def _check_index(key, n):
+    """(alpha, beta) as two length-n tuples of non-negative integers; any
+    other key is refused with a message that names it."""
+    try:
+        alpha, beta = map(tuple, key)
+    except (TypeError, ValueError):
+        raise ValueError(f"jet index {key!r} is not a pair of index tuples") from None
+    alpha = tuple(as_int(v, "alpha") for v in alpha)
+    beta = tuple(as_int(v, "beta") for v in beta)
+    if len(alpha) != n or len(beta) != n:
+        raise ValueError(f"jet index {key} does not match dimension {n}")
+    if min(alpha + beta, default=0) < 0:
+        raise ValueError(f"negative jet index {key}")
+    return alpha, beta
 
 
 def _inside(key, cap):
@@ -29,25 +45,23 @@ def _inside(key, cap):
 def _sum_products(pairs):
     """Sum of x * y over the pairs (x, y) of series, in one dict, at the
     componentwise smallest cap of all the factors, an empty one's included;
-    a pair with an empty factor forms no product.  On the symbolic ring a
-    term pair whose lowest grades or degrees sum past ring.caps is skipped
-    too (its product is zero); on the numeric rings that check costs more
-    than it saves.  Pairs are visited in order, x outer and y inner, which
-    fixes the insertion order."""
+    a pair with an empty factor forms no product, and neither does a term
+    pair whose lowest grades or degrees sum past ring.caps (only a
+    SymbolicRing prunes so; see rings).  Pairs are visited in order, x outer
+    and y inner, which fixes the insertion order."""
     pairs = list(pairs)
     first = pairs[0][0]
     ring = first.ring
     h, a = map(min, zip(*(s.cap for pair in pairs for s in pair)))
-    prune = isinstance(ring, SymbolicRing)
-    gcap, dcap = ring.caps if prune else (0, 0)
+    gcap, dcap = ring.caps
     out: dict = {}
     for x, y in pairs:
         first._check(x)
         first._check(y)
         if not x.terms or not y.terms:
             continue
-        inner = y._indexed(prune)
-        for (a1, b1), v1, h1, c1, g1, d1 in x._indexed(prune):
+        inner = y._indexed()
+        for (a1, b1), v1, h1, c1, g1, d1 in x._indexed():
             rh, ra, rg, rd = h - h1, a - c1, gcap - g1, dcap - d1
             if rh < 0 or ra < 0:
                 continue
@@ -75,10 +89,9 @@ class ScalarSeries:
         clean = {}
         if terms:
             for key, v in terms.items():
-                if not _inside(key, cap) or ring.is_zero(v):
-                    continue
-                alpha, beta = key
-                clean[(tuple(alpha), tuple(beta))] = v
+                key = _check_index(key, self.n)
+                if _inside(key, cap) and not ring.is_zero(v):
+                    clean[key] = v
         self.terms = clean
         self._index = None
 
@@ -96,11 +109,10 @@ class ScalarSeries:
         out._index = None
         return out
 
-    def _indexed(self, prune):
-        """[(key, value, |alpha|, |beta|, lowest grade, lowest degree)], built
-        on first use; the grade and degree are read only under prune."""
+    def _indexed(self):
+        """[(key, value, |alpha|, |beta|, *ring.lowest(value))], built once."""
         if self._index is None:
-            low = self.ring.lowest if prune else lambda v: (0, 0)
+            low = self.ring.lowest
             self._index = [(k, v, sum(k[0]), sum(k[1]), *low(v)) for k, v in self.terms.items()]
         return self._index
 

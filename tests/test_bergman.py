@@ -419,6 +419,16 @@ def test_extractor_matches_the_unfiltered_reference_in_order():
         assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (pot.n, jmax)
 
 
+def test_every_A_term_is_homogeneous_of_grade_j_plus_jprime():
+    """A jet h[alpha|beta] sits at (alpha, beta, |beta| - 1), where j + j' is
+    its grade, and j, j' and the grade all add under products: so no pair
+    of A terms within the caps passes the grade cap, and a grade prune
+    before a graded ring product could never fire."""
+    for pot, jmax in _parity_cases():
+        for key, v in build_A(pot, jmax).items():
+            assert set(pot.ring.split_grades(v)) == {key[2] + _defect(key)}, (pot.n, jmax, key)
+
+
 def _walk_keys(E, n, jmax):
     """Adjoint keys read on some walk from z-degree zero back to zero,
     found from keys alone: states reachable from (0, 0) that step, through

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.rationals import GR_ONE, GaussRat
 from invar.rings import SymbolicRing
-from invar.solver import Decomposition
+from invar.solver import Decomposition, decompose
 
 SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
 
@@ -543,6 +544,49 @@ def test_bad_partition_is_input_error(capsys):
     assert main(["chern", "--partition", "2,0"]) == 2
     assert main(["chern", "--partition", "x"]) == 2
     capsys.readouterr()
+
+
+def test_chern_refuses_a_degree_above_six_at_once(capsys):
+    # chern_invariant's cost grows as sigma!^2: (7,) alone takes over a minute
+
+    def expire(signum, frame):
+        raise TimeoutError("invar chern is still building a degree-7 invariant")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        for partition in ("7", "4,3", "1,1,1,1,1,1,1"):
+            assert main(["chern", "--partition", partition]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: bad partition {partition!r}: degree 7 is above the limit 6\n"
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert main(["chern", "--partition", "3,2,1"]) == 0
+    assert Invariant.from_json_dict(json.loads(capsys.readouterr().out)) == chern_invariant(
+        (3, 2, 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "restriction, entry",
+    [([[2, 2], [2]], "[2]"), ("x", "'x'"), ([[2, 2], 5], "5")],
+    ids=["short-entry", "string", "number"],
+)
+def test_restriction_entries_that_are_not_pairs_are_refused(tmp_path, capsys, restriction, entry):
+    message = f"restriction entries must be [alpha, beta] pairs, got {entry}"
+    inv = chern_invariant((1, 1))
+    with pytest.raises(ValueError) as exc:
+        decompose(inv, restriction)
+    assert str(exc.value) == message
+    path, restrict = write_inv(tmp_path, inv), write_json(tmp_path, restriction, "caps.json")
+    assert main(["decompose", path, "--restrict", restrict]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad restriction list in {restrict}: {message}\n"
 
 
 def test_unknown_arguments_exit_two():

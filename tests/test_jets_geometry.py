@@ -75,7 +75,6 @@ def test_hermiticity_check():
 
 
 def test_max_order_and_key_enumeration():
-    assert fs_potential(1, order=8).max_order() == 8
     keys = jet_keys_up_to_grade(1, 4)
     assert ((2,), (2,)) in keys
     assert all(sum(a) >= 2 and sum(b) >= 2 for a, b in keys)
@@ -415,7 +414,7 @@ def brute_force_center_value(mono, pot):
     n, ring = pot.n, pot.ring
     rng = range(mono.sigma)
     edges = [(i, k) for i in rng for k in rng for _ in range(mono.edges[i][k])]
-    H = pot.series(pot.max_order())
+    H = pot.series(max((sum(a) + sum(b) for a, b in pot.jets), default=0))
     derivative = {}
     total = ring.zero
     for idx in itertools.product(range(n), repeat=len(edges)):

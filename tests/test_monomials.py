@@ -59,17 +59,11 @@ def test_signature_and_count_bookkeeping():
     m = ContractionMonomial(PHI, ((1, 2), (1, 1)))
     assert m.signatures == ((3, 2), (2, 3))
     assert m.weight == 5
-    assert m.degree == 2
-    assert m.order() == 2
-    assert m.geometric_weight == 3
 
 
 def test_single_factor_counts():
     m = scalar_monomial(PHI, ((3,),))
     assert m.weight == 3
-    assert m.degree == 1
-    assert m.order() == 2
-    assert m.geometric_weight == 2
 
 
 def test_signatures_recomputed_from_edges_and_free_slots():
@@ -103,21 +97,6 @@ def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
     assert not Invariant(PSI, (0, 0), [(psi, 1)]).is_acceptable(swapped)
     # one factor must take each entry: two (2, 1) floors do not fit
     assert not phi.is_acceptable(((2, 1), (2, 1)))
-
-
-def test_order_against_custom_restriction():
-    m = scalar_monomial(PHI, ((3,),))
-    assert m.order(((2, 2),)) == 2
-    assert m.order(((3, 3),)) == 0
-    with pytest.raises(ValueError):
-        m.order(((2, 2), (2, 2)))
-
-
-def test_special_contraction_count_reads_transposed_edge():
-    m = ContractionMonomial(PSI, ((1, 2), (1, 1)))
-    # holomorphic slot on factor j, antiholomorphic slot on factor i
-    assert m.special_contraction_count(0, 1) == m.edges[1][0]
-    assert m.special_contraction_count(1, 0) == m.edges[0][1]
 
 
 def test_trace_count():

@@ -385,6 +385,10 @@ _TWO_FACTORS = monomial_invariant(scalar_monomial(PSI, ((1, 1), (1, 1))))
 _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
 
 
+def _series_with_key(key):
+    return ScalarSeries(GaussRing(), 1, 2, {key: GaussRat(1)})
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -407,6 +411,11 @@ _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
         (lambda: chern_basis(True), "sigma must be an integer"),
         (lambda: chern_basis(0), "sigma must be at least 1, got 0$"),
         (lambda: random_phi(0), "need at least one complex dimension"),
+        (lambda: _series_with_key(((1.5,), (0,))), "alpha must be an integer"),
+        (lambda: _series_with_key(((True,), (0,))), "alpha must be an integer"),
+        (lambda: _series_with_key(((1, 1), (0,))), "jet index .* does not match dimension 1"),
+        (lambda: _series_with_key(((-1,), (0,))), "negative jet index"),
+        (lambda: _series_with_key((1, (0,))), "jet index .* is not a pair of index tuples"),
     ],
     ids=[
         "partitions-float",
@@ -428,6 +437,11 @@ _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
         "chern-basis-bool",
         "chern-basis-zero",
         "random-phi-zero",
+        "series-key-float",
+        "series-key-bool",
+        "series-key-length",
+        "series-key-negative",
+        "series-key-not-a-pair",
     ],
 )
 def test_integer_arguments_are_refused_by_name(call, message):
