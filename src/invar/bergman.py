@@ -19,19 +19,19 @@ reaches: a step reads an adjoint term (cz, dd, j') with b >= cz and moves
 to (b - cz + dd, j + j').  The j-th coefficient is the sum of the zero-z-degree
 states at t-order j, and the weight grading of the ring checks it comes
 out homogeneous.  Only the A terms that some walk from zero back to zero
-can read are adjointed.
+can read are adjointed.  Every A term has j, j' <= jmax, the one cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, inf, perm, prod
+from math import comb, factorial, perm, prod
 from operator import add
 
 from .combinat import decrement, perm_sign
 from .rationals import as_count
-from .rings import GaussRing, _add_term
+from .rings import GaussRing, _add_term, check_weight
 
 __all__ = [
     "multiplication_terms",
@@ -58,10 +58,10 @@ def _add_keys(k1, k2):
     return tuple(map(add, g1, g2)), tuple(map(add, d1, d2)), j1 + j2
 
 
-def convolve(t1, t2, ring, jprime_cap, j_cap=inf):
+def convolve(t1, t2, ring, jmax):
     """Commutative product of two symbol term dicts, used before the middle
-    slot is read as a derivative.  The t-order defect j' and the t-order j
-    are additive, and a pair past either cap is skipped.  A pair whose
+    slot is read as a derivative.  The t-order j and the defect j' are
+    additive, and a pair taking either past jmax is skipped.  A pair whose
     lowest ring grades or degrees sum past ring.caps has a zero product and
     is skipped before ring.mul (only a SymbolicRing prunes so; see rings),
     as is every zero product; pairs are visited t1 outer, t2 inner, which
@@ -71,7 +71,7 @@ def convolve(t1, t2, ring, jprime_cap, j_cap=inf):
     inner = [(k2, v2, _defect(k2), k2[2], *ring.lowest(v2)) for k2, v2 in t2.items()]
     for k1, v1 in t1.items():
         g1, d1 = ring.lowest(v1)
-        room, jroom = jprime_cap - _defect(k1), j_cap - k1[2]
+        room, jroom = jmax - _defect(k1), jmax - k1[2]
         groom, droom = gcap - g1, dcap - d1
         for k2, v2, o2, j2, g2, d2 in inner:
             if o2 > room or j2 > jroom or g2 > groom or d2 > droom:
@@ -119,7 +119,7 @@ def build_A(pot, jmax):
     for sigma in itertools.permutations(range(n)):
         product = one
         for a in range(n):
-            product = convolve(product, entries[a][sigma[a]], ring, jmax, jmax)
+            product = convolve(product, entries[a][sigma[a]], ring, jmax)
             if not product:
                 break
         sign = perm_sign(sigma)
@@ -131,14 +131,14 @@ def build_A(pot, jmax):
     k = 0
     while power:
         k += 1
-        power = convolve(power, mult, ring, jmax, jmax)
+        power = convolve(power, mult, ring, jmax)
         power = {key: ring.scale(v, Fraction(-1, k)) for key, v in power.items()}
         for key, v in power.items():
             _add_term(expo, key, v, ring)
-    return convolve(det, expo, ring, jmax, jmax)
+    return convolve(det, expo, ring, jmax)
 
 
-def adjoint(terms, ring, jprime_cap):
+def adjoint(terms, ring):
     """Termwise adjoint of a normal-ordered symbol.
 
     In the linear theory (degree cap 1) A is 1 - H t + tr(g - 1), and after
@@ -151,13 +151,10 @@ def adjoint(terms, ring, jprime_cap):
     The -1/m! part is the adjoint of -H t, the +m/m! part that of the trace,
     so the m = 1 rung vanishes and every rung keeps t-order |b| - 1.
     """
-    as_count(jprime_cap, "jprime_cap")
     out: dict = {}
     for key, v in terms.items():
         g, d, _ = key
         jp = _defect(key)
-        if jp > jprime_cap:
-            continue
         base = ring.conj(v)
         ranges = [range(min(ga, da) + 1) for ga, da in zip(g, d)]
         for kappa in itertools.product(*ranges):
@@ -190,12 +187,7 @@ def bergman_coefficients(pot, jmax):
     ring = pot.ring
     if isinstance(ring, GaussRing):
         raise ValueError("kernel runs need a graded or symbolic ring")
-    as_count(jmax, "jmax")
-    if 2 * jmax > ring.cap:
-        # a_jmax has grade 2*jmax; above the cap every product is dropped
-        raise ValueError(
-            f"jmax {jmax} needs grade {2 * jmax}, above the ring's grade cap {ring.cap}"
-        )
+    check_weight(ring, f"a{jmax}", as_count(jmax, "jmax"))
     A = build_A(pot, jmax)
     ident = _zero_key(n)
     for key, v in A.items():
@@ -204,7 +196,7 @@ def bergman_coefficients(pot, jmax):
             raise ArithmeticError(
                 "adjoint term at nonnegative t-order; inversion would not close"
             )
-    E = adjoint({k: v for k, v in A.items() if _readable(k, jmax)}, ring, jmax)
+    E = adjoint({k: v for k, v in A.items() if _readable(k, jmax)}, ring)
     _add_term(E, ident, ring.neg(ring.one), ring)
     zero = (0,) * n
     X = {(zero, 0): ring.one}

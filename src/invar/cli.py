@@ -29,7 +29,7 @@ from .fourier import eval_integral, random_phi
 from .geometry import kernel_coefficient_reference, named_scalar
 from .invariants import Invariant
 from .jets import Potential, fubini_study_jets, random_hermitian_jets
-from .monomials import PHI, _check_restriction
+from .monomials import PHI, _floor_pairs
 from .rationals import GR_ZERO
 from .rings import GradedRing
 from .solver import (
@@ -206,9 +206,7 @@ def cmd_decompose(args):
     restriction = None
     if args.restrict is not None:
         # any length passes here; decompose checks it against each block
-        restriction = _load(
-            args.restrict, "restriction list", lambda d: _check_restriction(d, len(d))
-        )
+        restriction = _load(args.restrict, "restriction list", _floor_pairs)
     try:
         dec = decompose(inv, restriction)
     except ValueError as exc:

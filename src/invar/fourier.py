@@ -33,7 +33,7 @@ from operator import neg
 
 from .invariants import Invariant
 from .monomials import PHI
-from .rationals import GR_ZERO, GaussRat, as_dimension, as_gauss, as_int, as_positive
+from .rationals import GR_ZERO, GaussRat, as_dimension, as_gauss, as_int, as_positive, random_fraction
 
 __all__ = ["FourierFunction", "pairing", "eval_integral", "random_phi"]
 
@@ -171,10 +171,6 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
     return total
 
 
-# bound on the numerators of random coefficients; seeded draws depend on it
-_COEFF_BOUND = 3
-
-
 def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     """Seeded random real trigonometric polynomial: conjugate mode pairs, no mean.
 
@@ -220,10 +216,7 @@ def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:
     for mode in modes:
         c = GR_ZERO
         while not c:
-            c = GaussRat(
-                Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)),
-                Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)),
-            )
+            c = GaussRat(random_fraction(rng), random_fraction(rng))
         coeffs[mode] = c
         coeffs[tuple(-v for v in mode)] = c.conjugate()
     return FourierFunction(n, coeffs)

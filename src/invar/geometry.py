@@ -21,7 +21,7 @@ from .chern import chern_invariant, partitions_of
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
-from .rings import GaussRing
+from .rings import check_weight
 from .series import ScalarSeries, _sum_products
 
 __all__ = [
@@ -224,16 +224,6 @@ def todd_gammas(jmax):
     return [Fraction(0)] + [-b / (k * factorial(k)) for k, b in enumerate(bern) if k]
 
 
-def _check_grade(pot, name, weight):
-    """On a graded or symbolic ring a doubled weight must fit under the grade
-    cap; above it every product is dropped and the value would read zero."""
-    if not isinstance(pot.ring, GaussRing) and 2 * weight > pot.ring.cap:
-        raise ValueError(
-            f"{name} has doubled weight {2 * weight}, above the ring's grade "
-            f"cap {pot.ring.cap}"
-        )
-
-
 def _orderings(counts):
     """Every distinct tuple holding index i counts[i] times."""
     return set(itertools.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
@@ -307,7 +297,7 @@ def todd_polynomial(pot, j):
     times in p, evaluated on the jets.
     """
     as_count(j, "j")
-    _check_grade(pot, f"P{j}", j)
+    check_weight(pot.ring, f"P{j}", j)
     ring = pot.ring
     if j > pot.n:
         # every chern_invariant(p) alternates over j indices with n values
@@ -347,7 +337,7 @@ def named_scalar(pot, name, extra=0):
     written without a leading zero."""
     weight = scalar_weight(name)
     as_count(extra, "extra")
-    _check_grade(pot, name, weight)
+    check_weight(pot.ring, name, weight)
     if name.endswith("S"):
         # S is lap^0 S
         k = weight - 1

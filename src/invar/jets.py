@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_dimension, as_gauss, format_fraction
+from .rationals import GaussRat, as_count, as_dimension, as_gauss, format_fraction, random_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries, _check_index
 
@@ -137,10 +137,9 @@ def fubini_study_jets(n, max_order) -> dict:
     return jets
 
 
-# a random potential stops at 2 * _TERMS jets (or 50 * _TERMS draws) with
-# numerators in [-_COEFF_BOUND, _COEFF_BOUND]; seeded draws depend on both
+# a random potential stops at 2 * _TERMS jets (or 50 * _TERMS draws);
+# seeded draws depend on it
 _TERMS = 6
-_COEFF_BOUND = 3
 
 
 def random_hermitian_jets(n, weight_cap, rng) -> dict:
@@ -155,10 +154,8 @@ def random_hermitian_jets(n, weight_cap, rng) -> dict:
         a, b = key
         if key in jets:
             continue
-        re = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3))
         # a diagonal jet is real: its conjugate rewrites it under the same key
-        im = Fraction(rng.randint(-_COEFF_BOUND, _COEFF_BOUND), rng.randint(1, 3)) if a != b else 0
-        v = GaussRat(re, im)
+        v = GaussRat(random_fraction(rng), random_fraction(rng) if a != b else 0)
         if not v:
             continue
         jets[key] = v

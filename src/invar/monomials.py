@@ -191,15 +191,26 @@ def _counts(values, field):
 def _check_restriction(restriction, sigma):
     if restriction is None:
         return ((2, 2),) * sigma
-    restriction = tuple(map(_floor_pair, restriction))
+    restriction = _floor_pairs(restriction)
     if len(restriction) != sigma:
         raise ValueError("restriction list length must equal the factor count")
     return restriction
 
 
+_NOT_PAIRS = "restriction entries must be [alpha, beta] pairs, got {!r}"
+
+
+def _floor_pairs(restriction):
+    """A list or tuple of [alpha, beta] pairs, of any length, as integer
+    pairs; any other value is refused whole, never iterated."""
+    if not isinstance(restriction, (tuple, list)):
+        raise ValueError(_NOT_PAIRS.format(restriction))
+    return tuple(map(_floor_pair, restriction))
+
+
 def _floor_pair(entry):
     if not isinstance(entry, (tuple, list)) or len(entry) != 2:
-        raise ValueError(f"restriction entries must be [alpha, beta] pairs, got {entry!r}")
+        raise ValueError(_NOT_PAIRS.format(entry))
     return as_int(entry[0], "restriction"), as_int(entry[1], "restriction")
 
 

@@ -65,6 +65,12 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def random_fraction(rng) -> Fraction:
+    """Seeded coefficient draw p/q, p in [-3, 3] then q in [1, 3]; every
+    seeded generator draws here, so its stream depends on both bounds."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
 def as_gauss(x) -> "GaussRat":
     if isinstance(x, GaussRat):
         return x

@@ -16,7 +16,7 @@ Three interchangeable rings sit under the power series and kernel pipeline:
 Elements are plain values (GaussRat, dict of grades, dict of monomials);
 all arithmetic goes through the ring object.  Code that needs more than
 arithmetic branches on the ring class: the CLI prints a GradedRing element
-as one total, the kernel pipeline refuses a GaussRing and the grade check
+as one total, the kernel pipeline refuses a GaussRing and check_weight
 skips it, and only a GaussRing potential serializes.  Whether a product is
 worth forming is the ring's own answer (caps against lowest): only a
 SymbolicRing prunes, and the numeric rings share one never-prune answer.
@@ -41,6 +41,15 @@ def _add_term(terms, key, value, ring):
         terms.pop(key, None)
     else:
         terms[key] = s
+
+
+def check_weight(ring, name, weight):
+    """On a graded or symbolic ring a doubled weight must fit under the grade
+    cap; above it every product is dropped and the value would read zero."""
+    if not isinstance(ring, GaussRing) and 2 * weight > ring.cap:
+        raise ValueError(
+            f"{name} has doubled weight {2 * weight}, above the ring's grade cap {ring.cap}"
+        )
 
 
 class _NeverPrunes:

@@ -19,7 +19,7 @@ from .combinat import compositions
 from .invariants import Invariant, monomial_invariant, zero_invariant
 from .linalg import LinearSystem
 from .monomials import PHI, ContractionMonomial, _check_restriction, _counts, _meets_floors
-from .rationals import as_fraction, as_int, as_positive, format_fraction
+from .rationals import as_fraction, as_int, as_positive, format_fraction, random_fraction
 
 __all__ = [
     "NotCoexactError",
@@ -293,7 +293,7 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     total = zero_invariant(PHI, (0, 0))
     if weight == 2 * sigma:
         for p in partitions_of(sigma):
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            c = random_fraction(rng)
             if c:
                 total = total + chern_invariant(p).scale(c)
     for valence in ((1, 0), (0, 1)):
@@ -301,7 +301,7 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
         if not gens:
             continue
         for mono in rng.sample(gens, k=min(3, len(gens))):
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            c = random_fraction(rng)
             if c:
                 total = total + divergence(monomial_invariant(mono, c))
     return total

@@ -282,7 +282,7 @@ def test_10_linear_adjoint_matches_the_intermediate_display():
         pot = Potential.symbolic(n, 3, linear=True)
         ring = pot.ring
         ident = ((0,) * n, (0,) * n, 0)
-        operator = adjoint(build_A(pot, jmax), ring, jmax)
+        operator = adjoint(build_A(pot, jmax), ring)
         got = {}
         for key, val in operator.items():
             if key == ident:

@@ -24,6 +24,7 @@ from invar.geometry import kernel_coefficient_reference, named_scalar, todd_poly
 from invar.jets import Potential, fubini_study_jets, random_hermitian_jets
 from invar.rationals import GaussRat
 from invar.rings import GaussRing
+from test_truncated_product import reference_convolve
 
 IDENT1 = ((0,), (0,), 0)
 
@@ -96,7 +97,7 @@ def test_sign_calibration_is_all_plus():
         ({((1,), (1,), 0): one}, {((1,), (1,), 0): one, ((0,), (0,), 0): one}),
     ]
     for terms, want in cases:
-        assert adjoint(terms, ring, 4) == want
+        assert adjoint(terms, ring) == want
 
 
 def test_flat_potential_has_trivial_expansion():
@@ -202,23 +203,18 @@ def test_multiplication_terms_layout():
 def test_adjoint_fixes_identity_and_pure_blocks():
     ring = Potential.graded_numeric(1, {}, 3).ring
     one = {IDENT1: ring.one}
-    assert adjoint(one, ring, 3) == one
+    assert adjoint(one, ring) == one
     z2 = {((2,), (0,), 2): ring.one}
-    assert adjoint(adjoint(z2, ring, 4), ring, 4) == z2
+    assert adjoint(adjoint(z2, ring), ring) == z2
 
 
 def test_adjoint_not_involutive_on_mixed_terms():
     ring = Potential.graded_numeric(1, {}, 3).ring
     zd = {((1,), (1,), 0): ring.one}
-    once = adjoint(zd, ring, 4)
+    once = adjoint(zd, ring)
     assert once == {((1,), (1,), 0): ring.one, IDENT1: ring.one}
-    twice = adjoint(once, ring, 4)
+    twice = adjoint(once, ring)
     assert twice[IDENT1] == ring.scale(ring.one, 2)
-
-
-def test_adjoint_prunes_past_the_cap():
-    ring = Potential.graded_numeric(1, {}, 3).ring
-    assert adjoint({((2,), (0,), 0): ring.one}, ring, 1) == {}
 
 
 def test_weyl_product_commutation_rule():
@@ -264,7 +260,7 @@ def test_convolve_is_commutative():
 def test_neumann_invert_matches_coefficient_extractor():
     pot = Potential.graded_numeric(1, fubini_study_jets(1, 8), 3)
     ring = pot.ring
-    astar = adjoint(build_A(pot, 3), ring, 3)
+    astar = adjoint(build_A(pot, 3), ring)
     inv = neumann_invert(astar, ring, 1, 3)
     coeffs = bergman_coefficients(pot, 3)
     for j in range(4):
@@ -323,7 +319,7 @@ def test_weights_above_the_grade_cap_are_refused():
     graded = Potential.graded_numeric(2, fubini_study_jets(2, 8), 1)
     symbolic = Potential.symbolic(1, 1)
     for pot in (graded, symbolic):
-        with pytest.raises(ValueError, match=r"jmax 2 needs grade 4, .* grade cap 2"):
+        with pytest.raises(ValueError, match=r"a2 has doubled weight 4, .* grade cap 2"):
             bergman_coefficients(pot, 2)
         with pytest.raises(ValueError, match=r"P2 has doubled weight 4, .* grade cap 2"):
             named_scalar(pot, "P2")
@@ -353,18 +349,18 @@ def reference_build_A(pot, jmax):
     for sigma in itertools.permutations(range(n)):
         product = one
         for a in range(n):
-            product = convolve(product, entries[a][sigma[a]], ring, jmax)
+            product = reference_convolve(product, entries[a][sigma[a]], ring, jmax)
         inversions = sum(x > y for x, y in itertools.combinations(sigma, 2))
         for key, v in product.items():
             _add_term(det, key, ring.neg(v) if inversions % 2 else v, ring)
     expo, power, k = dict(one), dict(one), 0
     while power:
         k += 1
-        power = convolve(power, multiplication_terms(pot), ring, jmax)
+        power = reference_convolve(power, multiplication_terms(pot), ring, jmax)
         power = {key: ring.scale(v, Fraction(-1, k)) for key, v in power.items()}
         for key, v in power.items():
             _add_term(expo, key, v, ring)
-    return convolve(det, expo, ring, jmax)
+    return reference_convolve(det, expo, ring, jmax)
 
 
 def reference_bergman_coefficients(pot, jmax):
@@ -372,7 +368,7 @@ def reference_bergman_coefficients(pot, jmax):
     of every term and the same walk over states (z-degree, t-order)."""
     n, ring = pot.n, pot.ring
     ident, zero = _zero_key(n), (0,) * n
-    E = adjoint(reference_build_A(pot, jmax), ring, jmax)
+    E = adjoint(reference_build_A(pot, jmax), ring)
     _add_term(E, ident, ring.neg(ring.one), ring)
     if any(jp < 1 for (_, _, jp) in E):
         raise ArithmeticError("adjoint term at nonnegative t-order")
@@ -423,10 +419,12 @@ def test_every_A_term_is_homogeneous_of_grade_j_plus_jprime():
     """A jet h[alpha|beta] sits at (alpha, beta, |beta| - 1), where j + j' is
     its grade, and j, j' and the grade all add under products: so no pair
     of A terms within the caps passes the grade cap, and a grade prune
-    before a graded ring product could never fire."""
+    before a graded ring product could never fire.  Every term also has
+    j <= jmax and j' <= jmax, so adjoint needs no cap of its own."""
     for pot, jmax in _parity_cases():
         for key, v in build_A(pot, jmax).items():
             assert set(pot.ring.split_grades(v)) == {key[2] + _defect(key)}, (pot.n, jmax, key)
+            assert key[2] <= jmax and _defect(key) <= jmax, (pot.n, jmax, key)
 
 
 def _walk_keys(E, n, jmax):
@@ -473,7 +471,7 @@ def test_every_read_adjoint_term_comes_from_a_readable_A_term():
     for pot, jmax in _soundness_cases():
         ring, ident = pot.ring, _zero_key(pot.n)
         A = reference_build_A(pot, jmax)
-        E = adjoint(A, ring, jmax)
+        E = adjoint(A, ring)
         E.pop(ident)
         read = _walk_keys(E, pot.n, jmax)
         reads += len(read)
@@ -506,7 +504,7 @@ def test_adjoint_gets_only_the_readable_terms(monkeypatch):
     396."""
     sizes = []
     full = bergman.adjoint
-    monkeypatch.setattr(bergman, "adjoint", lambda t, r, c: sizes.append(len(t)) or full(t, r, c))
+    monkeypatch.setattr(bergman, "adjoint", lambda t, r: sizes.append(len(t)) or full(t, r))
     bergman_coefficients(Potential.graded_numeric(2, fubini_study_jets(2, 8), 3), 3)
     bergman_coefficients(Potential.graded_numeric(2, random_hermitian_jets(2, 3, random.Random(2)), 3), 3)
     bergman_coefficients(Potential.symbolic(2, 3), 3)

@@ -573,8 +573,16 @@ def test_chern_refuses_a_degree_above_six_at_once(capsys):
 
 @pytest.mark.parametrize(
     "restriction, entry",
-    [([[2, 2], [2]], "[2]"), ("x", "'x'"), ([[2, 2], 5], "5")],
-    ids=["short-entry", "string", "number"],
+    [
+        ([[2, 2], [2]], "[2]"),
+        ("x", "'x'"),
+        ([[2, 2], 5], "5"),
+        # not a list: refused whole, neither measured nor iterated
+        (5, "5"),
+        ({"a": 1}, "{'a': 1}"),
+        ("ab", "'ab'"),
+    ],
+    ids=["short-entry", "string", "number", "whole-number", "whole-object", "whole-string"],
 )
 def test_restriction_entries_that_are_not_pairs_are_refused(tmp_path, capsys, restriction, entry):
     message = f"restriction entries must be [alpha, beta] pairs, got {entry}"
