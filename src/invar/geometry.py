@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb, factorial, prod
 
 from .chern import chern_invariant, partitions_of
@@ -56,10 +56,12 @@ def _table(n, rank, entry, canon=None):
 class CurvaturePackage:
     """Metric data of one potential, as series exact on bidegree boxes.
 
-    With cap h, H is on the box (h + 2, h + 2), G and Ginv on (h + 1, h + 1),
-    Gamma on (h, h + 1), and K, Ric and S on (h, h): a center value taking
-    h derivatives on each side of them (lap^h S; div_Q at h = 1; S, |R|^2
-    and |Ric|^2 at h = 0) reads nothing outside these boxes.
+    With cap h, H is on the box (h + 2, h + 2), G on (h + 1, h + 1), Ginv
+    and Gamma on (h, h + 1), and K, Ric and S on (h, h): a center value
+    taking h derivatives on each side of them (lap^h S; div_Q at h = 1; S,
+    |R|^2 and |Ric|^2 at h = 0) reads nothing outside these boxes.  K is
+    built on first read and kept for the life of the package, one table of
+    n^4 entries; only curvature_norm2 and gradient_divergence read it.
 
     Index conventions: G[a][b] is the metric with holomorphic slot a and
     antiholomorphic slot b; Ginv[b][a] is its inverse pairing antiholomorphic
@@ -79,7 +81,7 @@ class CurvaturePackage:
     mutated in place.
     """
 
-    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "K", "Ric", "S", "_T")
+    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "Ric", "S", "_K", "_T")
 
     def __init__(self, pot, cap):
         as_count(cap, "cap")
@@ -90,24 +92,23 @@ class CurvaturePackage:
         self.ring = ring
         self.cap = cap
         H = pot.series(cap + 2)
-        one = ScalarSeries.one(ring, n, cap + 1)
-        zero = ScalarSeries(ring, n, cap + 1)
         E = _table(n, 2, lambda a, b: H.d_hol(a).d_anti(b))
         if any(E[a][b].at_zero() != ring.zero for a in rng for b in rng):
             raise ValueError("potential is not in normal form")
+        one = ScalarSeries.one(ring, n, cap + 1)
         G = _table(n, 2, lambda a, b: E[a][b].add(one) if a == b else E[a][b])
-        # Neumann series for the inverse; E vanishes at the center so powers
-        # gain z-order and the loop empties
-        Ginv = _table(n, 2, lambda a, b: one if a == b else zero)
-        power = E
-        for k in range(cap + 2):
-            if all(not power[a][b] for a in rng for b in rng):
-                break
-            term = power if k % 2 else _table(n, 2, lambda a, b: power[a][b].neg())
-            Ginv = _table(n, 2, lambda a, b: Ginv[a][b].add(term[a][b]))
-            power = _table(
-                n, 2, lambda a, b: _sum_products((power[a][e], E[e][b]) for e in rng)
-            )
+        # Neumann series sum_k (-E)^k for the inverse, on (h, h + 1): E has no
+        # term below bidegree (1, 1), so its powers past E^h vanish there
+        box = (cap, cap + 1)
+        one, zero = ScalarSeries.one(ring, n, box), ScalarSeries(ring, n, box)
+        F = _table(n, 2, lambda a, b: E[a][b].add(zero).neg())
+        Ginv, power = _table(n, 2, lambda a, b: one if a == b else zero), F
+        for k in range(1, cap + 1):
+            Ginv = _table(n, 2, lambda a, b: Ginv[a][b].add(power[a][b]))
+            if k < cap:
+                power = _table(
+                    n, 2, lambda a, b: _sum_products((power[a][e], F[e][b]) for e in rng)
+                )
         # dG[c][a][b] = d_c G[a][b]
         dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
         Gamma = _table(
@@ -116,18 +117,45 @@ class CurvaturePackage:
             lambda e, b, c: _sum_products((Ginv[d][e], dG[b][c][d]) for d in rng),
             lambda e, b, c: (e, min(b, c), max(b, c)),
         )
-        K = _table(
-            n,
-            4,
-            lambda e, c, a, d: Gamma[e][c][a].d_anti(d),
-            lambda e, c, a, d: (e, min(c, a), max(c, a), d),
-        )
         # tr Gamma[a] = Gamma[e][e][a] summed over e, on the box (h, h + 1)
         trace = [reduce(ScalarSeries.add, (Gamma[e][e][a] for e in rng)) for a in rng]
         Ric = _table(n, 2, lambda a, d: trace[a].d_anti(d).neg())
-        self.G, self.Ginv, self.Gamma, self.K, self.Ric = G, Ginv, Gamma, K, Ric
+        self.G, self.Ginv, self.Gamma, self.Ric = G, Ginv, Gamma, Ric
         self.S = _sum_products((Ginv[b][a], Ric[a][b]) for a in rng for b in rng)
-        self._T = None
+        self._K = self._T = None
+
+    def restrict(self, cap) -> CurvaturePackage:
+        """The package of a cap no larger: every table cut to that cap's boxes,
+        equal to a new package there since truncated arithmetic is exact on
+        boxes.  K and T are built again on first read."""
+        if as_count(cap, "cap") > self.cap:
+            raise ValueError(f"cannot restrict a cap-{self.cap} package to cap {cap}")
+        if cap == self.cap:
+            return self
+        out = CurvaturePackage.__new__(CurvaturePackage)
+        out.n, out.ring, out.cap, out._K, out._T = self.n, self.ring, cap, None, None
+        cut = {}  # one cut per series object and box, so shared entries stay shared
+
+        def table(t, box):
+            if isinstance(t, list):
+                return [table(x, box) for x in t]
+            if (id(t), box) not in cut:
+                cut[id(t), box] = t.add(ScalarSeries(self.ring, self.n, box))
+            return cut[id(t), box]
+
+        out.G = table(self.G, cap + 1)
+        out.Ginv, out.Gamma = table(self.Ginv, (cap, cap + 1)), table(self.Gamma, (cap, cap + 1))
+        out.Ric, out.S = table(self.Ric, cap), table(self.S, cap)
+        return out
+
+    @property
+    def K(self):
+        """K[e][c][a][d] = dbar_d Gamma[e][c][a], built on first read and kept
+        for the life of the package."""
+        if self._K is None:
+            Gamma, canon = self.Gamma, lambda e, c, a, d: (e, min(c, a), max(c, a), d)
+            self._K = _table(self.n, 4, lambda e, c, a, d: Gamma[e][c][a].d_anti(d), canon)
+        return self._K
 
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
         n = self.n
@@ -337,23 +365,29 @@ def named_scalar(pot, name, extra=0):
     written without a leading zero."""
     weight = scalar_weight(name)
     as_count(extra, "extra")
+    return _read(pot, name, weight, extra, lambda cap: curvature_package(pot, cap))
+
+
+def _read(pot, name, weight, extra, package):
+    """Center value of a named scalar of the given weight.  A series scalar
+    reads package(h + extra), h its own cap: lap^k S takes k derivatives on
+    each side of S, div_Q one, and |R|^2 and |Ric|^2 none."""
     check_weight(pot.ring, name, weight)
+    if name[0] == "P":
+        return todd_polynomial(pot, weight)
     if name.endswith("S"):
         # S is lap^0 S
-        k = weight - 1
-        pkg = curvature_package(pot, k + extra)
+        pkg = package(weight - 1 + extra)
         f = pkg.S
-        for _ in range(k):
+        for _ in range(weight - 1):
             f = pkg.laplacian(f)
         return f.at_zero()
+    pkg = package(weight - 2 + extra)
     if name == "abs_R2":
-        return curvature_package(pot, extra).curvature_norm2().at_zero()
+        return pkg.curvature_norm2().at_zero()
     if name == "abs_Ric2":
-        return curvature_package(pot, extra).ricci_norm2().at_zero()
-    if name == "div_Q":
-        return curvature_package(pot, 1 + extra).gradient_divergence().at_zero()
-    # scalar_weight has accepted the name, so only P<j> is left
-    return todd_polynomial(pot, weight)
+        return pkg.ricci_norm2().at_zero()
+    return pkg.gradient_divergence().at_zero()
 
 
 # a_j = sum of coefficient * named scalar, in the order they are evaluated
@@ -368,7 +402,9 @@ def kernel_coefficient_reference(pot, j, extra=0):
     """Closed-form value of the j-th kernel coefficient at the center.
 
     Known through j = 3: 1, S/2, P2 + lap S / 3, and P3 + div_Q +
-    lap^2 S / 8.
+    lap^2 S / 8.  Every series scalar of a_j reads one package of cap
+    j - 1 + extra, lap^(j-1) S's, built at the first read and restricted to
+    each other scalar's own cap.
     """
     as_count(j, "j")
     as_count(extra, "extra")
@@ -377,7 +413,10 @@ def kernel_coefficient_reference(pot, j, extra=0):
         return ring.one
     if j not in _KERNEL_CLOSED_FORMS:
         raise ValueError("closed forms are implemented through j = 3")
+    # one package for every series scalar, built at the first one read
+    top = cache(lambda: curvature_package(pot, j - 1 + extra))
     total = ring.zero
     for coeff, name in _KERNEL_CLOSED_FORMS[j]:
-        total = ring.add(total, ring.scale(named_scalar(pot, name, extra), coeff))
+        value = _read(pot, name, scalar_weight(name), extra, lambda h: top().restrict(h))
+        total = ring.add(total, ring.scale(value, coeff))
     return total

@@ -137,6 +137,12 @@ def test_second_coefficient_symbolic():
     assert a2 == kernel_coefficient_reference(pot, 2)
 
 
+def test_third_coefficient_symbolic():
+    """a_3 of every n = 2 potential through weight 3 is the closed form."""
+    pot = Potential.symbolic(2, 3)
+    assert bergman_coefficients(pot, 3)[3] == kernel_coefficient_reference(pot, 3)
+
+
 def test_third_coefficient_random_jets():
     rng = random.Random(2)
     jets = random_hermitian_jets(2, 3, rng)

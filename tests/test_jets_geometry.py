@@ -187,12 +187,116 @@ def test_lap4_reads_a_package_with_no_term_outside_its_box(monkeypatch):
     pot = Potential.numeric(2, rich_jets(2, 25))
     named_scalar(pot, "lap4_S")
     (pkg,) = built
-    assert pkg.G[0][1].cap == pkg.Ginv[1][0].cap == (5, 5)
-    assert pkg.Gamma[0][0][1].cap == (4, 5)
+    assert pkg.G[0][1].cap == (5, 5)
+    assert pkg.Ginv[1][0].cap == pkg.Gamma[0][0][1].cap == (4, 5)
     assert pkg.K[0][0][1][1].cap == pkg.Ric[0][1].cap == pkg.S.cap == (4, 4)
     orders = [(sum(alpha), sum(beta)) for alpha, beta in pkg.S.terms]
     assert all(h <= 4 and a <= 4 for h, a in orders)
     assert max(h + a for h, a in orders) == 8
+
+
+def test_the_kernel_reference_builds_one_package(monkeypatch):
+    """a_3 reads div_Q and lap^2 S on one package of cap 2 + extra, div_Q on
+    its restriction to cap 1 + extra."""
+    built = []
+
+    def record(pot, cap):
+        built.append(cap)
+        return CurvaturePackage(pot, cap)
+
+    monkeypatch.setattr(geometry, "curvature_package", record)
+    pot = Potential.numeric(2, rich_jets(2, 8))
+    kernel_coefficient_reference(pot, 3)
+    kernel_coefficient_reference(pot, 3, extra=2)
+    assert built == [2, 4]
+
+
+def test_lap2_S_builds_no_curvature_tensor(monkeypatch):
+    """lap^k S reads no K, so its only d_anti are the n^2 of E, of Ric and
+    of each Laplacian; K would add n^3 (n + 1) / 2 more."""
+    pot = Potential.numeric(2, rich_jets(2, 8))
+    calls = []
+    d_anti = ScalarSeries.d_anti
+    monkeypatch.setattr(
+        ScalarSeries, "d_anti", lambda self, b: calls.append(b) or d_anti(self, b)
+    )
+    assert named_scalar(pot, "lap2_S") == GaussRat(105219)
+    assert len(calls) == 4 * pot.n**2
+
+
+def _restriction_potential(kind, n):
+    """Weight 3 draws, except the symbolic n = 3 potentials at weight 2 (the
+    full one takes 10 s to package at weight 3)."""
+    jets = rich_jets(n, 30 + n)
+    if kind == "gauss":
+        return Potential.numeric(n, jets)
+    if kind == "graded":
+        return Potential.graded_numeric(n, jets, 3)
+    return Potential.symbolic(n, 3 if n < 3 else 2, linear=kind == "linear")
+
+
+def _entries(table):
+    if isinstance(table, list):
+        return [s for t in table for s in _entries(t)]
+    return [table]
+
+
+@pytest.mark.parametrize("kind", ["gauss", "graded", "linear", "symbolic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_restricted_package_equals_a_new_one_at_its_cap(kind, n):
+    """Truncated arithmetic is exact on boxes, so every table of a package
+    cut to a smaller cap has the terms and boxes of a new package there."""
+    pot = _restriction_potential(kind, n)
+    fresh = [curvature_package(pot, h) for h in range(4)]
+    for big in (1, 2, 3):
+        assert fresh[big].restrict(big) is fresh[big]
+        for h in range(big):
+            cut = fresh[big].restrict(h)
+            assert cut.cap == h
+            for name in ("G", "Ginv", "Gamma", "K", "Ric", "S"):
+                got, want = _entries(getattr(cut, name)), _entries(getattr(fresh[h], name))
+                assert [(s.cap, s.terms) for s in got] == [(s.cap, s.terms) for s in want]
+
+
+def test_a_package_is_not_restricted_to_a_larger_cap():
+    pkg = curvature_package(fs_potential(1), 1)
+    with pytest.raises(ValueError, match=r"^cannot restrict a cap-1 package to cap 2$"):
+        pkg.restrict(2)
+    with pytest.raises(ValueError, match=r"^cap must be"):
+        pkg.restrict(-1)
+
+
+def one_package_per_scalar_reference(pot, j, extra):
+    """a_1 .. a_3 from their closed forms, each scalar read by named_scalar on
+    a new package of its own cap + extra."""
+    forms = {
+        1: ((Fraction(1, 2), "S"),),
+        2: ((Fraction(1), "P2"), (Fraction(1, 3), "lap_S")),
+        3: ((Fraction(1), "P3"), (Fraction(1), "div_Q"), (Fraction(1, 8), "lap2_S")),
+    }
+    ring, total = pot.ring, pot.ring.zero
+    for coeff, name in forms[j]:
+        total = ring.add(total, ring.scale(named_scalar(pot, name, extra), coeff))
+    return total
+
+
+@pytest.mark.parametrize(
+    "make, extras",
+    [
+        (lambda: Potential.numeric(2, rich_jets(2, 8)), (0, 2)),
+        (lambda: Potential.graded_numeric(3, rich_jets(3, 9), 3), (0, 2)),
+        (lambda: Potential.symbolic(1, 3), (0, 2)),
+        (lambda: Potential.symbolic(2, 3, linear=True), (0, 2)),
+        (lambda: Potential.symbolic(2, 3), (0,)),
+    ],
+    ids=["gauss-n2", "graded-n3", "symbolic-n1", "linear-n2", "symbolic-n2"],
+)
+def test_the_one_package_reference_matches_one_package_per_scalar(make, extras):
+    pot = make()
+    for extra in extras:
+        for j in (1, 2, 3):
+            want = one_package_per_scalar_reference(pot, j, extra)
+            assert kernel_coefficient_reference(pot, j, extra) == want, (j, extra)
 
 
 def test_laplacian_flat_limit():

@@ -7,10 +7,14 @@ is the product of the kernels, so a_j of the sum is the Cauchy product
 sum_i a_i(H1) a_(j-i)(H2) of the factors' coefficients.  The identity
 holds for any adjoint rule that acts coordinate by coordinate, so the
 factors' a_1 .. a_3 are pinned to their curvature closed forms as well.
+Symmetry: a unitary change of coordinates that keeps the center in normal
+form, a permutation or a phase on one coordinate, leaves every a_j
+unchanged, and a_j is real on Hermitian input.
 """
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -62,3 +66,46 @@ def test_product_potential_is_the_cauchy_product(seeds):
     for j in range(jmax + 1):
         want = sum((a[0][i] * a[1][j - i] for i in range(j + 1)), GR_ZERO)
         assert graded_total(got[j]) == want, j
+
+
+# a unit Gaussian rational, so z_k -> U z_k is unitary and exact
+U = GaussRat(Fraction(3, 5), Fraction(4, 5))
+
+
+def _permuted(jets, perm):
+    """Jets of H after z_i -> z_perm[i]."""
+    return {
+        (tuple(alpha[p] for p in perm), tuple(beta[p] for p in perm)): v
+        for (alpha, beta), v in jets.items()
+    }
+
+
+def _phased(jets, k):
+    """Jets of H after z_k -> U z_k: h[alpha|beta] times U^alpha_k conj(U)^beta_k."""
+    return {
+        (alpha, beta): v * U ** alpha[k] * U.conjugate() ** beta[k]
+        for (alpha, beta), v in jets.items()
+    }
+
+
+@pytest.mark.parametrize("n, seed", [(1, 4), (2, 5), (3, 7)])
+def test_kernel_coefficients_are_unitary_invariants(n, seed):
+    jmax = 3
+    # (2, 2) jets first, which a_1 and a_2 read, then a sparse weight-3 draw
+    rng = random.Random(seed)
+    jets = {**random_hermitian_jets(n, 1, rng), **random_hermitian_jets(n, jmax, rng)}
+    moved = [_phased(jets, n - 1)]
+    if n > 1:
+        moved.append(_permuted(jets, [*range(1, n), 0]))
+    assert all(raw != jets for raw in moved)
+    runs = []
+    for raw in [jets, *moved]:
+        pot = Potential.graded_numeric(n, raw, jmax)
+        assert pot.is_hermitian()
+        coeffs = bergman_coefficients(pot, jmax)
+        assert all(c.im == 0 for a in coeffs for c in a.values())
+        assert all(coeffs[j] == kernel_coefficient_reference(pot, j) for j in (1, 2, 3))
+        runs.append(coeffs)
+    assert all(run == runs[0] for run in runs)
+    # a nonzero a_1 .. a_3, so the checks compare values
+    assert all(runs[0][1:])
