@@ -61,20 +61,16 @@ def _add_keys(k1, k2):
 def convolve(t1, t2, ring, jmax):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order j and the defect j' are
-    additive, and a pair taking either past jmax is skipped.  A pair whose
-    lowest ring grades or degrees sum past ring.caps has a zero product and
-    is skipped before ring.mul (only a SymbolicRing prunes so; see rings),
-    as is every zero product; pairs are visited t1 outer, t2 inner, which
-    fixes the insertion order."""
-    gcap, dcap = ring.caps
+    additive, and a pair taking either past jmax is skipped; every other
+    pair goes to ring.mul, which applies the ring's own caps (see rings),
+    and a zero product is skipped.  Pairs are visited t1 outer, t2 inner,
+    which fixes the insertion order."""
     out: dict = {}
-    inner = [(k2, v2, _defect(k2), k2[2], *ring.lowest(v2)) for k2, v2 in t2.items()]
+    inner = [(k2, v2, _defect(k2), k2[2]) for k2, v2 in t2.items()]
     for k1, v1 in t1.items():
-        g1, d1 = ring.lowest(v1)
         room, jroom = jmax - _defect(k1), jmax - k1[2]
-        groom, droom = gcap - g1, dcap - d1
-        for k2, v2, o2, j2, g2, d2 in inner:
-            if o2 > room or j2 > jroom or g2 > groom or d2 > droom:
+        for k2, v2, o2, j2 in inner:
+            if o2 > room or j2 > jroom:
                 continue
             p = ring.mul(v1, v2)
             if not ring.is_zero(p):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import comb, factorial, prod
 
 from .chern import chern_invariant, partitions_of
@@ -402,9 +402,9 @@ def kernel_coefficient_reference(pot, j, extra=0):
     """Closed-form value of the j-th kernel coefficient at the center.
 
     Known through j = 3: 1, S/2, P2 + lap S / 3, and P3 + div_Q +
-    lap^2 S / 8.  Every series scalar of a_j reads one package of cap
-    j - 1 + extra, lap^(j-1) S's, built at the first read and restricted to
-    each other scalar's own cap.
+    lap^2 S / 8.  Every series scalar of a_j (each j >= 1 has one) reads
+    one package of cap j - 1 + extra, lap^(j-1) S's, restricted to that
+    scalar's own cap.
     """
     as_count(j, "j")
     as_count(extra, "extra")
@@ -413,10 +413,9 @@ def kernel_coefficient_reference(pot, j, extra=0):
         return ring.one
     if j not in _KERNEL_CLOSED_FORMS:
         raise ValueError("closed forms are implemented through j = 3")
-    # one package for every series scalar, built at the first one read
-    top = cache(lambda: curvature_package(pot, j - 1 + extra))
+    top = curvature_package(pot, j - 1 + extra)
     total = ring.zero
     for coeff, name in _KERNEL_CLOSED_FORMS[j]:
-        value = _read(pot, name, scalar_weight(name), extra, lambda h: top().restrict(h))
+        value = _read(pot, name, scalar_weight(name), extra, top.restrict)
         total = ring.add(total, ring.scale(value, coeff))
     return total

@@ -17,12 +17,17 @@ Elements are plain values (GaussRat, dict of grades, dict of monomials);
 all arithmetic goes through the ring object.  Code that needs more than
 arithmetic branches on the ring class: the CLI prints a GradedRing element
 as one total, the kernel pipeline refuses a GaussRing and check_weight
-skips it, and only a GaussRing potential serializes.  Whether a product is
-worth forming is the ring's own answer (caps against lowest): only a
-SymbolicRing prunes, and the numeric rings share one never-prune answer.
+skips it, and only a GaussRing potential serializes.  Pruning lives in
+mul alone: series and symbol products pass every pair inside their own box
+or t-order cap, and a product the ring's caps drop comes back zero.
+SymbolicRing.mul answers zero at once when the factors' least monomial
+grades sum past the grade cap, or on the linear ring (degree cap 1) when
+neither factor has a constant term.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .rationals import GR_ONE, GR_ZERO, as_gauss
 
@@ -52,19 +57,7 @@ def check_weight(ring, name, weight):
         )
 
 
-class _NeverPrunes:
-    """The numeric rings' prune answer: no grade or degree to cap, so every
-    product passes caps against lowest().  Only SymbolicRing overrides it."""
-
-    __slots__ = ()
-
-    caps = (0, 0)
-
-    def lowest(self, x):
-        return 0, 0
-
-
-class GaussRing(_NeverPrunes):
+class GaussRing:
     """Plain Gaussian rationals."""
 
     __slots__ = ()
@@ -97,7 +90,7 @@ class GaussRing(_NeverPrunes):
         return not x
 
 
-class _DictRing(_NeverPrunes):
+class _DictRing:
     """Linear structure shared by the graded rings: an element is a dict from
     a key (a grade, or a symbol monomial) to a nonzero Gaussian rational.
     Subclasses supply mul, conj and _grade (the doubled weight of a key).
@@ -186,11 +179,14 @@ class SymbolicRing(_DictRing):
     exactly the constraint a real potential puts on its jets.
     """
 
-    __slots__ = ("cap", "degree_cap")
+    __slots__ = ("cap", "degree_cap", "_grade_of")
 
     def __init__(self, cap, degree_cap=None):
         self.cap = cap
         self.degree_cap = degree_cap
+        # each monomial's grade, computed once and kept for the ring's life:
+        # one entry per distinct monomial that reaches mul
+        self._grade_of = cache(self.monomial_grade)
 
     @property
     def one(self):
@@ -199,7 +195,7 @@ class SymbolicRing(_DictRing):
     def symbol(self, key):
         alpha, beta = key
         key = (tuple(alpha), tuple(beta))
-        if symbol_grade(key) > self.cap or (self.degree_cap or 1) < 1:
+        if symbol_grade(key) > self.cap or (self.degree_cap is not None and self.degree_cap < 1):
             return {}
         return {((key, 1),): GR_ONE}
 
@@ -213,31 +209,21 @@ class SymbolicRing(_DictRing):
     def monomial_degree(mono):
         return sum(e for _, e in mono)
 
-    @property
-    def caps(self):
-        """(grade cap, degree cap), the degree cap 0 when there is none."""
-        return self.cap, self.degree_cap or 0
-
-    def lowest(self, x):
-        """(lowest grade, lowest degree) of the monomials of a nonzero x, the
-        degree 0 when there is no degree cap: x * y is zero when either sum
-        with y's is past its entry of caps."""
-        degree = min(map(self.monomial_degree, x)) if self.degree_cap is not None else 0
-        return min(map(self.monomial_grade, x)), degree
-
     def mul(self, x, y):
+        if self.degree_cap == 1 and () not in x and () not in y:
+            return {}  # every term would have degree at least 2
+        grade = self._grade_of
+        if not x or not y or min(map(grade, x)) + min(map(grade, y)) > self.cap:
+            return {}  # every term would be past the grade cap
         out: dict = {}
         for m1, c1 in x.items():
             d1 = dict(m1)
-            g1 = self.monomial_grade(m1)
+            g1 = grade(m1)
             n1 = self.monomial_degree(m1)
             for m2, c2 in y.items():
-                if g1 + self.monomial_grade(m2) > self.cap:
+                if g1 + grade(m2) > self.cap:
                     continue
-                if (
-                    self.degree_cap is not None
-                    and n1 + self.monomial_degree(m2) > self.degree_cap
-                ):
+                if self.degree_cap is not None and n1 + self.monomial_degree(m2) > self.degree_cap:
                     continue
                 merged = dict(d1)
                 for s, e in m2:

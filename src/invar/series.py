@@ -45,15 +45,14 @@ def _inside(key, cap):
 def _sum_products(pairs):
     """Sum of x * y over the pairs (x, y) of series, in one dict, at the
     componentwise smallest cap of all the factors, an empty one's included;
-    a pair with an empty factor forms no product, and neither does a term
-    pair whose lowest grades or degrees sum past ring.caps (only a
-    SymbolicRing prunes so; see rings).  Pairs are visited in order, x outer
+    a pair with an empty factor forms no product, nor does a term pair
+    outside the box; every other term pair goes to ring.mul, which applies
+    the ring's own caps (see rings).  Pairs are visited in order, x outer
     and y inner, which fixes the insertion order."""
     pairs = list(pairs)
     first = pairs[0][0]
     ring = first.ring
     h, a = map(min, zip(*(s.cap for pair in pairs for s in pair)))
-    gcap, dcap = ring.caps
     out: dict = {}
     for x, y in pairs:
         first._check(x)
@@ -61,12 +60,12 @@ def _sum_products(pairs):
         if not x.terms or not y.terms:
             continue
         inner = y._indexed()
-        for (a1, b1), v1, h1, c1, g1, d1 in x._indexed():
-            rh, ra, rg, rd = h - h1, a - c1, gcap - g1, dcap - d1
+        for (a1, b1), v1, h1, c1 in x._indexed():
+            rh, ra = h - h1, a - c1
             if rh < 0 or ra < 0:
                 continue
-            for (a2, b2), v2, h2, c2, g2, d2 in inner:
-                if h2 > rh or c2 > ra or g2 > rg or d2 > rd:
+            for (a2, b2), v2, h2, c2 in inner:
+                if h2 > rh or c2 > ra:
                     continue
                 p = ring.mul(v1, v2)
                 if not ring.is_zero(p):
@@ -110,10 +109,9 @@ class ScalarSeries:
         return out
 
     def _indexed(self):
-        """[(key, value, |alpha|, |beta|, *ring.lowest(value))], built once."""
+        """[(key, value, |alpha|, |beta|)], built once."""
         if self._index is None:
-            low = self.ring.lowest
-            self._index = [(k, v, sum(k[0]), sum(k[1]), *low(v)) for k, v in self.terms.items()]
+            self._index = [(k, v, sum(k[0]), sum(k[1])) for k, v in self.terms.items()]
         return self._index
 
     def __bool__(self):

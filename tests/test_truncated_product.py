@@ -1,18 +1,20 @@
 """The capped products against plain pair loops.
 
-`ScalarSeries.mul` (curvature series, truncated to a bidegree box) and
+`ScalarSeries.mul` (curvature series, truncated to a bidegree box),
 `bergman.convolve` (operator symbols, truncated by the t-order and its
-defect and pruned by ring grade) are checked against stand-alone loops:
-x outer, y inner, cap check, ring product, zero skip, and an add that pops
-a key whose sum cancels.  Results are compared as item lists, so dict
-insertion order is pinned as well as the values.
+defect) and `SymbolicRing.mul` (monomials, truncated by grade and degree)
+are checked against stand-alone loops: x outer, y inner, cap check,
+product, zero skip, and an add that pops a key whose sum cancels.  The
+series and symbol loops call the ring's mul; the monomial loop calls no
+ring code.  Results are compared as item lists, so dict insertion order is
+pinned as well as the values.
 """
 
 import random
 
 import pytest
 
-from invar.bergman import build_A, convolve
+from invar.bergman import convolve
 from invar.geometry import curvature_package
 from invar.jets import Potential, jet_keys_up_to_grade
 from invar.rationals import GaussRat
@@ -65,6 +67,28 @@ def reference_convolve(t1, t2, ring, jprime_cap):
                 out.pop(key, None)
             else:
                 out[key] = s
+    return out
+
+
+def reference_symbolic_mul(ring, x, y):
+    """The monomial product with no early exit: exponents merged, a pair
+    past the grade or the degree cap dropped."""
+    out: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            merged = dict(m1)
+            for sym, e in m2:
+                merged[sym] = merged.get(sym, 0) + e
+            grade = sum((sum(alpha) + sum(beta) - 2) * e for (alpha, beta), e in merged.items())
+            degree = sum(merged.values())
+            if grade > ring.cap or (ring.degree_cap is not None and degree > ring.degree_cap):
+                continue
+            key = tuple(sorted(merged.items()))
+            s = out.get(key, GaussRat(0)) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -188,17 +212,90 @@ def test_the_linear_ring_skips_vanishing_products():
     assert list(convolve(x, y, ring, 5).items()) == [(((1,), (1,), 0), sym)]
 
 
-def test_build_A_forms_no_symbolic_product_past_the_caps(monkeypatch):
-    """convolve skips a pair whose lowest grades or degrees sum past the
-    ring's caps, so no SymbolicRing product comes back empty; the full pair
-    loop formed 36,401 products here, almost all of them empty."""
-    products = []
-    mul = SymbolicRing.mul
+def random_monomial(rng, n, degree):
+    """A sorted monomial of the given degree in n-dimensional jet symbols,
+    built by hand, so it may lie past any ring's caps."""
+    keys = jet_keys_up_to_grade(n, 3)
+    merged: dict = {}
+    for _ in range(degree):
+        sym = rng.choice(keys)
+        merged[sym] = merged.get(sym, 0) + 1
+    return tuple(sorted(merged.items()))
+
+
+def random_polynomial(rng, n, constant):
+    """Up to four hand-built monomials of degree 1 or 2, plus the constant
+    monomial when asked; small coefficients, so sums cancel often."""
+    out = {(): GaussRat(rng.choice((-1, 1)), rng.choice((0, 1)))} if constant else {}
+    for _ in range(rng.randint(1, 4)):
+        out[random_monomial(rng, n, rng.randint(1, 2))] = GaussRat(rng.choice((-1, 1)))
+    return out
+
+
+@pytest.mark.parametrize("degree_cap", [None, 2, 1, 0], ids=["full", "cap2", "linear", "cap0"])
+def test_symbolic_mul_matches_the_monomial_reference(degree_cap):
+    ring = SymbolicRing(4, degree_cap)
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = 1 + seed % 2
+        x = random_polynomial(rng, n, constant=seed % 4 < 2)
+        y = random_polynomial(rng, n, constant=seed % 2 == 0)
+        want = reference_symbolic_mul(ring, x, y)
+        assert list(ring.mul(x, y).items()) == list(want.items()), seed
+        assert list(ring.mul(y, x).items()) == list(reference_symbolic_mul(ring, y, x).items())
+    # degree-2 monomials by hand: past the linear cap, whatever they meet
+    ring = SymbolicRing(4, 1)
+    sym = ring.symbol(((2,), (2,)))
+    square = {((((2,), (2,)), 2),): GaussRat(1)}
+    for x, y in ((square, ring.one), (square, sym), (ring.add(ring.one, square), sym)):
+        got = ring.mul(x, y)
+        assert list(got.items()) == list(reference_symbolic_mul(ring, x, y).items())
+    assert ring.mul(square, ring.one) == {}
+    assert ring.mul(ring.add(ring.one, square), sym) == sym
+
+
+def unread(mono):
+    raise AssertionError(f"read monomial {mono}")
+
+
+def test_the_linear_ring_rejects_a_constant_free_pair_unread(monkeypatch):
+    """Two linear-ring elements with no constant term multiply to zero, and
+    mul answers so before reading any monomial's grade or degree."""
+    monkeypatch.setattr(SymbolicRing, "monomial_grade", staticmethod(unread))
+    monkeypatch.setattr(SymbolicRing, "monomial_degree", staticmethod(unread))
+    ring = SymbolicRing(4, 1)
+    x = ring.add(ring.symbol(((2,), (2,))), ring.symbol(((3,), (2,))))
+    y = ring.scale(ring.symbol(((2,), (3,))), GaussRat(2, 1))
+    assert ring.mul(x, y) == {} and ring.mul(y, x) == {} and ring.mul(x, x) == {}
+    with pytest.raises(AssertionError, match="read monomial"):
+        ring.mul(x, ring.one)
+
+
+def test_a_pair_past_the_grade_cap_is_rejected_unread(monkeypatch):
+    """A pair whose lowest grades sum past the grade cap is zero before any
+    degree is read, and each monomial's grade is computed once for the
+    ring's life."""
+    graded = []
+    grade = SymbolicRing.monomial_grade
     monkeypatch.setattr(
-        SymbolicRing, "mul", lambda self, x, y: products.append(p := mul(self, x, y)) or p
+        SymbolicRing, "monomial_grade", staticmethod(lambda m: graded.append(m) or grade(m))
     )
-    assert build_A(Potential.symbolic(2, 3, linear=True), 3)
-    assert products and all(products)
+    monkeypatch.setattr(SymbolicRing, "monomial_degree", staticmethod(unread))
+    ring = SymbolicRing(5)
+    x = ring.symbol(((3,), (3,)))  # grade 4
+    y = ring.add(ring.symbol(((3,), (2,))), ring.symbol(((4,), (2,))))  # grades 3 and 4
+    for _ in range(3):
+        assert ring.mul(x, y) == {} and ring.mul(y, x) == {} and ring.mul(y, y) == {}
+    assert sorted(graded) == sorted([*x, *y])
+
+
+def test_a_degree_cap_of_zero_leaves_only_constants():
+    """On a cap-0 ring every symbol is zero, so one is the identity."""
+    ring = SymbolicRing(4, 0)
+    assert all(ring.symbol(key) == {} for key in jet_keys_up_to_grade(2, 4))
+    sym = ring.symbol(((2,), (2,)))
+    for x in ({}, ring.one, ring.scale(ring.one, GaussRat(3, -1)), ring.add(ring.one, sym)):
+        assert ring.mul(x, ring.one) == x and ring.mul(ring.one, x) == x
 
 
 def test_a_contraction_with_an_empty_factor_forms_no_product(monkeypatch):
