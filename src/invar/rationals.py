@@ -108,6 +108,11 @@ class GaussRat:
     def __delattr__(self, name):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from the fields, which the
+        # default slot-by-slot restore cannot set
+        return _make, (self._p, self._q, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._p, self._d)

@@ -23,6 +23,13 @@ or t-order cap, and a product the ring's caps drop comes back zero.
 SymbolicRing.mul answers zero at once when the factors' least monomial
 grades sum past the grade cap, or on the linear ring (degree cap 1) when
 neither factor has a constant term.
+
+Elements are shared values that nothing mutates: every operation builds a
+new dict or returns an operand it was given, so a result may be the
+caller's own object.  A sum into an empty slot keeps the addend (add with
+a zero operand, _add_term on an absent key, a fresh key in mul), so no sum
+adds a zero, and scaling by 1 returns its argument.  An element's dict
+holds only nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -41,11 +48,16 @@ def symbol_grade(key) -> int:
 
 
 def _add_term(terms, key, value, ring):
-    s = ring.add(terms.get(key, ring.zero), value)
-    if ring.is_zero(s):
+    """Add the ring element value into terms[key] in place.  An absent key
+    stores value itself (the object, shared, not a copy) unless it is zero,
+    and ring.add runs only on a key already held; a sum that cancels pops
+    its key, so a key that comes back is appended last."""
+    if key in terms:
+        value = ring.add(terms[key], value)
+    if ring.is_zero(value):
         terms.pop(key, None)
     else:
-        terms[key] = s
+        terms[key] = value
 
 
 def check_weight(ring, name, weight):
@@ -72,6 +84,10 @@ class GaussRing:
         return hash(GaussRing)
 
     def add(self, x, y):
+        if not x:
+            return y
+        if not y:
+            return x
         return x + y
 
     def neg(self, x):
@@ -81,7 +97,9 @@ class GaussRing:
         return x * y
 
     def scale(self, x, c):
-        return x * (c if type(c) is int else as_gauss(c))
+        if type(c) is not int:
+            c = as_gauss(c)
+        return x if c == 1 else x * c
 
     def conj(self, x):
         return x.conjugate()
@@ -104,11 +122,12 @@ class _DictRing:
     def add(self, x, y):
         out = dict(x)
         for k, c in y.items():
-            s = out.get(k, GR_ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
         return out
 
     def neg(self, x):
@@ -117,6 +136,8 @@ class _DictRing:
     def scale(self, x, c):
         if type(c) is not int:
             c = as_gauss(c)
+        if c == 1:
+            return x
         if not c:
             return {}
         return {k: v * c for k, v in x.items()}
@@ -160,11 +181,13 @@ class GradedRing(_DictRing):
                 g = g1 + g2
                 if g > self.cap:
                     continue
-                s = out.get(g, GR_ZERO) + c1 * c2
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
+                p = c1 * c2
+                if g in out:
+                    p = out[g] + p
+                    if not p:
+                        del out[g]
+                        continue
+                out[g] = p
         return out
 
     def conj(self, x):
@@ -229,11 +252,13 @@ class SymbolicRing(_DictRing):
                 for s, e in m2:
                     merged[s] = merged.get(s, 0) + e
                 m = tuple(sorted(merged.items()))
-                v = out.get(m, GR_ZERO) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+                p = c1 * c2
+                if m in out:
+                    p = out[m] + p
+                    if not p:
+                        del out[m]
+                        continue
+                out[m] = p
         return out
 
     def conj(self, x):

@@ -6,7 +6,9 @@ Fractions and validated every result.  Every public behaviour must agree.
 """
 
 import ast
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -355,6 +357,13 @@ def test_gauss_rat_is_immutable():
         x._d = 7
     with pytest.raises(AttributeError, match="GaussRat is immutable"):
         del x._d
+
+
+def test_gauss_rat_copies_and_pickles_to_an_equal_value():
+    for x in (GaussRat(1, 2), GaussRat(Fraction(-3, 4), Fraction(5, 6)), GaussRat(0)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is GaussRat and y == x
+            assert (y._p, y._q, y._d) == (x._p, x._q, x._d)
 
 
 def test_powers_refuse_bools_and_negative_exponents():

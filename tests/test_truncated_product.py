@@ -8,17 +8,24 @@ product, zero skip, and an add that pops a key whose sum cancels.  The
 series and symbol loops call the ring's mul; the monomial loop calls no
 ring code.  Results are compared as item lists, so dict insertion order is
 pinned as well as the values.
+
+The accumulation rule (a sum into an empty slot keeps the addend, scaling
+by one keeps the element) is checked against a stand-alone copy of the
+rule it replaced, which added every term to an explicit zero; by a count
+of the zero additions the kernel pipeline makes; and by an aliasing guard,
+since a stored value may now be the caller's own object.
 """
 
+import copy
 import random
 
 import pytest
 
-from invar.bergman import convolve
-from invar.geometry import curvature_package
-from invar.jets import Potential, jet_keys_up_to_grade
-from invar.rationals import GaussRat
-from invar.rings import GaussRing, GradedRing, SymbolicRing
+from invar.bergman import bergman_coefficients, convolve
+from invar.geometry import curvature_package, kernel_coefficient_reference, named_scalar
+from invar.jets import Potential, jet_keys_up_to_grade, random_hermitian_jets
+from invar.rationals import GR_ZERO, GaussRat
+from invar.rings import GaussRing, GradedRing, SymbolicRing, _add_term, _DictRing
 from invar.series import ScalarSeries, _sum_products
 
 
@@ -319,3 +326,187 @@ def test_a_contraction_with_an_empty_factor_forms_no_product(monkeypatch):
     lap = pkg.laplacian(ScalarSeries(ring, 2, (2, 2)))
     assert not lap and lap.cap == (1, 1)
     assert not ring_products and not series_products
+
+
+# -- the accumulation rule against the zero-add rule it replaced ----------
+
+
+def zero_add(ring, x, y):
+    """The old ring.add: every coefficient of y added to x's, an absent one
+    read as an explicit zero, and a sum that cancels popped."""
+    if isinstance(ring, GaussRing):
+        return x + y
+    out = dict(x)
+    for k, c in y.items():
+        s = out.get(k, GR_ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def zero_add_term(terms, key, value, ring):
+    """The old _add_term: the value added to the held one or to ring.zero."""
+    s = zero_add(ring, terms.get(key, ring.zero), value)
+    if ring.is_zero(s):
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
+def zero_add_mul(ring, x, y):
+    """The old GradedRing.mul and SymbolicRing.mul loops: each product added
+    to the held coefficient or to an explicit zero, with no early exit."""
+    if isinstance(ring, SymbolicRing):
+        return reference_symbolic_mul(ring, x, y)
+    out: dict = {}
+    for g1, c1 in x.items():
+        for g2, c2 in y.items():
+            g = g1 + g2
+            if g > ring.cap:
+                continue
+            s = out.get(g, GR_ZERO) + c1 * c2
+            if s:
+                out[g] = s
+            else:
+                out.pop(g, None)
+    return out
+
+
+def as_items(x):
+    """An element as a comparable list: a dict ring's items in order, each
+    coefficient as its canonical fields, so equal lists mean equal objects
+    in equal order."""
+    if isinstance(x, GaussRat):
+        return (x._p, x._q, x._d)
+    return [(k, (c._p, c._q, c._d)) for k, c in x.items()]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_accumulation_matches_the_zero_add_rule(name):
+    ring = RINGS[name]
+    keys = [(i,) for i in range(4)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        values = [random_value(ring, rng) for _ in range(6)]
+        x, y = values[0], values[1]
+        assert as_items(ring.add(x, y)) == as_items(zero_add(ring, x, y)), seed
+        assert as_items(ring.add(ring.zero, x)) == as_items(zero_add(ring, ring.zero, x))
+        if not isinstance(ring, GaussRing):
+            assert as_items(ring.mul(x, y)) == as_items(zero_add_mul(ring, x, y)), seed
+        got, want = {}, {}
+        for _ in range(12):
+            key, v = rng.choice(keys), rng.choice(values)
+            if rng.random() < 0.3:
+                v = ring.neg(v)
+            _add_term(got, key, v, ring)
+            zero_add_term(want, key, v, ring)
+            assert [(k, as_items(v)) for k, v in got.items()] == [
+                (k, as_items(v)) for k, v in want.items()
+            ], seed
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_a_cancelled_slot_is_popped_and_refilled_last(name):
+    ring = RINGS[name]
+    v = random_value(ring, random.Random(1))
+    w = ring.add(v, v)
+    got, want = {}, {}
+    for key, x in (("a", v), ("b", v), ("a", ring.neg(v)), ("c", v), ("a", w)):
+        _add_term(got, key, x, ring)
+        zero_add_term(want, key, x, ring)
+    assert list(got) == ["b", "c", "a"]
+    assert [(k, as_items(x)) for k, x in got.items()] == [
+        (k, as_items(x)) for k, x in want.items()
+    ]
+    # an empty slot keeps the addend itself, and a zero addend leaves no key
+    assert got["b"] is v and got["a"] is w
+    _add_term(got, "d", ring.zero, ring)
+    assert "d" not in got
+
+
+def test_graded_and_dict_sums_refill_a_cancelled_grade_last():
+    ring = GradedRing(8)
+    one, minus = GaussRat(1), GaussRat(-1)
+    x = {0: one, 2: one, 4: one}
+    y = {4: one, 2: minus, 0: one}
+    # grades 4 and 2 cancel and are popped; grade 4 comes back last
+    want = [(0, one), (8, one), (4, one)]
+    assert list(ring.mul(x, y).items()) == want == list(zero_add_mul(ring, x, y).items())
+    z = {2: minus, 6: one, 0: one}
+    assert list(ring.add(x, z).items()) == [(0, GaussRat(2)), (4, one), (6, one)]
+    assert list(ring.add(x, z).items()) == list(zero_add(ring, x, z).items())
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_scaling_by_one_keeps_the_element(name):
+    ring = RINGS[name]
+    x = random_value(ring, random.Random(2))
+    for one in (1, GaussRat(1)):
+        assert ring.scale(x, one) is x
+    if isinstance(ring, GaussRing):
+        assert ring.add(ring.zero, x) is x and ring.add(x, ring.zero) is x
+
+
+# -- the kernel pipeline adds no zero ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        lambda: Potential.graded_numeric(2, random_hermitian_jets(2, 3, random.Random(0)), 3),
+        lambda: Potential.symbolic(1, 3),
+    ],
+    ids=["graded", "symbolic"],
+)
+def test_the_kernel_pipeline_adds_no_zero(pot, monkeypatch):
+    """Each GaussRat addition a_3 and its reference make has two nonzero
+    operands (under the zero-add rule 162 of 188 and 500 of 628 did not)."""
+    pot = pot()
+    add = GaussRat.__add__
+    counts = {"all": 0, "zero": 0}
+
+    def counted(x, y):
+        counts["all"] += 1
+        counts["zero"] += not x or not y
+        return add(x, y)
+
+    monkeypatch.setattr(GaussRat, "__add__", counted)
+    bergman_coefficients(pot, 3)
+    kernel_coefficient_reference(pot, 3)
+    assert counts["all"] > 0 and counts["zero"] == 0
+
+
+# -- shared values are never mutated -----------------------------------------
+
+
+def _run_everything(pot):
+    out = []
+    if not isinstance(pot.ring, GaussRing):
+        out.append(bergman_coefficients(pot, 3))
+    out.append([kernel_coefficient_reference(pot, j) for j in range(4)])
+    names = ["S", "lap_S", "lap2_S", "abs_R2", "abs_Ric2", "div_Q", "P0", "P2", "P3"]
+    out.append([named_scalar(pot, name) for name in names])
+    return out
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        lambda: Potential.numeric(2, random_hermitian_jets(2, 3, random.Random(3))),
+        lambda: Potential.graded_numeric(2, random_hermitian_jets(2, 3, random.Random(3)), 3),
+        lambda: Potential.symbolic(1, 3),
+    ],
+    ids=["numeric", "graded", "symbolic"],
+)
+def test_shared_values_are_never_mutated(pot):
+    """The results may hold the jets' own objects and the shared zero; a
+    run leaves both as they were and a second run gives equal results."""
+    pot = pot()
+    jets = copy.deepcopy(pot.jets)
+    first = _run_everything(pot)
+    assert pot.jets == jets
+    assert _DictRing.zero == {}
+    assert _run_everything(pot) == first
+    assert pot.jets == jets and _DictRing.zero == {}
