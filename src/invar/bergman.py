@@ -73,7 +73,7 @@ def convolve(t1, t2, ring, jmax):
             if o2 > room or j2 > jroom:
                 continue
             p = ring.mul(v1, v2)
-            if not ring.is_zero(p):
+            if p:
                 _add_term(out, _add_keys(k1, k2), p, ring)
     return out
 
@@ -120,7 +120,7 @@ def build_A(pot, jmax):
                 break
         sign = perm_sign(sigma)
         for key, v in product.items():
-            _add_term(det, key, v if sign > 0 else ring.neg(v), ring)
+            _add_term(det, key, v if sign > 0 else ring.scale(v, -1), ring)
     mult = multiplication_terms(pot)
     expo = dict(one)
     power = dict(one)
@@ -137,7 +137,7 @@ def build_A(pot, jmax):
 def adjoint(terms, ring):
     """Termwise adjoint of a normal-ordered symbol.
 
-    In the linear theory (degree cap 1) A is 1 - H t + tr(g - 1), and after
+    On the linear ring (the linearized theory) A is 1 - H t + tr(g - 1), and after
     the Hermitian relabel conj(h[b|a]) = h[a|b] the adjoint is the one-piece
     ladder
 
@@ -193,7 +193,7 @@ def bergman_coefficients(pot, jmax):
                 "adjoint term at nonnegative t-order; inversion would not close"
             )
     E = adjoint({k: v for k, v in A.items() if _readable(k, jmax)}, ring)
-    _add_term(E, ident, ring.neg(ring.one), ring)
+    _add_term(E, ident, ring.scale(ring.one, -1), ring)
     zero = (0,) * n
     X = {(zero, 0): ring.one}
     Q = {0: ring.one}
@@ -210,7 +210,7 @@ def bergman_coefficients(pot, jmax):
                     continue
                 nb = tuple(bi - ci + di for bi, ci, di in zip(b, cz, dd))
                 contrib = ring.scale(ring.mul(xv, ev), -mult)
-                if not ring.is_zero(contrib):
+                if contrib:
                     _add_term(Xn, (nb, nj), contrib, ring)
         X = Xn
         if not X:
@@ -221,11 +221,10 @@ def bergman_coefficients(pot, jmax):
     out = []
     for j in range(jmax + 1):
         q = Q.get(j, ring.zero)
-        comps = ring.split_grades(q)
-        stray = {g: c for g, c in comps.items() if g != 2 * j}
+        stray = set(map(ring.grade, q)) - {2 * j}
         if stray:
             raise ArithmeticError(
                 f"coefficient {j} is not weight-homogeneous: grades {sorted(stray)}"
             )
-        out.append(comps.get(2 * j, ring.zero))
+        out.append(q)
     return out

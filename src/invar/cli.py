@@ -439,15 +439,26 @@ VERIFY_SUITES = {
     ),
     "roundtrip": (_verify_roundtrip, {"trials", "seed"}),
 }
-VERIFY_FLAGS = ("dim", "order", "trials", "mode_bound", "seed")
+# each verify flag and its argparse type: the parser and the refusal of a
+# flag the suite does not read both come from this one table
+VERIFY_FLAGS = {
+    "dim": _at_least(1),
+    "order": _at_least(1),
+    "trials": _at_least(1),
+    "mode_bound": _at_least(1),
+    "seed": int,
+}
+
+
+def _option(flag):
+    return "--" + flag.replace("_", "-")
 
 
 def cmd_verify(args):
     suite, reads = VERIFY_SUITES[args.suite]
     for flag in VERIFY_FLAGS:
         if getattr(args, flag) is not None and flag not in reads:
-            option = "--" + flag.replace("_", "-")
-            raise InputError(f"verify {args.suite} does not read {option}")
+            raise InputError(f"verify {args.suite} does not read {_option(flag)}")
     rep = Reporter()
     suite(args, rep)
     return rep.exit_code
@@ -504,11 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    p.add_argument("--dim", type=_at_least(1))
-    p.add_argument("--order", type=_at_least(1))
-    p.add_argument("--trials", type=_at_least(1))
-    p.add_argument("--mode-bound", type=_at_least(1))
-    p.add_argument("--seed", type=int)
+    for flag, kind in VERIFY_FLAGS.items():
+        p.add_argument(_option(flag), type=kind)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -308,7 +308,7 @@ def evaluate(inv, pot):
             slots, keyed, agree = plan[f]
             out = ring.zero
             for idx, r in agree.get(tuple(bound[slots[p]] for p in keyed), ()):
-                if not ring.is_zero(w := ring.mul(v, r)):
+                if w := ring.mul(v, r):
                     bound.update(zip(slots, idx))
                     out = ring.add(out, walk(f + 1, w))
             return out

@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 from .monomials import PHI, PSI, ContractionMonomial
-from .rationals import as_count, as_fraction, format_fraction
+from .rationals import as_count, as_fraction, as_json, format_fraction
 
 __all__ = ["Invariant", "zero_invariant", "monomial_invariant"]
 
@@ -219,15 +219,19 @@ class Invariant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Invariant":
-        terms = [
-            (ContractionMonomial.from_json_dict(t["monomial"]), t["coeff"])
-            for t in d["terms"]
-        ]
+        as_json(d, dict, "document")
+        terms = []
+        for t in as_json(d["terms"], list, "terms"):
+            mono = as_json(as_json(t, dict, "each term")["monomial"], dict, "monomial")
+            terms.append((ContractionMonomial.from_json_dict(mono), t["coeff"]))
         kinds = {m.kind for m, _ in terms}
         if len(kinds) > 1:
             raise ValueError("mixed monomial kinds in invariant")
         kind = kinds.pop() if kinds else PHI
-        return cls(kind, d.get("valence", (0, 0)), terms)
+        valence = d.get("valence", [0, 0])
+        if not isinstance(valence, list) or len(valence) != 2:
+            raise ValueError(f"valence must be a two-element list, got {valence!r}")
+        return cls(kind, valence, terms)
 
 
 _ZERO = Fraction(0)

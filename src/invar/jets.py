@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_dimension, as_gauss, format_fraction, random_fraction
+from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_json, format_fraction, random_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries, _check_index
 
@@ -49,7 +49,7 @@ class Potential:
         clean = {}
         for key, v in jets.items():
             key = _check_key(key, n)
-            if not ring.is_zero(v):
+            if v:
                 clean[key] = v
         self.jets = clean
 
@@ -72,7 +72,7 @@ class Potential:
         """One formal symbol per jet index pair up to the weight cap."""
         as_count(weight_cap, "weight_cap")
         keys = jet_keys_up_to_grade(n, 2 * weight_cap)
-        ring = SymbolicRing(2 * weight_cap, degree_cap=1 if linear else None)
+        ring = SymbolicRing(2 * weight_cap, linear)
         jets = {key: ring.symbol(key) for key in keys}
         return cls(n, ring, jets)
 
@@ -103,8 +103,10 @@ class Potential:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Potential":
+        as_json(d, dict, "document")
         raw = {}
-        for e in d["jets"]:
+        for e in as_json(d["jets"], list, "jets"):
+            as_json(e, dict, "each jet")
             key = (tuple(e["alpha"]), tuple(e["beta"]))
             if key in raw:
                 raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")

@@ -36,6 +36,18 @@ def as_positive(value, field: str) -> int:
     return value
 
 
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def as_json(value, kind, field: str):
+    """A JSON list (kind list) or object (kind dict) read from a file; any
+    other value is refused with a message that names the field, never
+    indexed or iterated."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def as_dimension(n) -> int:
     """A complex dimension: an integer of at least 1."""
     if as_int(n, "n") < 1:

@@ -10,26 +10,28 @@ Three interchangeable rings sit under the power series and kernel pipeline:
   what keeps the kernel expansion finite.
 * SymbolicRing: polynomials in formal jet symbols with Gaussian-rational
   coefficients, for identities that must hold for every potential.  Carries
-  the same grade cap plus an optional total-degree cap (degree cap 1 is the
-  linearized theory).
+  the same grade cap; the linear flag drops every monomial of total degree
+  above one (the linearized theory).
 
 Elements are plain values (GaussRat, dict of grades, dict of monomials);
-all arithmetic goes through the ring object.  Code that needs more than
-arithmetic branches on the ring class: the CLI prints a GradedRing element
-as one total, the kernel pipeline refuses a GaussRing and check_weight
-skips it, and only a GaussRing potential serializes.  Pruning lives in
-mul alone: series and symbol products pass every pair inside their own box
-or t-order cap, and a product the ring's caps drop comes back zero.
-SymbolicRing.mul answers zero at once when the factors' least monomial
-grades sum past the grade cap, or on the linear ring (degree cap 1) when
-neither factor has a constant term.
+all arithmetic goes through the ring object, and an element is falsy
+exactly when it is zero.  The dict rings read a key's doubled weight
+through grade.  Code that needs more than arithmetic branches on the ring
+class: the CLI prints a GradedRing element as one total, the kernel
+pipeline refuses a GaussRing and check_weight skips it, and only a
+GaussRing potential serializes.  Pruning lives in mul alone: series and
+symbol products pass every pair inside their own box or t-order cap, and a
+product the ring's caps drop comes back zero.  SymbolicRing.mul answers
+zero at once when the factors' least monomial grades sum past the grade
+cap, or on the linear ring when neither factor has a constant term.
 
 Elements are shared values that nothing mutates: every operation builds a
 new dict or returns an operand it was given, so a result may be the
-caller's own object.  A sum into an empty slot keeps the addend (add with
-a zero operand, _add_term on an absent key, a fresh key in mul), so no sum
-adds a zero, and scaling by 1 returns its argument.  An element's dict
-holds only nonzero coefficients.
+caller's own object, and each ring's zero and one are class constants.  A
+sum into an empty slot keeps the addend (add with a zero operand,
+_add_term on an absent key, a fresh key in mul), so no sum adds a zero, and
+scaling by 1 returns its argument.  An element's dict holds only nonzero
+coefficients.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _add_term(terms, key, value, ring):
     its key, so a key that comes back is appended last."""
     if key in terms:
         value = ring.add(terms[key], value)
-    if ring.is_zero(value):
+    if not value:
         terms.pop(key, None)
     else:
         terms[key] = value
@@ -90,9 +92,6 @@ class GaussRing:
             return x
         return x + y
 
-    def neg(self, x):
-        return -x
-
     def mul(self, x, y):
         return x * y
 
@@ -104,16 +103,13 @@ class GaussRing:
     def conj(self, x):
         return x.conjugate()
 
-    def is_zero(self, x):
-        return not x
-
 
 class _DictRing:
     """Linear structure shared by the graded rings: an element is a dict from
     a key (a grade, or a symbol monomial) to a nonzero Gaussian rational.
-    Subclasses supply mul, conj and _grade (the doubled weight of a key).
-    A ring is equal only to itself, so series combine only on one ring
-    object."""
+    Subclasses supply one, mul, conj and grade (the doubled weight of a
+    key).  A ring is equal only to itself, so series combine only on one
+    ring object."""
 
     __slots__ = ()
 
@@ -130,9 +126,6 @@ class _DictRing:
             out[k] = c
         return out
 
-    def neg(self, x):
-        return {k: -c for k, c in x.items()}
-
     def scale(self, x, c):
         if type(c) is not int:
             c = as_gauss(c)
@@ -142,31 +135,20 @@ class _DictRing:
             return {}
         return {k: v * c for k, v in x.items()}
 
-    def is_zero(self, x):
-        return not x
-
-    def split_grades(self, x):
-        out: dict = {}
-        for k, c in x.items():
-            out.setdefault(self._grade(k), {})[k] = c
-        return out
-
 
 class GradedRing(_DictRing):
     """Gaussian rationals tagged with doubled jet weight; capped products."""
 
     __slots__ = ("cap",)
 
+    one: dict = {0: GR_ONE}
+
     def __init__(self, cap):
         self.cap = cap
 
     @staticmethod
-    def _grade(g):
+    def grade(g):
         return g
-
-    @property
-    def one(self):
-        return {0: GR_ONE}
 
     def graded(self, grade, c):
         c = as_gauss(c)
@@ -195,30 +177,29 @@ class GradedRing(_DictRing):
 
 
 class SymbolicRing(_DictRing):
-    """Polynomials in formal jet symbols (alpha, beta), capped by grade and degree.
+    """Polynomials in formal jet symbols (alpha, beta), capped by grade; on
+    the linear ring, also at total degree one.
 
     A monomial is a sorted tuple of (symbol, exponent) pairs; conjugation
     swaps each symbol's index pair and conjugates the coefficient, which is
     exactly the constraint a real potential puts on its jets.
     """
 
-    __slots__ = ("cap", "degree_cap", "_grade_of")
+    __slots__ = ("cap", "linear", "grade")
 
-    def __init__(self, cap, degree_cap=None):
+    one: dict = {(): GR_ONE}
+
+    def __init__(self, cap, linear=False):
         self.cap = cap
-        self.degree_cap = degree_cap
+        self.linear = linear
         # each monomial's grade, computed once and kept for the ring's life:
-        # one entry per distinct monomial that reaches mul
-        self._grade_of = cache(self.monomial_grade)
-
-    @property
-    def one(self):
-        return {(): GR_ONE}
+        # one entry per distinct monomial whose grade is read
+        self.grade = cache(self.monomial_grade)
 
     def symbol(self, key):
         alpha, beta = key
         key = (tuple(alpha), tuple(beta))
-        if symbol_grade(key) > self.cap or (self.degree_cap is not None and self.degree_cap < 1):
+        if symbol_grade(key) > self.cap:
             return {}
         return {((key, 1),): GR_ONE}
 
@@ -226,16 +207,14 @@ class SymbolicRing(_DictRing):
     def monomial_grade(mono):
         return sum(symbol_grade(s) * e for s, e in mono)
 
-    _grade = monomial_grade
-
     @staticmethod
     def monomial_degree(mono):
         return sum(e for _, e in mono)
 
     def mul(self, x, y):
-        if self.degree_cap == 1 and () not in x and () not in y:
+        if self.linear and () not in x and () not in y:
             return {}  # every term would have degree at least 2
-        grade = self._grade_of
+        grade = self.grade
         if not x or not y or min(map(grade, x)) + min(map(grade, y)) > self.cap:
             return {}  # every term would be past the grade cap
         out: dict = {}
@@ -246,7 +225,7 @@ class SymbolicRing(_DictRing):
             for m2, c2 in y.items():
                 if g1 + grade(m2) > self.cap:
                     continue
-                if self.degree_cap is not None and n1 + self.monomial_degree(m2) > self.degree_cap:
+                if self.linear and n1 + self.monomial_degree(m2) > 1:
                     continue
                 merged = dict(d1)
                 for s, e in m2:

@@ -68,7 +68,7 @@ def _sum_products(pairs):
                 if h2 > rh or c2 > ra:
                     continue
                 p = ring.mul(v1, v2)
-                if not ring.is_zero(p):
+                if p:
                     key = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
                     _add_term(out, key, p, ring)
     return first._like((h, a), out)
@@ -89,7 +89,7 @@ class ScalarSeries:
         if terms:
             for key, v in terms.items():
                 key = _check_index(key, self.n)
-                if _inside(key, cap) and not ring.is_zero(v):
+                if _inside(key, cap) and v:
                     clean[key] = v
         self.terms = clean
         self._index = None
@@ -140,7 +140,7 @@ class ScalarSeries:
         return self._like(cap, out)
 
     def neg(self):
-        return self._like(self.cap, {k: self.ring.neg(v) for k, v in self.terms.items()})
+        return self.scale(-1)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -152,7 +152,7 @@ class ScalarSeries:
         out = {}
         for k, v in self.terms.items():
             s = self.ring.scale(v, c)
-            if not self.ring.is_zero(s):
+            if s:
                 out[k] = s
         return self._like(self.cap, out)
 

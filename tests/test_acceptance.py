@@ -286,8 +286,8 @@ def test_10_linear_adjoint_matches_the_intermediate_display():
         got = {}
         for key, val in operator.items():
             if key == ident:
-                val = ring.add(val, ring.neg(ring.one))
-            if not ring.is_zero(val) and key[2] <= jmax:
+                val = ring.add(val, ring.scale(ring.one, -1))
+            if val and key[2] <= jmax:
                 got[key] = val
 
         want = {}
@@ -295,7 +295,7 @@ def test_10_linear_adjoint_matches_the_intermediate_display():
         def add(key, val):
             cur = want.get(key)
             new = ring.add(cur, val) if cur is not None else val
-            if ring.is_zero(new):
+            if not new:
                 want.pop(key, None)
             else:
                 want[key] = new

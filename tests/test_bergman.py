@@ -23,7 +23,7 @@ from invar.bergman import (
 from invar.geometry import kernel_coefficient_reference, named_scalar, todd_polynomial
 from invar.jets import Potential, fubini_study_jets, random_hermitian_jets
 from invar.rationals import GaussRat
-from invar.rings import GaussRing
+from invar.rings import GaussRing, GradedRing, SymbolicRing
 from test_truncated_product import reference_convolve
 
 IDENT1 = ((0,), (0,), 0)
@@ -41,7 +41,7 @@ def weyl_multiply(t1, t2, ring, n, jmax=None):
             if jmax is not None and j > jmax:
                 continue
             v = ring.mul(v1, v2)
-            if ring.is_zero(v):
+            if not v:
                 continue
             ranges = [range(min(da, ga) + 1) for da, ga in zip(d1, g2)]
             for kappa in itertools.product(*ranges):
@@ -75,7 +75,7 @@ def neumann_invert(terms, ring, n, jmax):
     power = {ident: ring.one}
     while power:
         power = weyl_multiply(power, E, ring, n, jmax)
-        power = {k: ring.neg(v) for k, v in power.items()}
+        power = {k: ring.scale(v, -1) for k, v in power.items()}
         for key, v in power.items():
             _add_term(out, key, v, ring)
     return out
@@ -179,14 +179,14 @@ def test_linear_part_of_A_matches_trace_minus_multiplication():
 
     def add(key, val):
         s = ring.add(expected.get(key, ring.zero), val)
-        if ring.is_zero(s):
+        if not s:
             expected.pop(key, None)
         else:
             expected[key] = s
 
     for (alpha, beta) in pot.jets:
         h = ring.symbol((alpha, beta))
-        add((alpha, beta, sum(beta) - 1), ring.neg(h))
+        add((alpha, beta, sum(beta) - 1), ring.scale(h, -1))
         if alpha[0] and beta[0]:
             add(
                 ((alpha[0] - 1,), (beta[0] - 1,), beta[0] - 1),
@@ -337,6 +337,19 @@ def test_weights_above_the_grade_cap_are_refused():
     assert bergman_coefficients(full, 3)[2] == {4: GaussRat(2)}
 
 
+def test_a_coefficient_off_its_weight_is_refused():
+    """A jet tagged with the wrong grade leaves a_1 with no term at grade 2,
+    and the extractor names the stray grades rather than dropping them."""
+    ring = GradedRing(6)
+    graded = Potential(1, ring, {((2,), (2,)): ring.graded(4, 1)})
+    ring = SymbolicRing(6)
+    symbolic = Potential(1, ring, {((2,), (2,)): ring.symbol(((3,), (2,)))})
+    for pot, grades in ((graded, "[4]"), (symbolic, "[3]")):
+        with pytest.raises(ArithmeticError) as err:
+            bergman_coefficients(pot, 1)
+        assert str(err.value) == f"coefficient 1 is not weight-homogeneous: grades {grades}"
+
+
 def reference_build_A(pot, jmax):
     """A with no t-order cut: the products are pruned by the defect j' alone."""
     n, ring = pot.n, pot.ring
@@ -358,7 +371,7 @@ def reference_build_A(pot, jmax):
             product = reference_convolve(product, entries[a][sigma[a]], ring, jmax)
         inversions = sum(x > y for x, y in itertools.combinations(sigma, 2))
         for key, v in product.items():
-            _add_term(det, key, ring.neg(v) if inversions % 2 else v, ring)
+            _add_term(det, key, ring.scale(v, -1) if inversions % 2 else v, ring)
     expo, power, k = dict(one), dict(one), 0
     while power:
         k += 1
@@ -375,7 +388,7 @@ def reference_bergman_coefficients(pot, jmax):
     n, ring = pot.n, pot.ring
     ident, zero = _zero_key(n), (0,) * n
     E = adjoint(reference_build_A(pot, jmax), ring)
-    _add_term(E, ident, ring.neg(ring.one), ring)
+    _add_term(E, ident, ring.scale(ring.one, -1), ring)
     if any(jp < 1 for (_, _, jp) in E):
         raise ArithmeticError("adjoint term at nonnegative t-order")
     X, Q = {(zero, 0): ring.one}, {0: ring.one}
@@ -388,13 +401,16 @@ def reference_bergman_coefficients(pot, jmax):
                     continue
                 nb = tuple(bi - ci + di for bi, ci, di in zip(b, cz, dd))
                 contrib = ring.scale(ring.mul(xv, ev), -mult)
-                if not ring.is_zero(contrib):
+                if contrib:
                     _add_term(Xn, (nb, j + j2), contrib, ring)
         X = Xn
         for (b, j), xv in X.items():
             if b == zero:
                 Q[j] = ring.add(Q.get(j, ring.zero), xv)
-    return [ring.split_grades(Q.get(j, ring.zero)).get(2 * j, ring.zero) for j in range(jmax + 1)]
+    return [
+        {k: c for k, c in Q.get(j, ring.zero).items() if ring.grade(k) == 2 * j}
+        for j in range(jmax + 1)
+    ]
 
 
 def _parity_cases():
@@ -429,7 +445,7 @@ def test_every_A_term_is_homogeneous_of_grade_j_plus_jprime():
     j <= jmax and j' <= jmax, so adjoint needs no cap of its own."""
     for pot, jmax in _parity_cases():
         for key, v in build_A(pot, jmax).items():
-            assert set(pot.ring.split_grades(v)) == {key[2] + _defect(key)}, (pot.n, jmax, key)
+            assert set(map(pot.ring.grade, v)) == {key[2] + _defect(key)}, (pot.n, jmax, key)
             assert key[2] <= jmax and _defect(key) <= jmax, (pot.n, jmax, key)
 
 

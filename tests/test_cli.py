@@ -131,8 +131,47 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
         ("bergman", {"n": 1}, "bad potential in {}: missing field 'jets'"),
         ("canon", {"valence": [0, 0]}, "bad invariant in {}: missing field 'terms'"),
         ("decompose", {"terms": [{}]}, "bad invariant in {}: missing field 'monomial'"),
+        ("bergman", [1, 2], "bad potential in {}: document must be an object, got [1, 2]"),
+        ("bergman", {"n": 1, "jets": {}}, "bad potential in {}: jets must be a list, got {{}}"),
+        (
+            "bergman",
+            {"n": 1, "jets": ["x"]},
+            "bad potential in {}: each jet must be an object, got 'x'",
+        ),
+        ("canon", ["terms"], "bad invariant in {}: document must be an object, got ['terms']"),
+        ("canon", {"terms": {}}, "bad invariant in {}: terms must be a list, got {{}}"),
+        ("canon", {"terms": ["x"]}, "bad invariant in {}: each term must be an object, got 'x'"),
+        (
+            "canon",
+            {"terms": [{"monomial": 1, "coeff": "1"}]},
+            "bad invariant in {}: monomial must be an object, got 1",
+        ),
+        (
+            "canon",
+            {"valence": 5, "terms": []},
+            "bad invariant in {}: valence must be a two-element list, got 5",
+        ),
+        (
+            "canon",
+            {"valence": [0, 0, 0], "terms": []},
+            "bad invariant in {}: valence must be a two-element list, got [0, 0, 0]",
+        ),
     ],
-    ids=["bad-value", "no-jets", "no-terms", "no-monomial"],
+    ids=[
+        "bad-value",
+        "no-jets",
+        "no-terms",
+        "no-monomial",
+        "potential-not-object",
+        "jets-not-list",
+        "jet-not-object",
+        "invariant-not-object",
+        "terms-not-list",
+        "term-not-object",
+        "monomial-not-object",
+        "valence-not-list",
+        "valence-three-long",
+    ],
 )
 def test_bad_file_message_is_bare(tmp_path, capsys, command, payload, message):
     path = write_json(tmp_path, payload, "in.json")

@@ -400,12 +400,12 @@ def todd_contraction(R0, n, partition, ring):
                 dead = False
                 for f in range(j):
                     v = ring.mul(v, R0[a[f]][a[nxt[f]]][c[f]][c[tau[f]]])
-                    if ring.is_zero(v):
+                    if not v:
                         dead = True
                         break
                 if dead:
                     continue
-                total = ring.add(total, v if sign > 0 else ring.neg(v))
+                total = ring.add(total, v if sign > 0 else ring.scale(v, -1))
     return total
 
 
@@ -863,7 +863,7 @@ def test_package_matches_direct_contractions(name, cap):
     vanishes, so there only Gamma, R and the vanishing of the rest are
     checked."""
     pot = _DIRECT_POTENTIALS[name]
-    quadratic = getattr(pot.ring, "degree_cap", None) != 1
+    quadratic = not getattr(pot.ring, "linear", False)
     pkg = curvature_package(pot, cap)
     G, Ginv, Ric = pkg.G, pkg.Ginv, pkg.Ric
     rng = range(pot.n)

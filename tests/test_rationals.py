@@ -459,7 +459,7 @@ def test_integer_arguments_are_refused_by_name(call, message):
 
 
 def test_a_graded_or_symbolic_ring_is_equal_only_to_itself():
-    for make in (lambda: GradedRing(4), lambda: SymbolicRing(4, 1)):
+    for make in (lambda: GradedRing(4), lambda: SymbolicRing(4, linear=True)):
         ring, twin = make(), make()
         assert ring == ring and ring != twin
         x, y = ScalarSeries.one(ring, 1, 2), ScalarSeries.one(twin, 1, 2)

@@ -24,7 +24,7 @@ import pytest
 from invar.bergman import bergman_coefficients, convolve
 from invar.geometry import curvature_package, kernel_coefficient_reference, named_scalar
 from invar.jets import Potential, jet_keys_up_to_grade, random_hermitian_jets
-from invar.rationals import GR_ZERO, GaussRat
+from invar.rationals import GR_ONE, GR_ZERO, GaussRat
 from invar.rings import GaussRing, GradedRing, SymbolicRing, _add_term, _DictRing
 from invar.series import ScalarSeries, _sum_products
 
@@ -40,14 +40,14 @@ def reference_series_mul(s1, s2):
             if sum(a1) + sum(a2) > h or sum(b1) + sum(b2) > a:
                 continue
             p = ring.mul(v1, v2)
-            if ring.is_zero(p):
+            if not p:
                 continue
             k = (
                 tuple(x + y for x, y in zip(a1, a2)),
                 tuple(x + y for x, y in zip(b1, b2)),
             )
             s = ring.add(out.get(k, ring.zero), p)
-            if ring.is_zero(s):
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -62,7 +62,7 @@ def reference_convolve(t1, t2, ring, jprime_cap):
             if p1 + j2 + sum(g2) - sum(d2) > jprime_cap:
                 continue
             v = ring.mul(v1, v2)
-            if ring.is_zero(v):
+            if not v:
                 continue
             key = (
                 tuple(x + y for x, y in zip(g1, g2)),
@@ -70,7 +70,7 @@ def reference_convolve(t1, t2, ring, jprime_cap):
                 j1 + j2,
             )
             s = ring.add(out.get(key, ring.zero), v)
-            if ring.is_zero(s):
+            if not s:
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -79,7 +79,7 @@ def reference_convolve(t1, t2, ring, jprime_cap):
 
 def reference_symbolic_mul(ring, x, y):
     """The monomial product with no early exit: exponents merged, a pair
-    past the grade or the degree cap dropped."""
+    past the grade cap, or past degree one on the linear ring, dropped."""
     out: dict = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
@@ -88,7 +88,7 @@ def reference_symbolic_mul(ring, x, y):
                 merged[sym] = merged.get(sym, 0) + e
             grade = sum((sum(alpha) + sum(beta) - 2) * e for (alpha, beta), e in merged.items())
             degree = sum(merged.values())
-            if grade > ring.cap or (ring.degree_cap is not None and degree > ring.degree_cap):
+            if grade > ring.cap or (ring.linear and degree > 1):
                 continue
             key = tuple(sorted(merged.items()))
             s = out.get(key, GaussRat(0)) + c1 * c2
@@ -104,7 +104,7 @@ RINGS = {
     "graded": GradedRing(4),
     "symbolic": SymbolicRing(4),
     # products of two symbols vanish here, so the zero skip is exercised
-    "linear": SymbolicRing(4, degree_cap=1),
+    "linear": SymbolicRing(4, linear=True),
 }
 SYMBOLS = jet_keys_up_to_grade(1, 3)
 
@@ -121,7 +121,7 @@ def random_value(ring, rng):
             v = ring.scale(ring.one, c) if rng.random() < 0.5 else {}
             sym = ring.symbol(rng.choice(SYMBOLS))
             v = ring.add(v, ring.scale(sym, rng.choice((-1, 1))))
-        if not ring.is_zero(v):
+        if v:
             return v
 
 
@@ -239,9 +239,9 @@ def random_polynomial(rng, n, constant):
     return out
 
 
-@pytest.mark.parametrize("degree_cap", [None, 2, 1, 0], ids=["full", "cap2", "linear", "cap0"])
-def test_symbolic_mul_matches_the_monomial_reference(degree_cap):
-    ring = SymbolicRing(4, degree_cap)
+@pytest.mark.parametrize("linear", [False, True], ids=["full", "linear"])
+def test_symbolic_mul_matches_the_monomial_reference(linear):
+    ring = SymbolicRing(4, linear)
     for seed in range(200):
         rng = random.Random(seed)
         n = 1 + seed % 2
@@ -251,7 +251,7 @@ def test_symbolic_mul_matches_the_monomial_reference(degree_cap):
         assert list(ring.mul(x, y).items()) == list(want.items()), seed
         assert list(ring.mul(y, x).items()) == list(reference_symbolic_mul(ring, y, x).items())
     # degree-2 monomials by hand: past the linear cap, whatever they meet
-    ring = SymbolicRing(4, 1)
+    ring = SymbolicRing(4, linear=True)
     sym = ring.symbol(((2,), (2,)))
     square = {((((2,), (2,)), 2),): GaussRat(1)}
     for x, y in ((square, ring.one), (square, sym), (ring.add(ring.one, square), sym)):
@@ -270,7 +270,7 @@ def test_the_linear_ring_rejects_a_constant_free_pair_unread(monkeypatch):
     mul answers so before reading any monomial's grade or degree."""
     monkeypatch.setattr(SymbolicRing, "monomial_grade", staticmethod(unread))
     monkeypatch.setattr(SymbolicRing, "monomial_degree", staticmethod(unread))
-    ring = SymbolicRing(4, 1)
+    ring = SymbolicRing(4, linear=True)
     x = ring.add(ring.symbol(((2,), (2,))), ring.symbol(((3,), (2,))))
     y = ring.scale(ring.symbol(((2,), (3,))), GaussRat(2, 1))
     assert ring.mul(x, y) == {} and ring.mul(y, x) == {} and ring.mul(x, x) == {}
@@ -294,15 +294,6 @@ def test_a_pair_past_the_grade_cap_is_rejected_unread(monkeypatch):
     for _ in range(3):
         assert ring.mul(x, y) == {} and ring.mul(y, x) == {} and ring.mul(y, y) == {}
     assert sorted(graded) == sorted([*x, *y])
-
-
-def test_a_degree_cap_of_zero_leaves_only_constants():
-    """On a cap-0 ring every symbol is zero, so one is the identity."""
-    ring = SymbolicRing(4, 0)
-    assert all(ring.symbol(key) == {} for key in jet_keys_up_to_grade(2, 4))
-    sym = ring.symbol(((2,), (2,)))
-    for x in ({}, ring.one, ring.scale(ring.one, GaussRat(3, -1)), ring.add(ring.one, sym)):
-        assert ring.mul(x, ring.one) == x and ring.mul(ring.one, x) == x
 
 
 def test_a_contraction_with_an_empty_factor_forms_no_product(monkeypatch):
@@ -349,7 +340,7 @@ def zero_add(ring, x, y):
 def zero_add_term(terms, key, value, ring):
     """The old _add_term: the value added to the held one or to ring.zero."""
     s = zero_add(ring, terms.get(key, ring.zero), value)
-    if ring.is_zero(s):
+    if not s:
         terms.pop(key, None)
     else:
         terms[key] = s
@@ -399,7 +390,7 @@ def test_accumulation_matches_the_zero_add_rule(name):
         for _ in range(12):
             key, v = rng.choice(keys), rng.choice(values)
             if rng.random() < 0.3:
-                v = ring.neg(v)
+                v = ring.scale(v, -1)
             _add_term(got, key, v, ring)
             zero_add_term(want, key, v, ring)
             assert [(k, as_items(v)) for k, v in got.items()] == [
@@ -413,7 +404,7 @@ def test_a_cancelled_slot_is_popped_and_refilled_last(name):
     v = random_value(ring, random.Random(1))
     w = ring.add(v, v)
     got, want = {}, {}
-    for key, x in (("a", v), ("b", v), ("a", ring.neg(v)), ("c", v), ("a", w)):
+    for key, x in (("a", v), ("b", v), ("a", ring.scale(v, -1)), ("c", v), ("a", w)):
         _add_term(got, key, x, ring)
         zero_add_term(want, key, x, ring)
     assert list(got) == ["b", "c", "a"]
@@ -501,8 +492,9 @@ def _run_everything(pot):
     ids=["numeric", "graded", "symbolic"],
 )
 def test_shared_values_are_never_mutated(pot):
-    """The results may hold the jets' own objects and the shared zero; a
-    run leaves both as they were and a second run gives equal results."""
+    """The results may hold the jets' own objects and the shared zero and
+    one; a run leaves them as they were and a second run gives equal
+    results."""
     pot = pot()
     jets = copy.deepcopy(pot.jets)
     first = _run_everything(pot)
@@ -510,3 +502,4 @@ def test_shared_values_are_never_mutated(pot):
     assert _DictRing.zero == {}
     assert _run_everything(pot) == first
     assert pot.jets == jets and _DictRing.zero == {}
+    assert GradedRing.one == {0: GR_ONE} and SymbolicRing.one == {(): GR_ONE}
