@@ -15,11 +15,21 @@ torus (no volume factor).
 The mode sum runs over Python-int Gaussian integers: each function's
 coefficients are scaled by the lcm L of their denominators, and each
 pairing is kept as -4 D.  The modes^(sigma-1) heads of the zero-sum
-assignments are walked once per factor count sigma, not once per term: each
-closed assignment's coefficient product and sigma x sigma pairing table are
-formed once and shared by every sigma-factor term.  Each term sums into its
-own integer, and a term with W edges divides that sum once, exactly, by
-prod(L) * (-4)^W.  No floats enter anywhere.
+assignments are walked once per factor count sigma, not once per term.
+
+D is bilinear, so D(-xi, -eta) = D(xi, eta): a closed assignment a and its
+negative -a have the same sigma x sigma pairing table and the same pairing
+product P_m(a) in every term m, and differ only in their coefficient
+products C(a) and C(-a).  The walk therefore sums C(a) + C(-a) per pair
+{a, -a}, and each pair with a nonzero sum builds one table and runs each
+sigma-factor term once, as F_m(a) + F_m(-a) = (C(a) + C(-a)) * P_m(a).  This
+holds for functions that are not real, and slot by slot for a multilinear
+invariant; the all-zero assignment is its own negative and counts once.
+
+Each term sums into its own integer, and a term with W edges has the
+divisor q = prod(L) * (-4)^W.  The invariant's coefficients times these
+sums are totalled as integers over one common denominator, and the answer
+is built as one GaussRat.  No floats enter anywhere.
 """
 
 from __future__ import annotations
@@ -99,14 +109,15 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
     """Exact mean of a scalar invariant evaluated on Fourier sums.
 
     A phi-invariant takes one FourierFunction; a multilinear invariant takes
-    a sequence of them, one per factor slot.
+    a sequence of them, one per factor slot.  Each pair {a, -a} of closed
+    mode assignments is evaluated once, weighted by C(a) + C(-a), and the
+    value is totalled over one denominator (see the module docstring).
     """
     if inv.valence != (0, 0):
         raise ValueError("only scalar invariants integrate")
-    terms = inv.sorted_terms()
     groups: dict = {}
-    for mono, _ in terms:
-        groups.setdefault(mono.sigma, []).append(mono)
+    for mono, coeff in inv.sorted_terms():
+        groups.setdefault(mono.sigma, []).append((mono, coeff))
     if inv.kind == PHI:
         if isinstance(phi, (list, tuple)):
             raise ValueError("a phi-invariant takes a single function")
@@ -124,23 +135,28 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
             raise ValueError(f"invariant has {min(wrong)} factors, got {len(functions)} functions")
         scaled = [_integer_coeffs(f) for f in functions]
     d = functools.cache(lambda xi, eta: _pairing_int(xi, eta, n))
-    values = {}
-    for sigma, monos in groups.items():
+    # the answer is (re + im i) / den, summed over every term in integers
+    total_re = total_im = 0
+    den = 1
+    for sigma, group in groups.items():
         slots = [single] * sigma if inv.kind == PHI else scaled
         scale = prod(L for L, _ in slots)
         # each term's edges index the flat sigma x sigma pairing table; every
         # product carries prod(L) from the slots and -4 per edge
         plans = []
-        for mono in monos:
+        for mono, coeff in group:
             edges = [
                 (i * sigma + j, e)
                 for i, row in enumerate(mono.edges)
                 for j, e in enumerate(row)
                 if e
             ]
-            plans.append((edges, (-4) ** sum(e for _, e in edges) * scale, [0, 0]))
+            plans.append((edges, coeff, (-4) ** sum(e for _, e in edges) * scale, [0, 0]))
         head_ints = [ints for _, ints in slots[:-1]]
         last_ints = slots[-1][1]
+        # a and -a share every pairing, so each closed pair {a, -a} is keyed
+        # by its larger member and carries C(a) + C(-a)
+        pairs: dict = {}
         for head in itertools.product(*(sorted(ints) for ints in head_ints)):
             last = tuple(map(neg, map(sum, zip(*head)))) if head else (0,) * (2 * n)
             c_last = last_ints.get(last)
@@ -151,8 +167,14 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
             for ints, xi in zip(head_ints, head):
                 a, b = ints[xi]
                 c_re, c_im = c_re * a - c_im * b, c_re * b + c_im * a
+            key = max(assign, tuple(tuple(map(neg, xi)) for xi in assign))
+            re, im = pairs.get(key, (0, 0))
+            pairs[key] = (re + c_re, im + c_im)
+        for assign, (c_re, c_im) in pairs.items():
+            if not (c_re or c_im):
+                continue
             table = [d(xi, eta) for xi in assign for eta in assign]
-            for edges, _, acc in plans:
+            for edges, _, _, acc in plans:
                 re, im = c_re, c_im
                 for k, e in edges:
                     a, b = table[k]
@@ -163,12 +185,15 @@ def eval_integral(inv: Invariant, phi) -> GaussRat:
                         re, im = re * a - im * b, re * b + im * a
                 acc[0] += re
                 acc[1] += im
-        for mono, (_, q, (re, im)) in zip(monos, plans):
-            values[mono] = GaussRat(Fraction(re, q), Fraction(im, q))
-    total = GR_ZERO
-    for mono, coeff in terms:
-        total = total + values[mono] * coeff
-    return total
+        for _, coeff, q, (re, im) in plans:
+            # add coeff * (re + im i) / q over the common denominator; lcm is
+            # positive, so common // u carries the sign of q
+            t, u = coeff.numerator, coeff.denominator * q
+            common = lcm(den, u)
+            total_re = total_re * (common // den) + t * re * (common // u)
+            total_im = total_im * (common // den) + t * im * (common // u)
+            den = common
+    return GaussRat(Fraction(total_re, den), Fraction(total_im, den))
 
 
 def random_phi(n, mode_bound=2, seed=0, pairs=3) -> FourierFunction:

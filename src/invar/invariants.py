@@ -24,6 +24,8 @@ class Invariant:
 
     def __init__(self, kind, valence, terms):
         collected: dict[ContractionMonomial, Fraction] = {}
+        if not isinstance(valence, (list, tuple)) or len(valence) != 2:
+            raise ValueError(f"valence must be a two-element list, got {valence!r}")
         p, q = valence
         valence = (as_count(p, "valence"), as_count(q, "valence"))
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
@@ -228,10 +230,7 @@ class Invariant:
         if len(kinds) > 1:
             raise ValueError("mixed monomial kinds in invariant")
         kind = kinds.pop() if kinds else PHI
-        valence = d.get("valence", [0, 0])
-        if not isinstance(valence, list) or len(valence) != 2:
-            raise ValueError(f"valence must be a two-element list, got {valence!r}")
-        return cls(kind, valence, terms)
+        return cls(kind, d.get("valence", [0, 0]), terms)
 
 
 _ZERO = Fraction(0)

@@ -221,7 +221,7 @@ class SymbolicRing(_DictRing):
         for m1, c1 in x.items():
             d1 = dict(m1)
             g1 = grade(m1)
-            n1 = self.monomial_degree(m1)
+            n1 = self.monomial_degree(m1) if self.linear else 0
             for m2, c2 in y.items():
                 if g1 + grade(m2) > self.cap:
                     continue

@@ -1,6 +1,7 @@
 """Exact torus integration oracle."""
 
 import contextlib
+import functools
 import itertools
 import random
 import signal
@@ -245,12 +246,44 @@ def orthogonal_triangle():
     return FourierFunction(2, coeffs)
 
 
+def odd_and_twisted_triangles():
+    """A non-real function on T^4 with two closed mode triangles.  On the
+    first, f(-xi) = -f(xi), so every sigma = 3 pair {a, -a} there has
+    C(a) + C(-a) = 0; on the second, f(-xi) = (1/2 + 3i) f(xi)."""
+    odd = {(1, 0, 0, 0): GaussRat(1, 2), (0, 1, 0, 0): GaussRat(Fraction(1, 3)),
+           (-1, -1, 0, 0): GaussRat(-2, 1)}
+    twisted = {(0, 0, 1, 1): GaussRat(Fraction(2, 5), 1), (1, 0, -1, 0): GaussRat(3),
+               (-1, 0, 0, -1): GaussRat(0, -1)}
+    coeffs = {}
+    for triangle, factor in ((odd, GaussRat(-1)), (twisted, GaussRat(Fraction(1, 2), 3))):
+        for m, c in triangle.items():
+            coeffs[m] = c
+            coeffs[tuple(-v for v in m)] = factor * c
+    return FourierFunction(2, coeffs)
+
+
+def with_zero_mode(phi):
+    """phi plus a constant: the all-zero assignment is its own negative."""
+    return FourierFunction(phi.n, {**phi.coeffs, (0,) * (2 * phi.n): GaussRat(Fraction(2, 3), 1)})
+
+
+def without_last_negative(phi):
+    """random_phi's support minus -xi3, its last mode: the triangle
+    (xi1, xi2, xi3) stays closed, (-xi1, -xi2, -xi3) does not."""
+    coeffs = dict(phi.coeffs)
+    coeffs.popitem()
+    return FourierFunction(phi.n, coeffs)
+
+
 def test_integer_mode_sum_matches_the_gaussrat_reference():
     zero = []  # cases that integrate to zero: chern and co-exact invariants
     for sigma in (1, 2, 3):
         for p in partitions_of(sigma):
             for n in (1, 2, 3):
                 zero.append((chern_invariant(p), random_phi(n, seed=10 * sigma + n)))
+    for p in partitions_of(4):
+        for n in (3, 4):
+            zero.append((chern_invariant(p), random_phi(n, seed=40 + n)))
     rng = random.Random(7)
     for k in range(6):
         sigma = 1 + k % 3
@@ -277,6 +310,14 @@ def test_integer_mode_sum_matches_the_gaussrat_reference():
     assert pairing((1, 0, 0, 0), (0, 1, 0, 0), 2) == GR_ZERO
     nonzero.append((cubic, orthogonal_triangle()))
     nonzero.append((mixed, orthogonal_triangle()))
+    # pairs {a, -a} whose coefficient sums cancel, assignments that are
+    # their own negative, and closed a with -a not closed
+    for phi in (odd_and_twisted_triangles(), with_zero_mode(random_phi(2, seed=1)),
+                without_last_negative(random_phi(2, seed=2))):
+        nonzero.append((cubic, phi))
+        nonzero.append((mixed, phi))
+    lopsided = without_last_negative(random_phi(1, seed=3))
+    nonzero.append((cubic.polarize(), [with_zero_mode(f), g, lopsided]))
     for expect_zero, cases in ((True, zero), (False, nonzero)):
         for inv, phi in cases:
             value = eval_integral(inv, phi)
@@ -316,3 +357,30 @@ def test_one_mode_walk_per_factor_count(monkeypatch):
     with pytest.raises(ValueError, match="3 factors, got 2"):
         eval_integral(SQ.polarize() + cubic.polarize(), [f, g])
     assert heads == []
+
+
+def test_each_closed_pair_builds_one_pairing_table(monkeypatch):
+    # every table entry is one read of the cached pairing, sigma^2 per table;
+    # a and -a share a table, and a pair whose coefficients cancel builds none
+    reads = []
+    cache = functools.cache
+
+    def counting(fn):
+        cached = cache(fn)
+
+        def read(*args):
+            reads.append(args)
+            return cached(*args)
+
+        return read
+
+    monkeypatch.setattr(fourier.functools, "cache", counting)
+    cubic = Invariant(PHI, (0, 0), [(m, k + 1) for k, m in enumerate(enumerate_monomials(6, 3))])
+    # a real triangle closes 12 assignments in 6 pairs; the odd and twisted
+    # triangles close 24 in 12 pairs, of which the 6 odd ones cancel
+    for phi, closed, tables in ((random_phi(2, seed=5), 12, 6), (odd_and_twisted_triangles(), 24, 6)):
+        triples = itertools.product(phi.coeffs, repeat=3)
+        assert sum(not any(map(sum, zip(*a))) for a in triples) == closed
+        reads.clear()
+        eval_integral(cubic, phi)
+        assert len(reads) == 9 * tables

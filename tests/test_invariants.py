@@ -40,6 +40,11 @@ def test_kind_and_valence_validation():
         lap2_phi() + monomial_invariant(psi)
     with pytest.raises(ValueError, match="valence"):
         Invariant(PHI, (-1, 0), [])
+    # refused with the message a JSON file gets, not a failed unpacking
+    for valence in (5, [0, 0, 0], None):
+        with pytest.raises(ValueError, match=r"^valence must be a two-element list, got "):
+            Invariant(PHI, valence, [])
+    assert Invariant(PHI, [0, 0], []) == zero_invariant()
 
 
 def test_arithmetic_and_scaling():

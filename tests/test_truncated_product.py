@@ -240,7 +240,12 @@ def random_polynomial(rng, n, constant):
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["full", "linear"])
-def test_symbolic_mul_matches_the_monomial_reference(linear):
+def test_symbolic_mul_matches_the_monomial_reference(linear, monkeypatch):
+    degrees = []
+    degree = SymbolicRing.monomial_degree
+    monkeypatch.setattr(
+        SymbolicRing, "monomial_degree", staticmethod(lambda m: degrees.append(m) or degree(m))
+    )
     ring = SymbolicRing(4, linear)
     for seed in range(200):
         rng = random.Random(seed)
@@ -250,6 +255,8 @@ def test_symbolic_mul_matches_the_monomial_reference(linear):
         want = reference_symbolic_mul(ring, x, y)
         assert list(ring.mul(x, y).items()) == list(want.items()), seed
         assert list(ring.mul(y, x).items()) == list(reference_symbolic_mul(ring, y, x).items())
+    # only the linear ring's degree cap reads a monomial's degree
+    assert bool(degrees) == linear
     # degree-2 monomials by hand: past the linear cap, whatever they meet
     ring = SymbolicRing(4, linear=True)
     sym = ring.symbol(((2,), (2,)))
