@@ -12,25 +12,25 @@ released derivative lands on one of the cells its contraction allows, and
 placements collect on bare edge matrices before any monomial is built, at
 most one per distinct nonzero matrix.
 
-A phi-invariant is never polarized.  Its multilinear form is the average of
-its sigma! factor relabelings, and integrating off slot 1 of a relabeling is
-integrating off whichever factor it moved there, with the remaining factors
-relabeled.  So with Y = sum_k local_divergence(psi-copy, k), one expansion
-per factor, the first-slot residue is (1/sigma!) sum over the (sigma-1)!
-relabelings tau of tau.Y.  Its coefficient on a monomial m is |Stab m|/sigma!
-times the sum of Y over the relabeling orbit of m, so the residue vanishes
-iff every orbit sum of Y does.  An orbit is a canonical phi-monomial, and
-that is how the integral test collects Y.
+The integral test never polarizes a phi-invariant.  Its multilinear form is
+the average of its sigma! factor relabelings, and integrating off slot 1 of a
+relabeling is integrating off whichever factor it moved there.  So with
+Y = sum_k local_divergence(psi-copy, k), one expansion per factor, the
+residue's coefficient on a monomial m is |Stab m|/sigma! times the sum of Y
+over the relabeling orbit of m, and the residue vanishes iff every orbit sum
+of Y does.  An orbit is a canonical phi-monomial, and that is how the test
+collects Y.  The residue itself is built only when asked for, as a refused
+decomposition does, and then as the residue of the polarized form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial, isqrt, lcm
+from itertools import product
+from math import isqrt, lcm
 
 from .invariants import Invariant
-from .monomials import _CANONICAL_CACHE, PHI, PSI, ContractionMonomial
+from .monomials import PHI, PSI, _scalar_canonical
 from .rationals import as_int
 
 __all__ = ["divergence", "local_divergence", "first_slot_residue", "integrates_to_zero"]
@@ -97,15 +97,6 @@ def _off_factor(mono, coeff, k):
     return base, moves, (-1) ** (mono.A(k) + mono.B(k)) * coeff
 
 
-def _every_factor(inv):
-    """Y = sum_k local_divergence(psi-copy of inv, k) over every factor k of
-    a homogeneous scalar invariant, as _leibniz's accumulation."""
-    sigma = inv.homogeneous_degree()
-    return _leibniz(
-        [_off_factor(mono, coeff, k) for mono, coeff in inv.terms.items() for k in range(sigma)]
-    )
-
-
 def _leibniz(placements):
     """Every Leibniz placement, collected on bare flat edge matrices.
 
@@ -135,7 +126,8 @@ def _collect(kind, acc, q):
     nums = {}
     for flat, num in acc.items():
         if num:
-            mono = _canonical(kind, flat)
+            s = isqrt(len(flat))
+            mono = _scalar_canonical(kind, tuple(flat[r : r + s] for r in range(0, s * s, s)))
             new = nums.get(mono, 0) + num
             if new:
                 nums[mono] = new
@@ -144,44 +136,20 @@ def _collect(kind, acc, q):
     return Invariant._raw(kind, (0, 0), {m: Fraction(n, q) for m, n in nums.items()})
 
 
-def _canonical(kind, flat):
-    """The canonical scalar monomial of a bare flat edge matrix.  A phi hit
-    in the memo skips building and validating a monomial; psi keys never
-    enter it, and a psi monomial is its own canonical form."""
-    s = isqrt(len(flat))
-    rows = tuple(flat[r : r + s] for r in range(0, s * s, s))
-    zeros = (0,) * s
-    mono = _CANONICAL_CACHE.get((kind, rows, zeros, zeros))
-    return mono if mono is not None else ContractionMonomial(kind, rows).canonical()
-
-
 def first_slot_residue(inv: Invariant) -> Invariant:
     """What integrating every derivative off the first factor leaves.
 
     Empty iff a scalar invariant integrates to zero.  A multilinear input is
-    used as it is.  A phi-invariant of degree sigma is expanded once per
-    factor, Y = sum_k local_divergence(psi-copy, k), and its residue is
-    (1/sigma!) sum_tau tau.Y over the relabelings tau of the sigma - 1
-    factors that remain: the residue of its polarization, without the
-    sigma! relabeled copies.  For sigma = 1 the residue is the terms without
-    a derivative, since a single factor is a pure trace power and a total
+    used as it is, and a phi-invariant of degree sigma >= 2 through its
+    polarization.  For sigma = 1 the residue is the terms without a
+    derivative, since a single factor is a pure trace power and a total
     derivative iff w >= 1.
     """
     if inv.valence != (0, 0):
         raise ValueError("the integral test expects a scalar invariant")
     if not inv.terms or inv.homogeneous_degree() == 1:
         return inv.filter(lambda m: m.weight < 1)
-    if inv.kind == PSI:
-        return local_divergence(inv, 1)
-    sigma = inv.homogeneous_degree()
-    y = _collect(PSI, *_every_factor(inv))
-    scale = Fraction(1, factorial(sigma))
-    relabel = list(permutations(range(sigma - 1)))
-    return Invariant(
-        PSI,
-        (0, 0),
-        [(m.apply_permutation(p), c * scale) for m, c in y.terms.items() for p in relabel],
-    )
+    return local_divergence(inv.polarize() if inv.kind == PHI else inv, 1)
 
 
 def integrates_to_zero(inv: Invariant) -> bool:
@@ -191,7 +159,7 @@ def integrates_to_zero(inv: Invariant) -> bool:
     functions by t scales the block of degree sigma by t^sigma, so the
     integral vanishes identically iff every block's does.  A phi block of
     degree sigma >= 2 passes iff every relabeling-orbit sum of its Y (see
-    ``first_slot_residue``) vanishes, so its residue is never built.
+    the module docstring) vanishes, so its residue is never built.
     """
     if inv.valence != (0, 0):
         raise ValueError("the integral test expects a scalar invariant")
@@ -204,4 +172,5 @@ def _block_integrates_to_zero(inv):
     if inv.kind == PSI or sigma < 2:
         return not first_slot_residue(inv)
     # Y collected on canonical phi-monomials is the sum over each orbit
-    return not _collect(PHI, *_every_factor(inv))
+    placements = [_off_factor(m, c, k) for m, c in inv.terms.items() for k in range(sigma)]
+    return not _collect(PHI, *_leibniz(placements))

@@ -107,7 +107,7 @@ class Potential:
         raw = {}
         for e in as_json(d["jets"], list, "jets"):
             as_json(e, dict, "each jet")
-            key = (tuple(e["alpha"]), tuple(e["beta"]))
+            key = tuple(tuple(as_json(e[f], list, f)) for f in ("alpha", "beta"))
             if key in raw:
                 raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")
             raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))

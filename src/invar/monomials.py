@@ -19,16 +19,16 @@ from __future__ import annotations
 from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
-from .rationals import as_count, as_int
+from .rationals import as_count, as_int, as_json
 
 PHI = "phi"
 PSI = "psi"
 
 # raw encoding -> canonical ContractionMonomial.  One memo for the whole
-# process: every phi-monomial's canonical() fills it, and calculus's orbit
-# sums read it directly.  It holds each raw key canonical() was asked about
-# and each canonical form, is never evicted and has no bound (a seed-0
-# decompose bench pass leaves 2004 entries).
+# process: every phi-monomial's canonical() fills it, and _scalar_canonical
+# reads it for calculus's bare edge matrices.  It holds each raw key
+# canonical() was asked about and each canonical form, is never evicted and
+# has no bound (a seed-0 decompose bench pass leaves 2004 entries).
 _CANONICAL_CACHE: dict = {}
 
 
@@ -174,10 +174,22 @@ class ContractionMonomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ContractionMonomial":
-        m = cls(d["kind"], d["edges"], d.get("free_hol"), d.get("free_anti"))
+        edges = [as_json(row, list, "each edge row") for row in as_json(d["edges"], list, "edges")]
+        # an absent free-slot list reads as [], which the constructor fills with zeros
+        free = [as_json(d.get(f, []), list, f) for f in ("free_hol", "free_anti")]
+        m = cls(d["kind"], edges, *free)
         if m.sigma != as_int(d.get("sigma", m.sigma), "sigma"):
             raise ValueError("sigma does not match edge matrix size")
         return m
+
+
+def _scalar_canonical(kind, rows):
+    """The canonical scalar monomial with these edge rows.  A phi hit in the
+    memo skips building and validating a monomial; psi keys never enter it,
+    and a psi monomial is its own canonical form."""
+    zeros = (0,) * len(rows)
+    mono = _CANONICAL_CACHE.get((kind, rows, zeros, zeros))
+    return mono if mono is not None else ContractionMonomial(kind, rows).canonical()
 
 
 def _counts(values, field):

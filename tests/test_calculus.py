@@ -17,6 +17,7 @@ from invar.chern import chern_invariant, partitions_of
 from invar.invariants import Invariant, monomial_invariant
 from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
 from invar.solver import (
+    NotCoexactError,
     decompose,
     enumerate_monomials,
     random_coexact_invariant,
@@ -373,6 +374,32 @@ def test_no_hot_path_polarizes(monkeypatch):
         assert inv.degrees() in ({3}, {4})
         assert integrates_to_zero(inv)
         assert verify_decomposition(inv, decompose(inv, restriction))
+
+
+def test_only_the_residue_polarizes(monkeypatch):
+    """The integral test never polarizes; the residue, alone or built by a
+    refused decompose, polarizes its input once."""
+    rng = random.Random(35)
+    inputs = [random_scalar_invariant(rng, 3, 5), random_scalar_invariant(rng, 4, 6)]
+    calls = []
+    polarize = Invariant.polarize
+
+    def counted(self):
+        calls.append(self)
+        return polarize(self)
+
+    monkeypatch.setattr(Invariant, "polarize", counted)
+    for inv in inputs:
+        assert len({(m.weight, m.sigma) for m in inv.terms}) == 1
+        assert not integrates_to_zero(inv)
+        assert calls == []
+        residue = first_slot_residue(inv)
+        assert residue and calls == [inv]
+        calls.clear()
+        with pytest.raises(NotCoexactError) as refused:
+            decompose(inv)
+        assert refused.value.residue == residue and calls == [inv]
+        calls.clear()
 
 
 # -- reference parity: one monomial per nonzero matrix, collected by Invariant --

@@ -120,6 +120,16 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
     assert err.startswith("error: bad potential") and len(err.splitlines()) == 1
 
 
+def _one_monomial(**fields):
+    """An invariant document of one monomial, its fields overridden."""
+    return {"terms": [{"monomial": {"kind": "phi", "edges": [[2]], **fields}, "coeff": "1"}]}
+
+
+def _one_jet(**fields):
+    """A potential document of one jet, its fields overridden."""
+    return {"n": 1, "jets": [{"alpha": [2], "beta": [2], "re": "1", **fields}]}
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [
@@ -156,6 +166,36 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
             {"valence": [0, 0, 0], "terms": []},
             "bad invariant in {}: valence must be a two-element list, got [0, 0, 0]",
         ),
+        ("canon", _one_monomial(edges=5), "bad invariant in {}: edges must be a list, got 5"),
+        (
+            "canon",
+            _one_monomial(edges=[5]),
+            "bad invariant in {}: each edge row must be a list, got 5",
+        ),
+        ("canon", _one_monomial(edges="x"), "bad invariant in {}: edges must be a list, got 'x'"),
+        ("canon", _one_monomial(free_hol=3), "bad invariant in {}: free_hol must be a list, got 3"),
+        (
+            "canon",
+            _one_monomial(free_hol={"a": 1}),
+            "bad invariant in {}: free_hol must be a list, got {{'a': 1}}",
+        ),
+        (
+            "canon",
+            _one_monomial(free_hol=None),
+            "bad invariant in {}: free_hol must be a list, got None",
+        ),
+        (
+            "canon",
+            _one_monomial(free_anti="ab"),
+            "bad invariant in {}: free_anti must be a list, got 'ab'",
+        ),
+        ("bergman", _one_jet(alpha=2), "bad potential in {}: alpha must be a list, got 2"),
+        (
+            "bergman",
+            _one_jet(alpha={"a": 2}),
+            "bad potential in {}: alpha must be a list, got {{'a': 2}}",
+        ),
+        ("bergman", _one_jet(beta="2"), "bad potential in {}: beta must be a list, got '2'"),
     ],
     ids=[
         "bad-value",
@@ -171,6 +211,16 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
         "monomial-not-object",
         "valence-not-list",
         "valence-three-long",
+        "edges-not-list",
+        "edge-row-not-list",
+        "edges-string",
+        "free-hol-not-list",
+        "free-hol-object",
+        "free-hol-null",
+        "free-anti-string",
+        "alpha-not-list",
+        "alpha-object",
+        "beta-string",
     ],
 )
 def test_bad_file_message_is_bare(tmp_path, capsys, command, payload, message):

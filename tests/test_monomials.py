@@ -1,7 +1,9 @@
 """Canonical forms and counts for contraction monomials."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +333,19 @@ def test_enumeration_builds_only_signature_sorted_matrices(monkeypatch):
     calls.clear()
     enumerate_monomials(4, 4, ((1, 1),) * 4, (1, 0))
     assert len(calls) <= 60
+
+
+def test_only_monomials_names_the_canonical_memo():
+    """The memo's key layout is read in one module: every other module goes
+    through canonical() or monomials' own lookup."""
+    src = Path(__file__).resolve().parent.parent / "src" / "invar"
+    paths = sorted(src.glob("*.py"))
+    names = {
+        path.name: {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        for path in paths
+    }
+    assert "_CANONICAL_CACHE" in names["monomials.py"]
+    assert [name for name, found in names.items() if "_CANONICAL_CACHE" in found] == ["monomials.py"]
