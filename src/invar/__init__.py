@@ -14,7 +14,6 @@ Two engines under one roof, sharing exact Gaussian-rational arithmetic:
 from .bergman import adjoint, bergman_coefficients, build_A
 from .calculus import divergence, integrates_to_zero, local_divergence
 from .chern import (
-    chern_basis,
     chern_invariant,
     chern_reduce,
     height,
@@ -38,7 +37,7 @@ from .jets import (
     jet_keys_up_to_grade,
     random_hermitian_jets,
 )
-from .monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from .monomials import PHI, PSI, ContractionMonomial
 from .rationals import GaussRat
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries
@@ -64,7 +63,6 @@ __all__ = [
     "PHI",
     "PSI",
     "ContractionMonomial",
-    "scalar_monomial",
     "Invariant",
     "monomial_invariant",
     "zero_invariant",
@@ -73,7 +71,6 @@ __all__ = [
     "integrates_to_zero",
     "partitions_of",
     "chern_invariant",
-    "chern_basis",
     "height",
     "max_height_terms",
     "chern_reduce",

@@ -24,12 +24,11 @@ from itertools import permutations
 from .combinat import cycle_lengths, cycle_successor, perm_sign
 from .invariants import Invariant
 from .monomials import PHI, ContractionMonomial
-from .rationals import as_count, as_int, as_positive
+from .rationals import as_count, as_int
 
 __all__ = [
     "partitions_of",
     "chern_invariant",
-    "chern_basis",
     "height",
     "max_height_terms",
     "chern_reduce",
@@ -71,13 +70,9 @@ def chern_invariant(p) -> Invariant:
     return Invariant(PHI, (0, 0), terms)
 
 
-def chern_basis(sigma: int):
-    """[chern_invariant(p) for partitions p of sigma], descending lex order."""
-    return [chern_invariant(p) for p in partitions_of(as_positive(sigma, "sigma"))]
-
-
 def height(mono: ContractionMonomial) -> int:
-    return mono.trace_count
+    """Number of trace edges: the sum of the edge matrix's diagonal."""
+    return sum(mono.edges[i][i] for i in range(mono.sigma))
 
 
 def _all_factors_traced(mono):

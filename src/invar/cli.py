@@ -4,7 +4,8 @@ Subcommands: canon, decompose, chern, bergman, oracle, and verify with a
 handful of named checks.  Machine-readable output goes to stdout (JSON, or
 JSON-lines reports with fields check/status/lhs/rhs/dim/seed); the human
 summary goes to stderr.  Exit codes: 0 success, 1 verification failure, a
-not-co-exact input or no witness under the restriction, 2 malformed input.
+not-co-exact input or no witness under the restriction, 2 malformed input,
+a file that cannot be read or written, or a refused random draw.
 
 Set INVAR_TRUNCATION_AUDIT=1 to audit truncation: bergman recomputes from
 the potential rebuilt at one more weight, verify a1-a3 read the closed forms
@@ -84,12 +85,7 @@ class Reporter:
 
 
 def _fmt_gauss(c) -> str:
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"{c.re}{sign}{abs(c.im)}*i"
+    return str(c).replace("i", "*i")
 
 
 def _fmt_monomial(mono) -> str:
@@ -145,7 +141,7 @@ def _load(path, what, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(d)
@@ -169,8 +165,11 @@ def _at_least(minimum):
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
 
@@ -231,6 +230,14 @@ def cmd_decompose(args):
     return 0
 
 
+def _draw(n, mode_bound, seed):
+    """random_phi, with a refused draw (no mode triangle closed) as one line."""
+    try:
+        return random_phi(n, mode_bound, seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_oracle(args):
     inv = _load(args.invariant, "invariant", Invariant.from_json_dict)
     if inv.valence != (0, 0):
@@ -245,11 +252,9 @@ def cmd_oracle(args):
     for t in range(args.trials):
         seed = args.seed + t
         if inv.kind == PHI:
-            phi = random_phi(n, args.mode_bound, seed)
+            phi = _draw(n, args.mode_bound, seed)
         else:
-            phi = [
-                random_phi(n, args.mode_bound, seed * sigma + i) for i in range(sigma)
-            ]
+            phi = [_draw(n, args.mode_bound, seed * sigma + i) for i in range(sigma)]
         value = eval_integral(inv, phi)
         ok = (not value) if formal else True
         witnessed = witnessed or bool(value)
@@ -376,7 +381,7 @@ def _verify_chern_integrals(args, rep):
             inv = chern_invariant(p)
             for t in range(trials):
                 seed = (args.seed or 0) + t
-                value = eval_integral(inv, random_phi(n, args.mode_bound or 2, seed))
+                value = eval_integral(inv, _draw(n, args.mode_bound or 2, seed))
                 rep.line(
                     f"chern-integral[{','.join(map(str, p))}]",
                     not value,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_json, format_fraction, random_fraction
+from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_json, random_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries, _check_index
 
@@ -85,21 +85,6 @@ class Potential:
 
     def series(self, cap) -> ScalarSeries:
         return ScalarSeries(self.ring, self.n, cap, self.jets)
-
-    def to_json_dict(self) -> dict:
-        if not isinstance(self.ring, GaussRing):
-            raise ValueError("only numeric potentials serialize")
-        entries = []
-        for (a, b), v in sorted(self.jets.items()):
-            entries.append(
-                {
-                    "alpha": list(a),
-                    "beta": list(b),
-                    "re": format_fraction(v.re),
-                    "im": format_fraction(v.im),
-                }
-            )
-        return {"n": self.n, "jets": entries}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Potential":

@@ -87,10 +87,6 @@ class ContractionMonomial:
         return sum(x for row in self.edges for x in row)
 
     @property
-    def trace_count(self) -> int:
-        return sum(self.edges[i][i] for i in range(self.sigma))
-
-    @property
     def valence(self):
         return (sum(self.free_hol), sum(self.free_anti))
 
@@ -249,7 +245,3 @@ def _meets_floors(sigs, restriction):
 
     return all(place(f, set()) for f in range(len(restriction)))
 
-
-def scalar_monomial(kind, edges) -> ContractionMonomial:
-    """Monomial with no free slots."""
-    return ContractionMonomial(kind, edges)

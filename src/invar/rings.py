@@ -17,11 +17,10 @@ Elements are plain values (GaussRat, dict of grades, dict of monomials);
 all arithmetic goes through the ring object, and an element is falsy
 exactly when it is zero.  The dict rings read a key's doubled weight
 through grade.  Code that needs more than arithmetic branches on the ring
-class: the CLI prints a GradedRing element as one total, the kernel
-pipeline refuses a GaussRing and check_weight skips it, and only a
-GaussRing potential serializes.  Pruning lives in mul alone: series and
-symbol products pass every pair inside their own box or t-order cap, and a
-product the ring's caps drop comes back zero.  SymbolicRing.mul answers
+class: the CLI prints a GradedRing element as one total, and the kernel
+pipeline refuses a GaussRing and check_weight skips it.  Pruning lives in
+mul alone: series and symbol products pass every pair inside their own box
+or t-order cap, and a product the ring's caps drop comes back zero.  SymbolicRing.mul answers
 zero at once when the factors' least monomial grades sum past the grade
 cap, or on the linear ring when neither factor has a constant term.
 

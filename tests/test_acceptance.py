@@ -125,12 +125,11 @@ def test_05_fubini_study_chain_matches_elementary_symmetric_values():
 def test_06_cycle_invariants_integrate_to_zero():
     bad = []
     for sigma in (1, 2, 3, 4):
-        pairs = 2 if sigma == 4 else 3
         for p in partitions_of(sigma):
             inv = chern_invariant(p)
             for n in sorted({max(1, sigma - 1), sigma}):
                 for trial in range(20):
-                    phi = random_phi(n, mode_bound=2, seed=1000 * sigma + trial, pairs=pairs)
+                    phi = random_phi(n, mode_bound=2, seed=1000 * sigma + trial)
                     if eval_integral(inv, phi) != GR_ZERO:
                         bad.append((p, n, trial))
     ok = not bad

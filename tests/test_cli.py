@@ -11,12 +11,12 @@ from invar.chern import chern_invariant
 from invar.cli import main
 from invar.calculus import divergence
 from invar.invariants import Invariant, monomial_invariant
-from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from invar.monomials import PHI, PSI, ContractionMonomial
 from invar.rationals import GR_ONE, GaussRat
 from invar.rings import SymbolicRing
 from invar.solver import Decomposition, decompose
 
-SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+SQ = monomial_invariant(ContractionMonomial(PHI, ((2, 0), (0, 2))))
 
 
 def write_inv(tmp_path, inv, name="inv.json"):
@@ -292,7 +292,7 @@ def test_potential_file_refuses_non_integer_fields(tmp_path, capsys, field, valu
     ids=["fraction", "bool", "free-slots", "sigma", "valence"],
 )
 def test_invariant_file_refuses_non_integer_fields(tmp_path, capsys, field, value):
-    payload = monomial_invariant(scalar_monomial(PHI, ((2,),))).to_json_dict()
+    payload = monomial_invariant(ContractionMonomial(PHI, ((2,),))).to_json_dict()
     target = payload if field == "valence" else payload["terms"][0]["monomial"]
     target[field] = value
     path = write_json(tmp_path, payload, "inv.json")
@@ -487,8 +487,8 @@ NOT_COEXACT_DEGREE_THREE = Invariant(
     PHI,
     (0, 0),
     [
-        (scalar_monomial(PHI, ((2, 0, 0), (0, 2, 0), (0, 0, 2))), 1),
-        (scalar_monomial(PHI, ((2, 0, 0), (0, 1, 1), (0, 1, 1))), Fraction(-1, 2)),
+        (ContractionMonomial(PHI, ((2, 0, 0), (0, 2, 0), (0, 0, 2))), 1),
+        (ContractionMonomial(PHI, ((2, 0, 0), (0, 1, 1), (0, 1, 1))), Fraction(-1, 2)),
     ],
 )
 DEGREE_THREE_RESIDUE = (
@@ -535,7 +535,7 @@ def test_chern_then_decompose(tmp_path, capsys):
 
 
 def test_canon_is_stable(tmp_path, capsys):
-    mono = scalar_monomial(PHI, ((2, 0), (1, 1)))
+    mono = ContractionMonomial(PHI, ((2, 0), (1, 1)))
     raw = {
         "valence": [0, 0],
         "terms": [
@@ -618,6 +618,32 @@ def test_oracle_mixed_degree_input(tmp_path, capsys):
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["canon", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [b"[" * 200_000, b"\xff\xfe"], ids=["deep-nesting", "not-utf-8"]
+)
+def test_unreadable_input_is_one_line(tmp_path, capsys, content):
+    path = tmp_path / "inv.json"
+    path.write_bytes(content)
+    assert_one_line_refusal(capsys, ["canon", str(path)], f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_one_line(tmp_path, capsys, target):
+    path = write_inv(tmp_path, chern_invariant((1,)))
+    out = tmp_path / "absent" / "x.json" if target == "missing-directory" else tmp_path
+    argv = ["canon", path, "--out", str(out)]
+    assert_one_line_refusal(capsys, argv, f"error: cannot write {out}: ")
+
+
+def test_a_draw_that_does_not_close_is_one_line(tmp_path, capsys):
+    # at n = 30 random_phi's mode triangle almost never closes
+    refusal = "error: no mode triangle closed for n=30, mode bound 2"
+    argv = ["oracle", write_inv(tmp_path, chern_invariant((1,))), "--dim", "30"]
+    assert_one_line_refusal(capsys, argv, refusal)
+    argv = ["verify", "chern-integrals", "--dim", "30", "--order", "1", "--trials", "1"]
+    assert_one_line_refusal(capsys, argv, refusal)
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

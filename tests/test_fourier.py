@@ -14,11 +14,11 @@ from invar.chern import chern_invariant, partitions_of
 from invar import fourier
 from invar.fourier import FourierFunction, eval_integral, pairing, random_phi
 from invar.invariants import Invariant, monomial_invariant
-from invar.monomials import PHI, ContractionMonomial, scalar_monomial
+from invar.monomials import PHI, ContractionMonomial
 from invar.rationals import GR_ZERO, GaussRat
 from invar.solver import enumerate_monomials, random_coexact_invariant
 
-SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+SQ = monomial_invariant(ContractionMonomial(PHI, ((2, 0), (0, 2))))
 
 
 def two_mode_phi():
@@ -37,7 +37,7 @@ def test_squared_trace_reference_value():
 
 
 def test_single_factor_derivative_integrates_to_zero():
-    lap2 = monomial_invariant(scalar_monomial(PHI, ((2,),)))
+    lap2 = monomial_invariant(ContractionMonomial(PHI, ((2,),)))
     assert eval_integral(lap2, two_mode_phi()) == GR_ZERO
     assert eval_integral(lap2, random_phi(2, seed=3)) == GR_ZERO
 
@@ -135,13 +135,40 @@ def test_random_phi_refuses_dimension_zero():
             random_phi(n)
 
 
-@pytest.mark.parametrize("pairs", [5, 2.5, 0, -1], ids=["past-the-box", "fraction", "zero", "negative"])
-def test_random_phi_refuses_bad_pair_counts(pairs):
-    # the 3^2 box of n=1, mode bound 1 holds 4 conjugate pairs; a fifth is
-    # never found, and no pair at all makes every integral 0
-    with deadline(5, f"random_phi(pairs={pairs})"), pytest.raises(ValueError, match="pairs"):
-        random_phi(1, mode_bound=1, pairs=pairs)
-    assert len(random_phi(1, mode_bound=1, pairs=4).coeffs) == 8
+def test_random_phi_refuses_a_draw_that_does_not_close():
+    # at n = 30 the third mode almost never stays in the box, so without the
+    # redraw limit the draw would never end
+    with deadline(5, "random_phi(30)"), pytest.raises(ValueError) as exc:
+        random_phi(30, mode_bound=2, seed=0)
+    assert str(exc.value) == (
+        "no mode triangle closed for n=30, mode bound 2 within "
+        f"{fourier._REDRAW_LIMIT} redraws of the base pair"
+    )
+
+
+def test_random_phi_draws_are_pinned():
+    """The exact coefficients of three draws; the oracle's values rest on them."""
+    g = GaussRat
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    pinned = {
+        (1, 1, 0): {
+            (1, 0): g(3 * half, 1), (0, 1): g(0, 2), (1, 1): g(0, -1),
+        },
+        (2, 2, 0): {
+            (0, 2, 0, 0): g(1, 2 * third),
+            (1, 0, 2, 1): g(-2, -2),
+            (1, -2, 2, 1): g(-3, -3 * half),
+        },
+        (4, 2, 7): {
+            (1, 1, 0, 1, -1, 0, 0, 2): g(-1, 3),
+            (2, 2, -2, -1, 1, -2, -1, 1): g(2 * third, 1),
+            (1, 1, -2, -2, 2, -2, -1, -1): g(-third, half),
+        },
+    }
+    for (n, bound, seed), half_support in pinned.items():
+        want = dict(half_support)
+        want.update({tuple(-v for v in m): c.conjugate() for m, c in half_support.items()})
+        assert random_phi(n, bound, seed).coeffs == want
 
 
 def test_function_validation():

@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 
 from invar.calculus import first_slot_residue, local_divergence
+from invar.chern import height
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
-from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from invar.monomials import PHI, PSI, ContractionMonomial
 
 
 def lap2_phi():
-    return monomial_invariant(scalar_monomial(PHI, ((2,),)))
+    return monomial_invariant(ContractionMonomial(PHI, ((2,),)))
 
 
 def test_terms_collect_under_canonicalization():
-    a = scalar_monomial(PHI, ((2, 0), (1, 1)))
+    a = ContractionMonomial(PHI, ((2, 0), (1, 1)))
     b = a.apply_permutation((1, 0))
     inv = Invariant(PHI, (0, 0), [(a, 1), (b, 1)])
     assert len(inv) == 1
@@ -30,7 +31,7 @@ def test_zero_coefficients_dropped():
 
 
 def test_kind_and_valence_validation():
-    psi = scalar_monomial(PSI, ((2,),))
+    psi = ContractionMonomial(PSI, ((2,),))
     with pytest.raises(ValueError):
         Invariant(PHI, (0, 0), [(psi, 1)])
     open_mono = ContractionMonomial(PHI, ((1,),), (1,), (0,))
@@ -52,7 +53,7 @@ def test_arithmetic_and_scaling():
     assert (inv + inv) == inv.scale(2)
     assert (-inv) == inv.scale(-1)
     assert inv.scale(Fraction(1, 3)) == Fraction(1, 3) * inv
-    assert inv.scale(Fraction(1, 3)).coefficient(scalar_monomial(PHI, ((2,),))) == Fraction(1, 3)
+    assert inv.scale(Fraction(1, 3)).coefficient(ContractionMonomial(PHI, ((2,),))) == Fraction(1, 3)
 
 
 def test_homogeneity_queries():
@@ -67,14 +68,14 @@ def test_homogeneity_queries():
 def test_polarize_single_factor():
     pol = lap2_phi().polarize()
     assert pol.kind == PSI
-    assert pol.coefficient(scalar_monomial(PSI, ((2,),))) == 1
+    assert pol.coefficient(ContractionMonomial(PSI, ((2,),))) == 1
 
 
 def test_polarize_averages_over_labelings():
-    inv = monomial_invariant(scalar_monomial(PHI, ((1, 0), (0, 2))))
+    inv = monomial_invariant(ContractionMonomial(PHI, ((1, 0), (0, 2))))
     pol = inv.polarize()
-    assert pol.coefficient(scalar_monomial(PSI, ((1, 0), (0, 2)))) == Fraction(1, 2)
-    assert pol.coefficient(scalar_monomial(PSI, ((2, 0), (0, 1)))) == Fraction(1, 2)
+    assert pol.coefficient(ContractionMonomial(PSI, ((1, 0), (0, 2)))) == Fraction(1, 2)
+    assert pol.coefficient(ContractionMonomial(PSI, ((2, 0), (0, 1)))) == Fraction(1, 2)
 
 
 def test_symmetrize_inverts_polarize():
@@ -82,8 +83,8 @@ def test_symmetrize_inverts_polarize():
         PHI,
         (0, 0),
         [
-            (scalar_monomial(PHI, ((1, 0), (0, 2))), Fraction(2)),
-            (scalar_monomial(PHI, ((1, 1), (1, 1))), Fraction(-3)),
+            (ContractionMonomial(PHI, ((1, 0), (0, 2))), Fraction(2)),
+            (ContractionMonomial(PHI, ((1, 1), (1, 1))), Fraction(-3)),
         ],
     )
     assert inv.polarize().symmetrize() == inv
@@ -98,8 +99,8 @@ def test_polarize_requires_phi_and_symmetrize_psi():
 
 def test_multiply_merges_factor_lists():
     prod = lap2_phi().multiply(lap2_phi())
-    assert prod.coefficient(scalar_monomial(PHI, ((2, 0), (0, 2)))) == 1
-    cube = prod.multiply(monomial_invariant(scalar_monomial(PHI, ((3,),)), 2))
+    assert prod.coefficient(ContractionMonomial(PHI, ((2, 0), (0, 2)))) == 1
+    cube = prod.multiply(monomial_invariant(ContractionMonomial(PHI, ((3,),)), 2))
     assert cube.weights() == {7}
     assert cube.degrees() == {3}
     assert next(iter(cube.terms.values())) == 2
@@ -116,12 +117,12 @@ def test_filter_by_trace_count():
         PHI,
         (0, 0),
         [
-            (scalar_monomial(PHI, ((1, 1), (1, 1))), Fraction(1)),
-            (scalar_monomial(PHI, ((0, 2), (2, 0))), Fraction(-1)),
+            (ContractionMonomial(PHI, ((1, 1), (1, 1))), Fraction(1)),
+            (ContractionMonomial(PHI, ((0, 2), (2, 0))), Fraction(-1)),
         ],
     )
-    traced = i2.filter(lambda m: m.trace_count > 0)
-    tracefree = i2.filter(lambda m: m.trace_count == 0)
+    traced = i2.filter(lambda m: height(m) > 0)
+    tracefree = i2.filter(lambda m: height(m) == 0)
     assert len(traced) == 1 and len(tracefree) == 1
     assert traced + tracefree == i2
 
@@ -145,8 +146,8 @@ def test_json_round_trip_and_stability():
         PSI,
         (0, 0),
         [
-            (scalar_monomial(PSI, ((1, 1), (1, 1))), Fraction(-7, 2)),
-            (scalar_monomial(PSI, ((0, 2), (2, 0))), Fraction(1)),
+            (ContractionMonomial(PSI, ((1, 1), (1, 1))), Fraction(-7, 2)),
+            (ContractionMonomial(PSI, ((0, 2), (2, 0))), Fraction(1)),
         ],
     )
     blob = inv.to_json_dict()
@@ -163,7 +164,7 @@ def test_from_json_rejects_garbage():
 
 
 def _term(kind):
-    return {"monomial": scalar_monomial(kind, ((2,),)).to_json_dict(), "coeff": "1"}
+    return {"monomial": ContractionMonomial(kind, ((2,),)).to_json_dict(), "coeff": "1"}
 
 
 @pytest.mark.parametrize(
@@ -186,7 +187,7 @@ def _term(kind):
             "sigma does not match edge matrix size",
         ),
         (
-            lambda: lap2_phi().multiply(monomial_invariant(scalar_monomial(PSI, ((2,),)))),
+            lambda: lap2_phi().multiply(monomial_invariant(ContractionMonomial(PSI, ((2,),)))),
             "cannot multiply invariants of different kind",
         ),
         (

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from invar.chern import chern_invariant
+from invar.chern import chern_invariant, height
 from invar.combinat import compositions, cycle_successor
 from invar.fourier import FourierFunction
 from invar.invariants import Invariant
@@ -17,13 +17,12 @@ from invar.monomials import (
     PHI,
     PSI,
     ContractionMonomial,
-    scalar_monomial,
 )
 from invar.solver import decompose, enumerate_monomials
 
 
 def test_factor_swap_gives_same_canonical_phi():
-    m = scalar_monomial(PHI, ((2, 0), (1, 1)))
+    m = ContractionMonomial(PHI, ((2, 0), (1, 1)))
     swapped = m.apply_permutation((1, 0))
     assert swapped != m
     assert swapped.canonical() == m.canonical()
@@ -64,7 +63,7 @@ def test_signature_and_count_bookkeeping():
 
 
 def test_single_factor_counts():
-    m = scalar_monomial(PHI, ((3,),))
+    m = ContractionMonomial(PHI, ((3,),))
     assert m.weight == 3
 
 
@@ -77,7 +76,7 @@ def test_signatures_recomputed_from_edges_and_free_slots():
 
 
 def test_acceptability_floor():
-    assert scalar_monomial(PHI, ((2,),)).is_acceptable()
+    assert ContractionMonomial(PHI, ((2,),)).is_acceptable()
     bad = ContractionMonomial(PHI, ((1, 1), (0, 1)), (0, 0), (0, 1))
     assert (2, 1) in bad.signatures or (1, 2) in bad.signatures
     assert not bad.is_acceptable()
@@ -87,8 +86,8 @@ def test_acceptability_floor():
 
 def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
     # signatures (2, 1) and (1, 2)
-    phi = scalar_monomial(PHI, ((1, 1), (0, 1)))
-    psi = scalar_monomial(PSI, ((1, 1), (0, 1)))
+    phi = ContractionMonomial(PHI, ((1, 1), (0, 1)))
+    psi = ContractionMonomial(PSI, ((1, 1), (0, 1)))
     assert phi.signatures == psi.signatures == ((2, 1), (1, 2))
     as_given, swapped = ((2, 1), (1, 2)), ((1, 2), (2, 1))
     assert phi.is_acceptable(as_given) and phi.is_acceptable(swapped)
@@ -103,7 +102,7 @@ def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
 
 def test_trace_count():
     m = ContractionMonomial(PHI, ((2, 1), (0, 1)), (0, 1), (1, 0))
-    assert m.trace_count == 3
+    assert height(m) == 3
 
 
 def test_conjugate_transposes_and_swaps_free_slots():
@@ -146,7 +145,7 @@ def test_constructors_refuse_non_integers(build, field):
 
 
 def test_immutability():
-    m = scalar_monomial(PHI, ((2,),))
+    m = ContractionMonomial(PHI, ((2,),))
     with pytest.raises(AttributeError):
         m.sigma = 3
 

@@ -18,12 +18,12 @@ import pytest
 
 from invar.bergman import build_A
 from invar.calculus import local_divergence
-from invar.chern import chern_basis, partitions_of
+from invar.chern import partitions_of
 from invar.combinat import compositions
 from invar.fourier import random_phi
 from invar.invariants import monomial_invariant
 from invar.jets import Potential
-from invar.monomials import PSI, scalar_monomial
+from invar.monomials import PSI, ContractionMonomial
 from invar.rationals import GR_ONE, GR_ZERO, GaussRat, as_fraction, as_gauss
 from invar.rings import GaussRing, GradedRing, SymbolicRing
 from invar.series import ScalarSeries
@@ -392,7 +392,7 @@ def test_equal_values_hash_alike(seed):
     assert len({GaussRat(1, 1), GaussRat(Fraction(2, 2), 1)}) == 1
 
 
-_TWO_FACTORS = monomial_invariant(scalar_monomial(PSI, ((1, 1), (1, 1))))
+_TWO_FACTORS = monomial_invariant(ContractionMonomial(PSI, ((1, 1), (1, 1))))
 _GRADED = Potential.graded_numeric(1, {((2,), (2,)): 1}, 2)
 
 
@@ -417,9 +417,6 @@ def _series_with_key(key):
         (lambda: ScalarSeries.one(GaussRing(), 1.5, 2), "n must be an integer"),
         (lambda: ScalarSeries.one(GaussRing(), "2", 2), "n must be an integer"),
         (lambda: _GRADED.series(2.5), "cap must be a count or a pair of counts"),
-        (lambda: chern_basis(1.5), "sigma must be an integer"),
-        (lambda: chern_basis(True), "sigma must be an integer"),
-        (lambda: chern_basis(0), "sigma must be at least 1, got 0$"),
         (lambda: random_phi(0), "need at least one complex dimension"),
         (lambda: _series_with_key(((1.5,), (0,))), "alpha must be an integer"),
         (lambda: _series_with_key(((True,), (0,))), "alpha must be an integer"),
@@ -442,9 +439,6 @@ def _series_with_key(key):
         "series-one-n-float",
         "series-one-n-string",
         "potential-series-float",
-        "chern-basis-float",
-        "chern-basis-bool",
-        "chern-basis-zero",
         "random-phi-zero",
         "series-key-float",
         "series-key-bool",

@@ -9,7 +9,7 @@ from invar import solver
 from invar.calculus import divergence, integrates_to_zero
 from invar.chern import chern_invariant, chern_reduce, partitions_of
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
-from invar.monomials import PHI, PSI, ContractionMonomial, scalar_monomial
+from invar.monomials import PHI, PSI, ContractionMonomial
 from invar.solver import (
     _SYSTEM_CACHE,
     Decomposition,
@@ -23,11 +23,11 @@ from invar.solver import (
 
 
 def test_enumerate_small_scalar_cases():
-    assert enumerate_monomials(2, 1) == [scalar_monomial(PHI, ((2,),))]
-    assert enumerate_monomials(3, 1) == [scalar_monomial(PHI, ((3,),))]
+    assert enumerate_monomials(2, 1) == [ContractionMonomial(PHI, ((2,),))]
+    assert enumerate_monomials(3, 1) == [ContractionMonomial(PHI, ((3,),))]
     four_two = enumerate_monomials(4, 2)
     assert len(four_two) == 3
-    assert scalar_monomial(PHI, ((1, 1), (1, 1))).canonical() in four_two
+    assert ContractionMonomial(PHI, ((1, 1), (1, 1))).canonical() in four_two
 
 
 def test_enumerate_is_sorted_and_deterministic():
@@ -42,7 +42,7 @@ def test_enumerate_with_valence_and_restriction():
     one_forms = enumerate_monomials(2, 1, valence=(1, 0))
     assert one_forms == [ContractionMonomial(PHI, ((2,),), (1,), (0,))]
     loose = enumerate_monomials(1, 1, restriction=((1, 1),))
-    assert loose == [scalar_monomial(PHI, ((1,),))]
+    assert loose == [ContractionMonomial(PHI, ((1,),))]
     assert enumerate_monomials(1, 1) == []
 
 
@@ -70,7 +70,7 @@ def test_enumeration_of_a_negative_weight_is_empty_and_checks_its_input():
 
 def test_decompose_requires_scalar_phi():
     with pytest.raises(ValueError):
-        decompose(monomial_invariant(scalar_monomial(PSI, ((2,),))))
+        decompose(monomial_invariant(ContractionMonomial(PSI, ((2,),))))
     with pytest.raises(ValueError):
         decompose(monomial_invariant(ContractionMonomial(PHI, ((2,),), (1,), (0,))))
 
@@ -108,14 +108,14 @@ def test_decompose_zero_input():
 
 
 def test_decompose_rejects_squared_trace_with_residue():
-    sq = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+    sq = monomial_invariant(ContractionMonomial(PHI, ((2, 0), (0, 2))))
     with pytest.raises(NotCoexactError) as exc:
         decompose(sq)
-    assert exc.value.residue == monomial_invariant(scalar_monomial(PSI, ((4,),)))
+    assert exc.value.residue == monomial_invariant(ContractionMonomial(PSI, ((4,),)))
 
 
 def test_decompose_single_trace_power():
-    inv = monomial_invariant(scalar_monomial(PHI, ((3,),)), Fraction(5, 2))
+    inv = monomial_invariant(ContractionMonomial(PHI, ((3,),)), Fraction(5, 2))
     dec = decompose(inv)
     assert verify_decomposition(inv, dec)
     assert set(dec.t_hol.weights()) | set(dec.t_anti.weights()) <= {2}
@@ -180,7 +180,7 @@ def test_decompose_a_weight_nine_degree_three_block():
 def test_verify_rejects_perturbation():
     inv = chern_invariant((2,))
     dec = decompose(inv)
-    bumped = inv + monomial_invariant(scalar_monomial(PHI, ((1, 1), (1, 1))))
+    bumped = inv + monomial_invariant(ContractionMonomial(PHI, ((1, 1), (1, 1))))
     assert not verify_decomposition(bumped, dec)
 
 
@@ -259,9 +259,9 @@ def test_a_draw_refuses_a_non_integer_weight_after_a_cached_block():
 
 # -- the integral test runs only where it decides something --
 
-SQ = monomial_invariant(scalar_monomial(PHI, ((2, 0), (0, 2))))
+SQ = monomial_invariant(ContractionMonomial(PHI, ((2, 0), (0, 2))))
 SQ_KEY = (4, 2, ((2, 2), (2, 2)))
-SQ_RESIDUE = monomial_invariant(scalar_monomial(PSI, ((4,),)))
+SQ_RESIDUE = monomial_invariant(ContractionMonomial(PSI, ((4,),)))
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ def test_a_cold_block_is_tested_once_before_its_columns_are_built(integral_tests
     assert SQ_KEY not in solver._SYSTEM_CACHE
     # a large block raises before its column space would be enumerated
     diag = monomial_invariant(
-        scalar_monomial(PHI, [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        ContractionMonomial(PHI, [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     )
     with pytest.raises(NotCoexactError, match="weight 10, degree 4"):
         decompose(diag)
