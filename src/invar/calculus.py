@@ -36,25 +36,30 @@ from .rationals import as_int
 __all__ = ["divergence", "local_divergence", "first_slot_residue", "integrates_to_zero"]
 
 
-def divergence(inv: Invariant) -> Invariant:
+def divergence(inv: Invariant, *more: Invariant) -> Invariant:
     """Contracted derivative of a one-form valued invariant.
 
     For valence (1,0) input T_a, computes d_abar T_a expanded by the Leibniz
     rule; for (0,1) input T_abar, computes d_a T_abar.  Each output term moves
     the new derivative onto one factor, converting the free slot into a
-    contraction.  Weight increases by one, degree is preserved.
+    contraction.  Weight increases by one, degree is preserved.  Further
+    one-forms of the same kind, of either valence, are expanded in the same
+    pass: divergence(a, b) == divergence(a) + divergence(b).
     """
-    if inv.valence not in ((1, 0), (0, 1)):
-        raise ValueError("divergence expects valence (1,0) or (0,1)")
-    hol_free = inv.valence == (1, 0)
     placements = []
-    for mono, coeff in inv.terms.items():
-        s = mono.sigma
-        i = (mono.free_hol if hol_free else mono.free_anti).index(1)
-        # the free slot on i pairs with the new derivative on any factor m:
-        # edge (i, m) for a holomorphic slot, (m, i) for an antiholomorphic one
-        move = range(i * s, i * s + s) if hol_free else range(i, s * s, s)
-        placements.append(([x for row in mono.edges for x in row], [move], coeff))
+    for one_form in (inv, *more):
+        if one_form.valence not in ((1, 0), (0, 1)):
+            raise ValueError("divergence expects valence (1,0) or (0,1)")
+        if one_form.kind != inv.kind:
+            raise ValueError("divergence expects one-forms of one kind")
+        hol_free = one_form.valence == (1, 0)
+        for mono, coeff in one_form.terms.items():
+            s = mono.sigma
+            i = (mono.free_hol if hol_free else mono.free_anti).index(1)
+            # the free slot on i pairs with the new derivative on any factor m:
+            # edge (i, m) for a holomorphic slot, (m, i) for an antiholomorphic one
+            move = range(i * s, i * s + s) if hol_free else range(i, s * s, s)
+            placements.append(([x for row in mono.edges for x in row], [move], coeff))
     return _collect(inv.kind, *_leibniz(placements))
 
 

@@ -56,8 +56,20 @@ def _normalize_partition(p):
     return p
 
 
+# chern_invariant canonicalizes sigma! terms whose signatures all tie, so its
+# cost grows as sigma!^2 (degree 6 took 1.6 s, 7 over 80 s); the CLI refuses
+# a larger degree.  The memo maps a normalized partition to its invariant for
+# the life of the process, at most the 29 of degree <= 6 (the largest built
+# from 720 permutations).  Every caller shares one Invariant: nothing in src/
+# mutates an Invariant's terms.
+_CHERN_DEGREE_LIMIT = 6
+_CHERN_MEMO: dict = {}
+
+
 def chern_invariant(p) -> Invariant:
     p = _normalize_partition(p)
+    if p in _CHERN_MEMO:
+        return _CHERN_MEMO[p]
     sigma = sum(p)
     succ = cycle_successor(p)
     terms = []
@@ -67,7 +79,10 @@ def chern_invariant(p) -> Invariant:
             edges[i][succ[i]] += 1
             edges[i][tau[i]] += 1
         terms.append((ContractionMonomial(PHI, edges), perm_sign(tau)))
-    return Invariant(PHI, (0, 0), terms)
+    inv = Invariant(PHI, (0, 0), terms)
+    if sigma <= _CHERN_DEGREE_LIMIT:
+        _CHERN_MEMO[p] = inv
+    return inv
 
 
 def height(mono: ContractionMonomial) -> int:

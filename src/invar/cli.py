@@ -25,7 +25,7 @@ from math import factorial
 
 from .bergman import bergman_coefficients
 from .calculus import integrates_to_zero
-from .chern import chern_invariant, partitions_of
+from .chern import _CHERN_DEGREE_LIMIT, chern_invariant, partitions_of
 from .fourier import eval_integral, random_phi
 from .geometry import kernel_coefficient_reference, named_scalar
 from .invariants import Invariant
@@ -181,11 +181,6 @@ def cmd_canon(args):
     inv = _load(args.invariant, "invariant", Invariant.from_json_dict)
     _emit(args, inv.to_json_dict())
     return 0
-
-
-# chern_invariant canonicalizes sigma! terms whose signatures all tie, so its
-# cost grows as sigma!^2: degree sigma = 6 took 1.6 s and 7 over 80 s
-_CHERN_DEGREE_LIMIT = 6
 
 
 def cmd_chern(args):
@@ -374,6 +369,8 @@ def _verify_linear(args, rep):
 
 def _verify_chern_integrals(args, rep):
     max_sigma = args.order or 3
+    if max_sigma > _CHERN_DEGREE_LIMIT:
+        raise InputError(f"--order {max_sigma} is above the Chern degree limit {_CHERN_DEGREE_LIMIT}")
     trials = args.trials or 5
     for sigma in range(1, max_sigma + 1):
         n = args.dim or sigma

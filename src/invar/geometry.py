@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
 
-from .chern import chern_invariant, partitions_of
+from .chern import _CHERN_DEGREE_LIMIT, chern_invariant, partitions_of
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
@@ -317,6 +317,11 @@ def evaluate(inv, pot):
     return total
 
 
+# j -> the phi-invariant P_j for the life of the process, shared like the
+# Chern invariants it sums and kept, like them, up to degree _CHERN_DEGREE_LIMIT
+_TODD_MEMO: dict = {}
+
+
 def todd_polynomial(pot, j):
     """Degree-j Todd curvature polynomial of the potential, at the center.
 
@@ -332,15 +337,19 @@ def todd_polynomial(pot, j):
         return ring.zero
     if not j:
         return ring.one
-    gam = todd_gammas(j)
-    todd = zero_invariant()
-    for partition in partitions_of(j):
-        coeff = Fraction(1)
-        for m in set(partition):
-            r = partition.count(m)
-            coeff *= gam[m] ** r / factorial(r)
-        if coeff:
-            todd = todd + coeff * chern_invariant(partition)
+    todd = _TODD_MEMO.get(j)
+    if todd is None:
+        gam = todd_gammas(j)
+        todd = zero_invariant()
+        for partition in partitions_of(j):
+            coeff = Fraction(1)
+            for m in set(partition):
+                r = partition.count(m)
+                coeff *= gam[m] ** r / factorial(r)
+            if coeff:
+                todd = todd + coeff * chern_invariant(partition)
+        if j <= _CHERN_DEGREE_LIMIT:
+            _TODD_MEMO[j] = todd
     return evaluate(todd, pot)
 
 

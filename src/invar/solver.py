@@ -55,13 +55,10 @@ class Decomposition:
         self.t_anti = t_anti if t_anti is not None else zero_invariant(PHI, (0, 1))
 
     def reconstruct(self) -> Invariant:
-        total = zero_invariant(PHI, (0, 0))
+        """Both divergences in one Leibniz pass, plus the Chern part."""
+        total = divergence(self.t_hol, self.t_anti)
         for p, c in self.chern.items():
             total = total + chern_invariant(p).scale(c)
-        if self.t_hol:
-            total = total + divergence(self.t_hol)
-        if self.t_anti:
-            total = total + divergence(self.t_anti)
         return total
 
     def to_json_dict(self) -> dict:
@@ -219,11 +216,12 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
     if inv.valence != (0, 0):
         raise ValueError("decompose expects a scalar invariant")
     result = Decomposition()
-    blocks: dict[tuple, list] = {}
+    # inv's terms are canonical, distinct and nonzero, so each block's are
+    blocks: dict[tuple, dict] = {}
     for m, c in inv.terms.items():
-        blocks.setdefault((m.weight, m.sigma), []).append((m, c))
+        blocks.setdefault((m.weight, m.sigma), {})[m] = c
     for (w, sigma), terms in sorted(blocks.items()):
-        block = Invariant(PHI, (0, 0), terms)
+        block = Invariant._raw(PHI, (0, 0), terms)
         _decompose_block(block, w, sigma, restriction, result)
     return result
 
@@ -257,10 +255,11 @@ def _decompose_block(block, w, sigma, restriction, result):
     t_terms = list(zip(entry["tmonos"], x[nchern:]))
     hol = [(m, c) for m, c in t_terms if c and m.valence == (1, 0)]
     anti = [(m, c) for m, c in t_terms if c and m.valence == (0, 1)]
+    # enumerated monomials are canonical and distinct
     if hol:
-        result.t_hol = result.t_hol + Invariant(PHI, (1, 0), hol)
+        result.t_hol = result.t_hol + Invariant._raw(PHI, (1, 0), dict(hol))
     if anti:
-        result.t_anti = result.t_anti + Invariant(PHI, (0, 1), anti)
+        result.t_anti = result.t_anti + Invariant._raw(PHI, (0, 1), dict(anti))
 
 
 def _require_coexact(block, w, sigma):

@@ -64,6 +64,31 @@ def test_divergence_requires_one_form():
         divergence(monomial_invariant(ContractionMonomial(PHI, ((2,),))))
 
 
+def test_divergence_of_several_one_forms_is_the_sum_of_their_divergences():
+    t = one_form()
+    u = monomial_invariant(ContractionMonomial(PHI, ((2, 1), (1, 0)), (1, 0), (0, 0)))
+    v = u.conjugate().scale(Fraction(-3, 2))
+    zero = Invariant(PHI, (0, 1), [])
+    for forms in ((t, u), (t, v), (v, t, u), (t, t.scale(-1)), (t, zero), (zero, v)):
+        want = divergence(forms[0])
+        for form in forms[1:]:
+            want = want + divergence(form)
+        assert divergence(*forms) == want
+    psi = (t + u).polarize(), v.polarize()
+    assert divergence(*psi) == divergence(psi[0]) + divergence(psi[1])
+
+
+def test_divergence_refuses_mixed_kinds_and_scalars_in_any_place():
+    t, scalar = one_form(), monomial_invariant(ContractionMonomial(PHI, ((2,),)))
+    with pytest.raises(ValueError, match="one-forms of one kind"):
+        divergence(t, t.polarize())
+    with pytest.raises(ValueError, match="one-forms of one kind"):
+        divergence(t.polarize(), t)
+    for forms in ((scalar,), (t, scalar), (scalar, t)):
+        with pytest.raises(ValueError, match=r"^divergence expects valence \(1,0\) or \(0,1\)$"):
+            divergence(*forms)
+
+
 def test_local_divergence_trace_factor():
     # lap psi^1 lap^2 psi^2, integrating off psi^1
     inv = monomial_invariant(ContractionMonomial(PSI, ((1, 0), (0, 2))))

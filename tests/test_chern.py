@@ -1,10 +1,14 @@
 """Cycle invariants of the curvature variation and the all-trace reduction."""
 
 import random
+import re
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from invar import chern
 from invar.calculus import integrates_to_zero
 from invar.chern import (
     _read_partition,
@@ -15,7 +19,7 @@ from invar.chern import (
     partitions_of,
 )
 from invar.invariants import Invariant, monomial_invariant
-from invar.combinat import cycle_successor
+from invar.combinat import cycle_successor, perm_sign
 from invar.monomials import PHI, ContractionMonomial
 from invar.solver import enumerate_monomials
 
@@ -186,3 +190,78 @@ def test_read_partition_is_the_cycle_type_of_edges_minus_identity():
                 relabeled.append(lead.apply_permutation(perm))
             for mono in [lead, *relabeled]:
                 assert _read_partition(mono) == reference_read_partition(mono) == p
+
+
+# -- the process-wide memo ------------------------------------------------------
+
+
+def test_a_second_chern_invariant_builds_no_monomial(monkeypatch):
+    first = chern_invariant((2, 1))
+    built = []
+    original = chern.ContractionMonomial
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chern, "ContractionMonomial", counted)
+    for spelling in ((2, 1), (1, 2), [1, 2]):
+        assert chern_invariant(spelling) is first
+    assert built == []
+
+
+def test_the_memo_keeps_only_degrees_up_to_the_limit(monkeypatch):
+    want = Invariant(PHI, (0, 0), list(chern_invariant((2, 2)).terms.items()))
+    monkeypatch.setattr(chern, "_CHERN_MEMO", {})
+    monkeypatch.setattr(chern, "_CHERN_DEGREE_LIMIT", 3)
+    got = chern_invariant((2, 2))
+    assert got == want
+    assert chern_invariant((2, 2)) is not got
+    assert chern_invariant((2, 1)) is chern_invariant((1, 2))
+    assert list(chern._CHERN_MEMO) == [(2, 1)]
+
+
+def test_a_degree_seven_partition_is_built_on_every_call_and_not_stored(monkeypatch):
+    # canonicalizing its 5040 tied terms takes over a minute, so the terms are
+    # caught as they reach the Invariant constructor
+    built = []
+
+    def record(kind, valence, terms):
+        built.append(terms)
+        return terms
+
+    monkeypatch.setattr(chern, "Invariant", record)
+    monkeypatch.setattr(chern, "_CHERN_MEMO", dict(chern._CHERN_MEMO))
+    stored = set(chern._CHERN_MEMO)
+    assert chern_invariant((3, 4)) == chern_invariant((4, 3))
+    assert len(built) == 2
+    assert set(chern._CHERN_MEMO) == stored
+    succ = cycle_successor((4, 3))
+    for (mono, sign), tau in zip(built[0], permutations(range(7)), strict=True):
+        assert sign == perm_sign(tau)
+        assert mono.edges == tuple(
+            tuple((j == succ[i]) + (j == tau[i]) for j in range(7)) for i in range(7)
+        )
+
+
+# a subscript assignment, an augmented one, or a mutating dict method
+_MUTATES_TERMS = re.compile(
+    r"\.terms(\[[^\]]*\]\s*([-+*/]?=(?!=))|\.(pop|popitem|update|clear|setdefault)\()"
+    r"|del\s+[\w.]*\.terms\["
+)
+
+
+def test_nothing_in_src_mutates_the_terms_the_memo_shares():
+    src = Path(chern.__file__).parent
+    sites = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _MUTATES_TERMS.search(line)
+    ]
+    assert sites == []
+    assert _MUTATES_TERMS.search("inv.terms[m] = c")
+    assert _MUTATES_TERMS.search("inv.terms[m] += c")
+    assert _MUTATES_TERMS.search("inv.terms.pop(m)")
+    assert _MUTATES_TERMS.search("del inv.terms[m]")
+    assert not _MUTATES_TERMS.search("inv.terms[m] == c")

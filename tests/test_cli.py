@@ -686,6 +686,24 @@ def test_chern_refuses_a_degree_above_six_at_once(capsys):
     )
 
 
+def test_verify_chern_integrals_refuses_an_order_above_the_chern_limit(capsys):
+    # the suite builds chern_invariant of every degree up to --order
+
+    def expire(signum, frame):
+        raise TimeoutError("verify chern-integrals is still building a degree-7 invariant")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        assert main(["verify", "chern-integrals", "--order", "7", "--trials", "1"]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order 7 is above the Chern degree limit 6\n"
+
+
 @pytest.mark.parametrize(
     "restriction, entry",
     [

@@ -510,6 +510,30 @@ def test_todd_polynomial_above_the_dimension_is_the_zero_of_the_ring(pot):
         assert got == full_contraction_todd(pot, j), j
 
 
+def test_todd_polynomial_builds_P_j_once(monkeypatch):
+    """P_j depends on no potential: a second potential only evaluates it,
+    on the memoized invariant, which equals the Todd sum built afresh."""
+    calls = []
+    original = geometry.chern_invariant
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(geometry, "chern_invariant", counted)
+    # raising=False: without the memo, the call counts below are what fails
+    monkeypatch.setattr(geometry, "_TODD_MEMO", {}, raising=False)
+    first, second = fs_potential(3), random_potential(3, seed=7)
+    for j in (2, 3):
+        before = len(calls)
+        todd_polynomial(first, j)
+        built = len(calls)
+        assert built > before, j
+        assert todd_polynomial(second, j) == full_contraction_todd(second, j)
+        assert len(calls) == built, j
+    assert geometry._TODD_MEMO == {j: todd_invariant(j) for j in (2, 3)}
+
+
 def brute_force_center_value(mono, pot):
     """Reference for evaluate: the sum over every tuple of edge indices of
     the product over factors of d^alpha dbar^beta phi(0), phi = |z|^2 + H,

@@ -220,6 +220,52 @@ def test_decomposition_json_round_trip():
     assert back.reconstruct() == inv
 
 
+def reference_reconstruct(dec):
+    """The reconstruction one divergence at a time: zero + the sum of the
+    scaled Chern invariants + div(t_hol) + div(t_anti)."""
+    total = zero_invariant(PHI, (0, 0))
+    for p, c in dec.chern.items():
+        total = total + chern_invariant(p).scale(c)
+    if dec.t_hol:
+        total = total + divergence(dec.t_hol)
+    if dec.t_anti:
+        total = total + divergence(dec.t_anti)
+    return total
+
+
+# every block shape of the decompose benchmark: (sigma, w, (1,1)-restricted)
+BENCH_BLOCKS = [
+    (1, 2, False), (1, 3, False), (1, 4, False), (2, 4, False), (2, 5, False),
+    (2, 6, False), (3, 6, False), (3, 7, False), (3, 5, True), (3, 8, False),
+    (4, 5, True),
+]
+
+
+def test_the_one_pass_reconstruction_matches_the_reference():
+    witnesses = set()
+    for sigma, w, restricted in BENCH_BLOCKS:
+        rl = ((1, 1),) * sigma if restricted else None
+        rng = random.Random(10 * sigma + w)
+        for _ in range(3):
+            inv = zero_invariant()
+            while not inv:
+                inv = random_coexact_invariant(w, sigma, rng, rl)
+            dec = decompose(inv, rl)
+            assert dec.reconstruct() == reference_reconstruct(dec) == inv, (sigma, w)
+            witnesses.add((bool(dec.chern), bool(dec.t_hol), bool(dec.t_anti)))
+    # Chern-only, t_hol-only and two-divergence decompositions all occur
+    assert {(True, False, False), (False, True, False), (False, True, True)} <= witnesses
+    # a mixed-weight input, and witnesses with one divergence part alone
+    inv = chern_invariant((2, 1)).scale(Fraction(2, 3)) + random_coexact_invariant(
+        7, 3, random.Random(4)
+    )
+    dec = decompose(inv)
+    assert dec.t_anti and dec.reconstruct() == reference_reconstruct(dec) == inv
+    for only in (Decomposition(t_hol=dec.t_hol), Decomposition(t_anti=dec.t_anti)):
+        assert only.reconstruct() == reference_reconstruct(only)
+        assert only.reconstruct()
+
+
 def test_a_witness_is_acceptable_under_every_order_of_its_list():
     # the floors are matched to factors up to relabeling, in the enumeration
     # and in is_acceptable alike
