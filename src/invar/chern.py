@@ -49,28 +49,26 @@ def partitions_of(n: int):
     return list(gen(as_count(n, "n"), n))
 
 
-def _normalize_partition(p):
-    p = tuple(sorted((as_int(k, "partition") for k in p), reverse=True))
-    if not p or any(k < 1 for k in p):
-        raise ValueError("partition must consist of positive integers")
-    return p
-
-
 # chern_invariant canonicalizes sigma! terms whose signatures all tie, so its
-# cost grows as sigma!^2 (degree 6 took 1.6 s, 7 over 80 s); the CLI refuses
-# a larger degree.  The memo maps a normalized partition to its invariant for
-# the life of the process, at most the 29 of degree <= 6 (the largest built
-# from 720 permutations).  Every caller shares one Invariant: nothing in src/
-# mutates an Invariant's terms.
+# cost grows as sigma!^2 (degree 6 took 1.6 s, 7 over 80 s): it refuses a
+# larger degree before it builds a monomial.  The memo maps a normalized
+# partition to its invariant for the life of the process, so it holds at most
+# the 29 of degree <= 6 (the largest built from 720 permutations).  Every
+# caller shares one Invariant: nothing in src/ mutates an Invariant's terms.
 _CHERN_DEGREE_LIMIT = 6
 _CHERN_MEMO: dict = {}
 
 
 def chern_invariant(p) -> Invariant:
-    p = _normalize_partition(p)
-    if p in _CHERN_MEMO:
-        return _CHERN_MEMO[p]
+    p = tuple(sorted((as_int(k, "partition") for k in p), reverse=True))
+    inv = _CHERN_MEMO.get(p)
+    if inv is not None:
+        return inv
     sigma = sum(p)
+    if sigma > _CHERN_DEGREE_LIMIT:
+        raise ValueError(f"degree {sigma} is above the limit {_CHERN_DEGREE_LIMIT}")
+    if not p or p[-1] < 1:
+        raise ValueError("partition must consist of positive integers")
     succ = cycle_successor(p)
     terms = []
     for tau in permutations(range(sigma)):
@@ -79,9 +77,7 @@ def chern_invariant(p) -> Invariant:
             edges[i][succ[i]] += 1
             edges[i][tau[i]] += 1
         terms.append((ContractionMonomial(PHI, edges), perm_sign(tau)))
-    inv = Invariant(PHI, (0, 0), terms)
-    if sigma <= _CHERN_DEGREE_LIMIT:
-        _CHERN_MEMO[p] = inv
+    inv = _CHERN_MEMO[p] = Invariant(PHI, (0, 0), terms)
     return inv
 
 

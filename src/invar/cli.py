@@ -6,17 +6,12 @@ JSON-lines reports with fields check/status/lhs/rhs/dim/seed); the human
 summary goes to stderr.  Exit codes: 0 success, 1 verification failure, a
 not-co-exact input or no witness under the restriction, 2 malformed input,
 a file that cannot be read or written, or a refused random draw.
-
-Set INVAR_TRUNCATION_AUDIT=1 to audit truncation: bergman recomputes from
-the potential rebuilt at one more weight, verify a1-a3 read the closed forms
-on series boxes two wider; either fails if any value moves.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -40,13 +35,6 @@ from .solver import (
     random_coexact_invariant,
     verify_decomposition,
 )
-
-AUDIT_ENV = "INVAR_TRUNCATION_AUDIT"
-
-
-def audit_enabled() -> bool:
-    return os.environ.get(AUDIT_ENV, "").strip().lower() in ("1", "true", "yes", "on")
-
 
 class Reporter:
     """JSON-lines check reports on stdout, counting failures."""
@@ -185,10 +173,7 @@ def cmd_canon(args):
 
 def cmd_chern(args):
     try:
-        parts = tuple(int(v) for v in args.partition.split(","))
-        if sum(parts) > _CHERN_DEGREE_LIMIT:
-            raise ValueError(f"degree {sum(parts)} is above the limit {_CHERN_DEGREE_LIMIT}")
-        inv = chern_invariant(parts)
+        inv = chern_invariant([int(v) for v in args.partition.split(",")])
     except ValueError as exc:
         raise InputError(f"bad partition {args.partition!r}: {exc}") from exc
     _emit(args, inv.to_json_dict())
@@ -271,19 +256,18 @@ def cmd_oracle(args):
 
 def cmd_bergman(args):
     order = args.order
-    raw = None
-    if not (args.symbolic or args.fubini_study):
+    if args.symbolic:
+        pot = Potential.symbolic(args.dim, order)
+    elif args.fubini_study:
+        pot = Potential.graded_numeric(
+            args.dim, fubini_study_jets(args.dim, 2 * order + 2), order
+        )
+    else:
         raw = _load(args.potential, "potential", Potential.from_json_dict)
         if raw.n != args.dim:
             raise InputError(f"--dim {args.dim} but potential file has n={raw.n}")
-    pot = _kernel_potential(args, raw, order)
+        pot = Potential.graded_numeric(raw.n, raw.jets, order)
     coeffs = bergman_coefficients(pot, order)
-    if audit_enabled():
-        again = bergman_coefficients(_kernel_potential(args, raw, order + 1), order)
-        if again != coeffs:
-            sys.stderr.write("truncation audit FAILED: values moved with the cap\n")
-            return 1
-        sys.stderr.write("truncation audit passed\n")
     if args.format == "json":
         _emit(
             args,
@@ -299,18 +283,6 @@ def cmd_bergman(args):
     return 0
 
 
-def _kernel_potential(args, raw, weight):
-    """The bergman input at the given weight cap; raw is the loaded
-    --potential file when neither built-in family is selected."""
-    if args.symbolic:
-        return Potential.symbolic(args.dim, weight)
-    if args.fubini_study:
-        return Potential.graded_numeric(
-            args.dim, fubini_study_jets(args.dim, 2 * weight + 2), weight
-        )
-    return Potential.graded_numeric(raw.n, raw.jets, weight)
-
-
 # -- verify suites ------------------------------------------------------------
 
 
@@ -319,7 +291,7 @@ def _verify_closed_form(j, formula, potentials, args, rep):
     potentials(j, args) yields."""
     for seed, pot in potentials(j, args):
         got = bergman_coefficients(pot, j)[j]
-        want = kernel_coefficient_reference(pot, j, extra=2 if audit_enabled() else 0)
+        want = kernel_coefficient_reference(pot, j)
         rep.line(
             f"a{j}",
             got == want,

@@ -4,7 +4,7 @@ Series scalars come from truncated series around the center in normal
 coordinates: metric, inverse metric, connection, curvature, Ricci, scalar
 curvature, covariant Laplacians, norm squares and the gradient-divergence
 scalar of the third kernel coefficient, each on the bidegree box its
-reading needs plus an optional margin that audits truncation.  ``evaluate``
+reading needs plus an optional margin to check truncation.  ``evaluate``
 reads any scalar phi-invariant, the Todd polynomials P_j among them, from
 the jets alone.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
 
-from .chern import _CHERN_DEGREE_LIMIT, chern_invariant, partitions_of
+from .chern import chern_invariant, partitions_of
 from .invariants import zero_invariant
 from .monomials import PHI
 from .rationals import as_count
@@ -93,8 +93,6 @@ class CurvaturePackage:
         self.cap = cap
         H = pot.series(cap + 2)
         E = _table(n, 2, lambda a, b: H.d_hol(a).d_anti(b))
-        if any(E[a][b].at_zero() != ring.zero for a in rng for b in rng):
-            raise ValueError("potential is not in normal form")
         one = ScalarSeries.one(ring, n, cap + 1)
         G = _table(n, 2, lambda a, b: E[a][b].add(one) if a == b else E[a][b])
         # Neumann series sum_k (-E)^k for the inverse, on (h, h + 1): E has no
@@ -318,7 +316,7 @@ def evaluate(inv, pot):
 
 
 # j -> the phi-invariant P_j for the life of the process, shared like the
-# Chern invariants it sums and kept, like them, up to degree _CHERN_DEGREE_LIMIT
+# Chern invariants it sums; chern_invariant's degree limit bounds it at 6 entries
 _TODD_MEMO: dict = {}
 
 
@@ -348,8 +346,7 @@ def todd_polynomial(pot, j):
                 coeff *= gam[m] ** r / factorial(r)
             if coeff:
                 todd = todd + coeff * chern_invariant(partition)
-        if j <= _CHERN_DEGREE_LIMIT:
-            _TODD_MEMO[j] = todd
+        _TODD_MEMO[j] = todd
     return evaluate(todd, pot)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .combinat import compositions
-from .rationals import GaussRat, as_count, as_dimension, as_gauss, as_json, random_fraction
+from .rationals import GR_ZERO, GaussRat, as_count, as_dimension, as_gauss, as_json, random_fraction
 from .rings import GaussRing, GradedRing, SymbolicRing, symbol_grade
 from .series import ScalarSeries, _check_index
 
@@ -96,7 +96,15 @@ class Potential:
             if key in raw:
                 raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")
             raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))
-        return cls.numeric(d["n"], raw)
+        pot = cls.numeric(d["n"], raw)
+        # a real potential holds the conjugate coefficient on the transpose
+        for (a, b), v in pot.jets.items():
+            if pot.jets.get((b, a), GR_ZERO) != v.conjugate():
+                raise ValueError(
+                    f"not real: jet alpha={list(a)}, beta={list(b)} is {v}, "
+                    f"so alpha={list(b)}, beta={list(a)} must be {v.conjugate()}"
+                )
+        return pot
 
 
 def jet_keys_up_to_grade(n, grade_cap):

@@ -208,8 +208,10 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
 
     Raises NotCoexactError when the formal integral test fails,
     InfeasibleError when no witness exists over the generated columns, and
-    ValueError on a non-scalar or psi input or a restriction list whose
-    length is not a block's factor count (checked before the integral test).
+    ValueError on a non-scalar or psi input, a restriction list whose
+    length is not a block's factor count (checked before the integral test),
+    or a block of weight 2 * sigma whose Chern columns chern_invariant
+    refuses: sigma above its degree limit 6.
     """
     if inv.kind != PHI:
         raise ValueError("decompose expects a phi-invariant")

@@ -304,6 +304,8 @@ def test_order_reversed_adjoint_yields_nothing():
 
 
 def test_truncation_stability():
+    """a_0..a_j read no jet above weight j: one more weight on the potential
+    moves no value."""
     jets = random_hermitian_jets(1, 3, random.Random(21))
     lo = Potential.graded_numeric(1, jets, 2)
     hi = Potential.graded_numeric(1, jets, 3)
@@ -311,6 +313,15 @@ def test_truncation_stability():
     a_hi = bergman_coefficients(hi, 2)
     for x, y in zip(a_lo, a_hi):
         assert graded_total(x) == graded_total(y)
+    for n in (1, 2):
+        lo, hi = Potential.symbolic(n, 2), Potential.symbolic(n, 3)
+        assert bergman_coefficients(lo, 2) == bergman_coefficients(hi, 2), n
+    for order in (2, 3):
+        lo, hi = (
+            Potential.graded_numeric(2, fubini_study_jets(2, 2 * w + 2), w)
+            for w in (order, order + 1)
+        )
+        assert bergman_coefficients(lo, order) == bergman_coefficients(hi, order), order
 
 
 def test_numeric_ring_is_rejected():

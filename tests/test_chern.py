@@ -210,20 +210,31 @@ def test_a_second_chern_invariant_builds_no_monomial(monkeypatch):
     assert built == []
 
 
-def test_the_memo_keeps_only_degrees_up_to_the_limit(monkeypatch):
+def test_the_memo_stores_every_partition_it_builds(monkeypatch):
     want = Invariant(PHI, (0, 0), list(chern_invariant((2, 2)).terms.items()))
     monkeypatch.setattr(chern, "_CHERN_MEMO", {})
-    monkeypatch.setattr(chern, "_CHERN_DEGREE_LIMIT", 3)
     got = chern_invariant((2, 2))
     assert got == want
-    assert chern_invariant((2, 2)) is not got
+    assert chern_invariant((2, 2)) is got
     assert chern_invariant((2, 1)) is chern_invariant((1, 2))
-    assert list(chern._CHERN_MEMO) == [(2, 1)]
+    assert list(chern._CHERN_MEMO) == [(2, 2), (2, 1)]
 
 
-def test_a_degree_seven_partition_is_built_on_every_call_and_not_stored(monkeypatch):
-    # canonicalizing its 5040 tied terms takes over a minute, so the terms are
-    # caught as they reach the Invariant constructor
+def test_a_degree_seven_partition_is_refused_before_any_monomial(monkeypatch):
+    # its 5040 tied terms would take over a minute to canonicalize
+    built = []
+    monkeypatch.setattr(chern, "ContractionMonomial", lambda *args: built.append(args))
+    stored = dict(chern._CHERN_MEMO)
+    for partition in ((4, 3), (3, 4), (7,), (1,) * 7, (8, -1)):
+        with pytest.raises(ValueError, match=r"^degree 7 is above the limit 6$"):
+            chern_invariant(partition)
+    assert built == []
+    assert chern._CHERN_MEMO == stored
+
+
+def test_each_term_is_the_cycle_matrix_plus_a_signed_permutation(monkeypatch):
+    # the terms are caught as they reach the Invariant constructor, before
+    # canonicalization merges them
     built = []
 
     def record(kind, valence, terms):
@@ -231,16 +242,14 @@ def test_a_degree_seven_partition_is_built_on_every_call_and_not_stored(monkeypa
         return terms
 
     monkeypatch.setattr(chern, "Invariant", record)
-    monkeypatch.setattr(chern, "_CHERN_MEMO", dict(chern._CHERN_MEMO))
-    stored = set(chern._CHERN_MEMO)
-    assert chern_invariant((3, 4)) == chern_invariant((4, 3))
-    assert len(built) == 2
-    assert set(chern._CHERN_MEMO) == stored
-    succ = cycle_successor((4, 3))
-    for (mono, sign), tau in zip(built[0], permutations(range(7)), strict=True):
+    monkeypatch.setattr(chern, "_CHERN_MEMO", {})
+    assert chern_invariant((2, 4)) is chern_invariant((4, 2))
+    assert len(built) == 1
+    succ = cycle_successor((4, 2))
+    for (mono, sign), tau in zip(built[0], permutations(range(6)), strict=True):
         assert sign == perm_sign(tau)
         assert mono.edges == tuple(
-            tuple((j == succ[i]) + (j == tau[i]) for j in range(7)) for i in range(7)
+            tuple((j == succ[i]) + (j == tau[i]) for j in range(6)) for i in range(6)
         )
 
 

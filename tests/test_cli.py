@@ -85,12 +85,6 @@ def test_bergman_symbolic_json_lists_monomials(capsys):
     assert all("monomial" in t and "re" in t and "im" in t for t in a1)
 
 
-def test_bergman_truncation_audit(capsys, monkeypatch):
-    monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", "1")
-    assert main(["bergman", "--dim", "1", "--fubini-study", "--order", "2"]) == 0
-    assert "truncation audit passed" in capsys.readouterr().err
-
-
 def write_json(tmp_path, payload, name):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -118,6 +112,35 @@ def test_bad_potential_file_is_input_error(tmp_path, capsys, payload):
     assert main(["bergman", "--dim", "1", "--potential", path, "--order", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad potential") and len(err.splitlines()) == 1
+
+
+def test_bergman_refuses_a_diagonal_jet_that_is_not_real(tmp_path, capsys):
+    # its a_1 read -2+2*i, a value no real potential has
+    jet = {"alpha": [2], "beta": [2], "re": "1", "im": "1"}
+    path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
+    assert main(["bergman", "--dim", "1", "--potential", path, "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad potential in {path}: not real: jet alpha=[2], beta=[2] is 1+1i, "
+        "so alpha=[2], beta=[2] must be 1-1i\n"
+    )
+
+
+def test_bergman_refuses_a_jet_whose_transpose_is_missing(tmp_path, capsys):
+    # alone, [2,0]|[0,2] read zeros at every order
+    jets = [{"alpha": [2, 0], "beta": [0, 2], "re": "1"}]
+    path = write_json(tmp_path, {"n": 2, "jets": jets}, "pot.json")
+    assert main(["bergman", "--dim", "2", "--potential", path, "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad potential in {path}: not real: jet alpha=[2, 0], beta=[0, 2] is 1, "
+        "so alpha=[0, 2], beta=[2, 0] must be 1\n"
+    )
+    jets.append({"alpha": [0, 2], "beta": [2, 0], "re": "1"})
+    path = write_json(tmp_path, {"n": 2, "jets": jets}, "real.json")
+    assert main(["bergman", "--dim", "2", "--potential", path, "--order", "2"]) == 0
 
 
 def _one_monomial(**fields):
@@ -403,28 +426,6 @@ def test_verify_a1_exact(capsys):
     assert rows[0]["dim"] == 2
 
 
-@pytest.mark.parametrize("suite", ["a1", "a2"])
-@pytest.mark.parametrize("audit, extra", [(None, 0), ("1", 2)])
-def test_verify_symbolic_suites_read_the_truncation_audit(
-    capsys, monkeypatch, suite, audit, extra
-):
-    seen = []
-    reference = invar.cli.kernel_coefficient_reference
-
-    def recording(pot, j, extra=0):
-        seen.append(extra)
-        return reference(pot, j, extra=extra)
-
-    monkeypatch.setattr(invar.cli, "kernel_coefficient_reference", recording)
-    if audit is None:
-        monkeypatch.delenv("INVAR_TRUNCATION_AUDIT", raising=False)
-    else:
-        monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", audit)
-    assert main(["verify", suite, "--dim", "1"]) == 0
-    assert f"{suite} == " in capsys.readouterr().err
-    assert seen == [extra]
-
-
 def test_verify_roundtrip_suite(capsys):
     assert main(["verify", "roundtrip", "--trials", "3", "--seed", "4"]) == 0
     captured = capsys.readouterr()
@@ -686,6 +687,31 @@ def test_chern_refuses_a_degree_above_six_at_once(capsys):
     )
 
 
+def test_decompose_refuses_a_block_whose_chern_columns_are_above_the_limit(
+    tmp_path, capsys
+):
+    # a co-exact block of weight 14 and degree 7: its Chern columns alone
+    # would canonicalize 5040 tied terms per partition
+    edges = [[2 * (i == j) for j in range(7)] for i in range(7)]
+    edges[0][0] = 1
+    one_form = ContractionMonomial(PHI, edges, [1] + [0] * 6, [0] * 7)
+    path = write_inv(tmp_path, divergence(monomial_invariant(one_form)))
+
+    def expire(signum, frame):
+        raise TimeoutError("decompose is still building a degree-7 Chern column")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        assert main(["decompose", path]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree 7 is above the limit 6\n"
+
+
 def test_verify_chern_integrals_refuses_an_order_above_the_chern_limit(capsys):
     # the suite builds chern_invariant of every degree up to --order
 
@@ -785,23 +811,6 @@ def test_bergman_refuses_a_dim_the_potential_file_does_not_have(tmp_path, capsys
     path = write_json(tmp_path, {"n": 1, "jets": [jet]}, "pot.json")
     argv = ["bergman", "--dim", "2", "--potential", path, "--order", "1"]
     assert_one_line_refusal(capsys, argv, "--dim 2 but potential file has n=1")
-
-
-def test_a_truncation_audit_that_sees_values_move_fails(capsys, monkeypatch):
-    real = invar.cli.bergman_coefficients
-    calls = []
-
-    def moving(pot, order):
-        calls.append(order)
-        out = real(pot, order)
-        return out if len(calls) == 1 else out[:-1] + [pot.ring.one]
-
-    monkeypatch.setattr(invar.cli, "bergman_coefficients", moving)
-    monkeypatch.setenv("INVAR_TRUNCATION_AUDIT", "1")
-    assert main(["bergman", "--dim", "1", "--fubini-study", "--order", "2"]) == 1
-    captured = capsys.readouterr()
-    assert calls == [2, 2] and captured.out == ""
-    assert captured.err == "truncation audit FAILED: values moved with the cap\n"
 
 
 def test_a_roundtrip_draw_that_raises_is_a_failed_line(capsys, monkeypatch):

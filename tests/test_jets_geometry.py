@@ -357,6 +357,11 @@ def test_named_scalar_truncation_stability():
             value = named_scalar(pot, name)
             assert value or name == f"P{pot.n + 1}", (pot.n, name)
             assert value == named_scalar(pot, name, extra=2), (pot.n, name)
+    for n in (1, 2):
+        for j in (1, 2):
+            pot = Potential.symbolic(n, j)
+            want = kernel_coefficient_reference(pot, j)
+            assert kernel_coefficient_reference(pot, j, extra=2) == want, (n, j)
 
 
 def test_first_todd_polynomial_is_half_curvature():
@@ -532,6 +537,14 @@ def test_todd_polynomial_builds_P_j_once(monkeypatch):
         assert todd_polynomial(second, j) == full_contraction_todd(second, j)
         assert len(calls) == built, j
     assert geometry._TODD_MEMO == {j: todd_invariant(j) for j in (2, 3)}
+
+
+def test_a_todd_polynomial_above_the_chern_limit_is_refused(monkeypatch):
+    # P7 sums chern_invariant over the partitions of 7, which it refuses
+    monkeypatch.setattr(geometry, "_TODD_MEMO", {})
+    with pytest.raises(ValueError, match=r"^degree 7 is above the limit 6$"):
+        named_scalar(fs_potential(7, order=4), "P7")
+    assert geometry._TODD_MEMO == {}
 
 
 def brute_force_center_value(mono, pot):
