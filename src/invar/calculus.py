@@ -7,7 +7,7 @@ sigma = 1 a scalar monomial is a pure trace power and integrates to zero iff
 it carries at least one derivative.  This decides the integral condition in
 the stable dimension range; low-dimensional identities are out of scope.
 
-Both divergences and the integral test are one Leibniz expansion: each
+Both divergences and the integral test are Leibniz expansions: each
 released derivative lands on one of the cells its contraction allows, and
 placements collect on bare edge matrices before any monomial is built, at
 most one per distinct nonzero matrix.
@@ -21,6 +21,14 @@ over the relabeling orbit of m, and the residue vanishes iff every orbit sum
 of Y does.  An orbit is a canonical phi-monomial, and that is how the test
 collects Y.  The residue itself is built only when asked for, as a refused
 decomposition does, and then as the residue of the polarized form.
+
+Y is linear in the terms, and the same monomials recur from call to call, so
+each monomial's expansion Y_bare(m) on bare flat matrices, with integer
+numerators, is memoized for the life of the process.  A block sums
+c_m * Y_bare(m) over the lcm of its denominators and collects that sum
+once.  The memo's bound counts stored matrices, 2^16 in all, since one
+sigma = 6 monomial alone reaches thousands: a fill that would pass it clears
+the memo, and an expansion larger than the bound is used and not stored.
 """
 
 from __future__ import annotations
@@ -176,6 +184,39 @@ def _block_integrates_to_zero(inv):
     sigma = inv.homogeneous_degree() if inv.terms else 0
     if inv.kind == PSI or sigma < 2:
         return not first_slot_residue(inv)
-    # Y collected on canonical phi-monomials is the sum over each orbit
-    placements = [_off_factor(m, c, k) for m, c in inv.terms.items() for k in range(sigma)]
-    return not _collect(PHI, *_leibniz(placements))
+    # Y is linear: sum each monomial's bare expansion over one denominator q;
+    # collected on canonical phi-monomials, that is the sum over each orbit
+    q = lcm(*(c.denominator for c in inv.terms.values()))
+    acc = {}
+    for mono, c in inv.terms.items():
+        num = c.numerator * (q // c.denominator)
+        flats, nums = _bare_y(mono)
+        for flat, n in zip(flats, nums):
+            acc[flat] = acc.get(flat, 0) + num * n
+    return not _collect(PHI, acc, q)
+
+
+# Y_bare(m) per scalar phi-monomial m, keyed by its edge matrix: the nonzero
+# matrices of _leibniz([_off_factor(m, 1, k) for every k]) and their
+# numerators, as two tuples, which cost less memory than a tuple of pairs.
+# _y_memo_size counts the matrices held; the bound is in the module docstring.
+_Y_MEMO_LIMIT = 1 << 16
+_Y_MEMO: dict = {}
+_y_memo_size = 0
+
+
+def _bare_y(mono):
+    """Y_bare(mono), read from the memo or expanded and stored."""
+    global _y_memo_size
+    y = _Y_MEMO.get(mono.edges)
+    if y is None:
+        acc, _ = _leibniz([_off_factor(mono, 1, k) for k in range(mono.sigma)])
+        y = tuple(f for f, n in acc.items() if n), tuple(n for n in acc.values() if n)
+        size = len(y[0])
+        if size <= _Y_MEMO_LIMIT:
+            if _y_memo_size + size > _Y_MEMO_LIMIT:
+                _Y_MEMO.clear()
+                _y_memo_size = 0
+            _Y_MEMO[mono.edges] = y
+            _y_memo_size += size
+    return y

@@ -3,8 +3,9 @@
 A potential is the deviation H of a Kahler potential from the flat one,
 stored as a finite dict of jets: (alpha, beta) -> coefficient of
 z^alpha zbar^beta.  Normal coordinates are assumed throughout, so every jet
-must have |alpha| >= 2 and |beta| >= 2; a real potential carries conjugate
-coefficients on transposed index pairs.
+must have |alpha| >= 2 and |beta| >= 2.  A real potential carries conjugate
+coefficients on transposed index pairs, and the numeric constructors refuse
+jets that do not.
 
 The coefficient lives in one of the jet rings: plain values for numeric
 geometry, graded values for numeric kernel runs, formal symbols for
@@ -55,17 +56,22 @@ class Potential:
 
     @classmethod
     def numeric(cls, n, raw_jets):
-        """Plain Gaussian-rational coefficients; raw values as GaussRat."""
-        ring = GaussRing()
-        return cls(n, ring, {k: as_gauss(v) for k, v in raw_jets.items()})
+        """Plain Gaussian-rational coefficients; raw values as GaussRat.
+        Jets that are not a real potential's are refused (_check_real)."""
+        pot = cls(n, GaussRing(), {k: as_gauss(v) for k, v in raw_jets.items()})
+        _check_real(pot.jets)
+        return pot
 
     @classmethod
     def graded_numeric(cls, n, raw_jets, weight_cap):
-        """Same values, tagged with their jet grade and capped products."""
+        """Same values, tagged with their jet grade and capped products, and
+        refused unless real like numeric's, before the cap drops any."""
         as_count(weight_cap, "weight_cap")
         ring = GradedRing(2 * weight_cap)
-        jets = {key: ring.graded(symbol_grade(key), v) for key, v in raw_jets.items()}
-        return cls(n, ring, jets)
+        raw = {key: as_gauss(v) for key, v in raw_jets.items()}
+        pot = cls(n, ring, {key: ring.graded(symbol_grade(key), v) for key, v in raw.items()})
+        _check_real(raw)
+        return pot
 
     @classmethod
     def symbolic(cls, n, weight_cap, linear=False):
@@ -75,13 +81,6 @@ class Potential:
         ring = SymbolicRing(2 * weight_cap, linear)
         jets = {key: ring.symbol(key) for key in keys}
         return cls(n, ring, jets)
-
-    def is_hermitian(self) -> bool:
-        ring = self.ring
-        for (a, b), v in self.jets.items():
-            if self.jets.get((b, a), ring.zero) != ring.conj(v):
-                return False
-        return True
 
     def series(self, cap) -> ScalarSeries:
         return ScalarSeries(self.ring, self.n, cap, self.jets)
@@ -96,15 +95,19 @@ class Potential:
             if key in raw:
                 raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")
             raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))
-        pot = cls.numeric(d["n"], raw)
-        # a real potential holds the conjugate coefficient on the transpose
-        for (a, b), v in pot.jets.items():
-            if pot.jets.get((b, a), GR_ZERO) != v.conjugate():
-                raise ValueError(
-                    f"not real: jet alpha={list(a)}, beta={list(b)} is {v}, "
-                    f"so alpha={list(b)}, beta={list(a)} must be {v.conjugate()}"
-                )
-        return pot
+        return cls.numeric(d["n"], raw)
+
+
+def _check_real(jets):
+    """Refuse GaussRat jets, under checked keys, that are not a real
+    potential's: a real potential holds the conjugate coefficient on the
+    transposed index pair."""
+    for (a, b), v in jets.items():
+        if jets.get((b, a), GR_ZERO) != v.conjugate():
+            raise ValueError(
+                f"not real: jet alpha={list(a)}, beta={list(b)} is {v}, "
+                f"so alpha={list(b)}, beta={list(a)} must be {v.conjugate()}"
+            )
 
 
 def jet_keys_up_to_grade(n, grade_cap):

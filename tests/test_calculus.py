@@ -480,3 +480,161 @@ def test_collect_matches_the_constructor_in_order(monkeypatch):
     got = original(PHI, acc, 5)
     assert_collect_parity(PHI, acc, 5, got)
     assert list(got.terms.values()) == [Fraction(3, 5), Fraction(2, 5)]
+
+
+# -- reference parity: the integral test as one joint expansion per block --
+
+
+def reference_joint_integrates_to_zero(inv):
+    """The integral test with each phi block of degree >= 2 collected from one
+    joint Leibniz expansion over every placement of every term, nothing
+    memoized."""
+    for s in sorted(inv.degrees()):
+        block = inv.filter(lambda m, s=s: m.sigma == s)
+        if inv.kind == PSI or s < 2:
+            if first_slot_residue(block):
+                return False
+            continue
+        placements = [
+            calculus._off_factor(m, c, k) for m, c in block.terms.items() for k in range(s)
+        ]
+        if calculus._collect(PHI, *calculus._leibniz(placements)):
+            return False
+    return True
+
+
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(calculus, "_Y_MEMO", {})
+    monkeypatch.setattr(calculus, "_y_memo_size", 0)
+
+
+def assert_memo_parity(monkeypatch, inv):
+    """The integral test agrees with the joint expansion with the memo cold,
+    then warm; returns the answer."""
+    want = reference_joint_integrates_to_zero(inv)
+    cold_memo(monkeypatch)
+    assert integrates_to_zero(inv) == want
+    if want:
+        # every block was tested, so every monomial of sigma >= 2 expanded
+        assert set(calculus._Y_MEMO) == {m.edges for m in inv.terms if m.sigma > 1}
+    assert integrates_to_zero(inv) == want
+    return want
+
+
+def cancelling_pair():
+    """Two sigma = 3 monomials whose Y's cancel at coefficients 1 and 1/2,
+    though neither integrates to zero alone."""
+    a = ContractionMonomial(PHI, ((0, 0, 2), (0, 2, 0), (2, 1, 0)))
+    b = ContractionMonomial(PHI, ((0, 2, 0), (2, 0, 0), (0, 0, 3)))
+    return monomial_invariant(a), monomial_invariant(b)
+
+
+def test_memoized_integral_test_matches_the_joint_expansion_on_coexact_draws(monkeypatch):
+    rng = random.Random(39)
+    drawn = 0
+    for w, sigma, restriction in [
+        (4, 2, None), (5, 2, None), (6, 3, None), (7, 3, None),
+        (5, 4, ((1, 1),) * 4), (8, 4, None),
+    ]:
+        for _ in range(2):
+            inv = random_coexact_invariant(w, sigma, rng, restriction)
+            drawn += len(inv.terms) > 1
+            assert assert_memo_parity(monkeypatch, inv)
+            assert assert_memo_parity(monkeypatch, inv.scale(Fraction(13, 21)))
+            if sigma == 3:
+                assert not assert_memo_parity(monkeypatch, inv + cancelling_pair()[0])
+    assert drawn >= 10
+
+
+def test_memoized_integral_test_matches_the_joint_expansion_on_basis_combinations(monkeypatch):
+    """Combinations of a whole monomial basis, with coefficients over
+    distinct denominators, that are not co-exact."""
+    rng = random.Random(139)
+    refused = 0
+    for w, sigma, floor in [
+        (4, 2, None), (5, 2, None), (6, 2, None), (6, 3, None), (7, 3, None),
+        (8, 4, None), (5, 3, (1, 1)), (5, 4, (1, 1)),
+    ]:
+        monos = enumerate_monomials(w, sigma, floor and [floor] * sigma)
+        for _ in range(2):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7))) for _ in monos]
+            inv = Invariant(PHI, (0, 0), list(zip(monos, coeffs)))
+            refused += not assert_memo_parity(monkeypatch, inv)
+    assert refused >= 14
+
+
+def test_memoized_integral_test_on_mixed_degree_input(monkeypatch):
+    rng = random.Random(239)
+    c2 = random_coexact_invariant(5, 2, rng)
+    c3 = random_coexact_invariant(7, 3, rng)
+    single = monomial_invariant(ContractionMonomial(PHI, ((2,),)))
+    bare = monomial_invariant(ContractionMonomial(PHI, ((0,),)))
+    a, _ = cancelling_pair()
+    assert assert_memo_parity(monkeypatch, c2 + c3 + single)
+    assert assert_memo_parity(monkeypatch, c2 + c3 + chern_invariant((2, 1, 1)))
+    assert not assert_memo_parity(monkeypatch, c2 + c3 + bare)
+    assert not assert_memo_parity(monkeypatch, c2 + c3 + a)
+    # warm from the blocks above, then cold again
+    assert not integrates_to_zero(c2 + a)
+    assert not assert_memo_parity(monkeypatch, c2 + a)
+
+
+def test_memoized_integral_test_when_two_monomials_cancel(monkeypatch):
+    a, b = cancelling_pair()
+    assert not assert_memo_parity(monkeypatch, a)
+    assert not assert_memo_parity(monkeypatch, b)
+    assert assert_memo_parity(monkeypatch, a + b.scale(Fraction(1, 2)))
+    # distinct denominators, 3 and 6
+    pair = a.scale(Fraction(1, 3)) + b.scale(Fraction(1, 6))
+    assert sorted(c.denominator for c in pair.terms.values()) == [3, 6]
+    assert assert_memo_parity(monkeypatch, pair)
+    assert not assert_memo_parity(monkeypatch, a.scale(Fraction(1, 3)) + b.scale(Fraction(1, 5)))
+
+
+def _counted_leibniz(monkeypatch):
+    calls = []
+    original = calculus._leibniz
+
+    def counted(placements):
+        calls.append(len(placements))
+        return original(placements)
+
+    monkeypatch.setattr(calculus, "_leibniz", counted)
+    return calls
+
+
+def test_a_warm_integral_test_expands_nothing(monkeypatch):
+    """Each monomial is expanded once, alone; an invariant whose monomials
+    are all memoized is tested without one Leibniz expansion."""
+    rng = random.Random(339)
+    a, b = cancelling_pair()
+    inv = random_coexact_invariant(7, 3, rng) + random_coexact_invariant(5, 2, rng)
+    inv += a + b.scale(Fraction(1, 2))
+    cold_memo(monkeypatch)
+    calls = _counted_leibniz(monkeypatch)
+    assert integrates_to_zero(inv)
+    assert sorted(calls) == sorted(m.sigma for m in inv.terms)
+    assert set(calculus._Y_MEMO) == {m.edges for m in inv.terms}
+    calls.clear()
+    assert integrates_to_zero(inv)
+    assert not integrates_to_zero(inv + a.scale(3))
+    assert integrates_to_zero(inv.scale(Fraction(-5, 3)))
+    assert calls == []
+
+
+def test_the_memo_clears_past_its_limit_and_keeps_no_oversized_expansion(monkeypatch):
+    a, b = (next(iter(m.terms)) for m in cancelling_pair())
+    big = next(iter(chern_invariant((4,)).terms))
+    sizes = {m: len(calculus._bare_y(m)[0]) for m in (a, b, big)}
+    limit = max(sizes[a], sizes[b])
+    assert sizes[a] + sizes[b] > limit and sizes[big] > limit
+    want = {m: reference_joint_integrates_to_zero(monomial_invariant(m)) for m in (a, b, big)}
+    cold_memo(monkeypatch)
+    monkeypatch.setattr(calculus, "_Y_MEMO_LIMIT", limit)
+    calls = _counted_leibniz(monkeypatch)
+    for mono, stored in ((a, [a]), (b, [b]), (big, [b]), (b, [b])):
+        assert integrates_to_zero(monomial_invariant(mono)) == want[mono]
+        assert list(calculus._Y_MEMO) == [m.edges for m in stored]
+        assert calculus._y_memo_size == sizes[stored[0]]
+    # a, b and big were each expanded once, and the last b was memoized
+    assert calls == [3, 3, 4]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -64,14 +65,27 @@ def test_jet_validation():
 
 
 def test_hermiticity_check():
-    assert fs_potential(2).is_hermitian()
-    assert random_potential(2, seed=1).is_hermitian()
-    lopsided = Potential.numeric(1, {((2,), (3,)): 1})
-    assert not lopsided.is_hermitian()
-    balanced = Potential.numeric(
-        1, {((2,), (3,)): GaussRat(1, 2), ((3,), (2,)): GaussRat(1, -2)}
-    )
-    assert balanced.is_hermitian()
+    """Both numeric constructors refuse jets that are not a real potential's,
+    before the graded cap could drop them, with from_json_dict's message."""
+    fs_potential(2)
+    random_potential(2, seed=1)
+    balanced = {((2,), (3,)): GaussRat(1, 2), ((3,), (2,)): GaussRat(1, -2)}
+    assert Potential.numeric(1, balanced).jets == balanced
+    assert Potential.graded_numeric(1, balanced, 1).jets == {}
+    lopsided = {((2,), (3,)): 1}
+    complex_diagonal = {((2,), (2,)): GaussRat(1, 1)}
+    for raw, message in (
+        (lopsided, "not real: jet alpha=[2], beta=[3] is 1, so alpha=[3], beta=[2] must be 1"),
+        (complex_diagonal, "not real: jet alpha=[2], beta=[2] is 1+1i, so alpha=[2], beta=[2] must be 1-1i"),
+        ({**balanced, ((3,), (2,)): GaussRat(1, 2)}, "not real: jet alpha=[2], beta=[3] is 1+2i"),
+    ):
+        for build in (
+            lambda: Potential.numeric(1, raw),
+            lambda: Potential.graded_numeric(1, raw, 2),
+            lambda: Potential.graded_numeric(1, raw, 0),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}"):
+                build()
 
 
 def test_max_order_and_key_enumeration():
@@ -606,7 +620,8 @@ def test_evaluate_matches_the_sum_over_edge_indices(w, sigma, restriction):
     holomorphic, and the (1,1) restriction lets the flat part delta in."""
     pots = [
         Potential.numeric(1, dense_jets(1, 70, hermitian=True)),
-        Potential.numeric(2, dense_jets(2, 71, hermitian=False)),
+        # the numeric constructors refuse it, so build it directly
+        Potential(2, GaussRing(), dense_jets(2, 71, hermitian=False)),
     ]
     for mono in enumerate_monomials(w, sigma, restriction):
         for pot in pots:
@@ -846,7 +861,6 @@ def test_potential_json_round_trip():
         ((2, 0), (1, 1)): GaussRat(Fraction(1, 2), 3),
         ((0, 2), (0, 2)): GaussRat(-2),
     }
-    assert pot.is_hermitian()
 
 
 def _total(items):

@@ -101,7 +101,6 @@ def test_kernel_coefficients_are_unitary_invariants(n, seed):
     runs = []
     for raw in [jets, *moved]:
         pot = Potential.graded_numeric(n, raw, jmax)
-        assert pot.is_hermitian()
         coeffs = bergman_coefficients(pot, jmax)
         assert all(c.im == 0 for a in coeffs for c in a.values())
         assert all(coeffs[j] == kernel_coefficient_reference(pot, j) for j in (1, 2, 3))
