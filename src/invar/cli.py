@@ -194,13 +194,11 @@ def cmd_decompose(args):
         sys.stderr.write(f"no witness: {exc}\n")
         return 1
     except NotCoexactError as exc:
-        sys.stderr.write(f"not co-exact: {exc}\n")
-        if exc.residue is not None:
-            sys.stderr.write(
-                "nonzero first-slot residue:\n"
-                + json.dumps(exc.residue.to_json_dict(), sort_keys=True)
-                + "\n"
-            )
+        sys.stderr.write(
+            f"not co-exact: {exc}\nnonzero first-slot residue:\n"
+            + json.dumps(exc.residue.to_json_dict(), sort_keys=True)
+            + "\n"
+        )
         return 1
     if not verify_decomposition(inv, dec):
         sys.stderr.write("internal error: witness failed re-verification\n")

@@ -4,9 +4,8 @@ Series scalars come from truncated series around the center in normal
 coordinates: metric, inverse metric, connection, curvature, Ricci, scalar
 curvature, covariant Laplacians, norm squares and the gradient-divergence
 scalar of the third kernel coefficient, each on the bidegree box its
-reading needs plus an optional margin to check truncation.  ``evaluate``
-reads any scalar phi-invariant, the Todd polynomials P_j among them, from
-the jets alone.
+reading needs.  ``evaluate`` reads any scalar phi-invariant, the Todd
+polynomials P_j among them, from the jets alone.
 """
 
 from __future__ import annotations
@@ -365,30 +364,29 @@ def scalar_weight(name) -> int:
     raise ValueError(f"unknown scalar {name!r}")
 
 
-def named_scalar(pot, name, extra=0):
+def named_scalar(pot, name):
     """Value of a named curvature scalar at the center, exactly: S, lap_S,
     lap<k>_S (lap^k S, k >= 2), abs_R2, abs_Ric2, div_Q or P<j>, each count
     written without a leading zero."""
+    return _read(pot, name, lambda cap: curvature_package(pot, cap))
+
+
+def _read(pot, name, package):
+    """Center value of a named scalar.  A series scalar reads package(h), h
+    its own cap: lap^k S takes k derivatives on each side of S, div_Q one,
+    and S, |R|^2 and |Ric|^2 none."""
     weight = scalar_weight(name)
-    as_count(extra, "extra")
-    return _read(pot, name, weight, extra, lambda cap: curvature_package(pot, cap))
-
-
-def _read(pot, name, weight, extra, package):
-    """Center value of a named scalar of the given weight.  A series scalar
-    reads package(h + extra), h its own cap: lap^k S takes k derivatives on
-    each side of S, div_Q one, and |R|^2 and |Ric|^2 none."""
     check_weight(pot.ring, name, weight)
     if name[0] == "P":
         return todd_polynomial(pot, weight)
     if name.endswith("S"):
         # S is lap^0 S
-        pkg = package(weight - 1 + extra)
+        pkg = package(weight - 1)
         f = pkg.S
         for _ in range(weight - 1):
             f = pkg.laplacian(f)
         return f.at_zero()
-    pkg = package(weight - 2 + extra)
+    pkg = package(weight - 2)
     if name == "abs_R2":
         return pkg.curvature_norm2().at_zero()
     if name == "abs_Ric2":
@@ -404,24 +402,23 @@ _KERNEL_CLOSED_FORMS = {
 }
 
 
-def kernel_coefficient_reference(pot, j, extra=0):
+def kernel_coefficient_reference(pot, j):
     """Closed-form value of the j-th kernel coefficient at the center.
 
     Known through j = 3: 1, S/2, P2 + lap S / 3, and P3 + div_Q +
     lap^2 S / 8.  Every series scalar of a_j (each j >= 1 has one) reads
-    one package of cap j - 1 + extra, lap^(j-1) S's, restricted to that
-    scalar's own cap.
+    one package of cap j - 1, lap^(j-1) S's, restricted to that scalar's
+    own cap.
     """
     as_count(j, "j")
-    as_count(extra, "extra")
     ring = pot.ring
     if j == 0:
         return ring.one
     if j not in _KERNEL_CLOSED_FORMS:
         raise ValueError("closed forms are implemented through j = 3")
-    top = curvature_package(pot, j - 1 + extra)
+    top = curvature_package(pot, j - 1)
     total = ring.zero
     for coeff, name in _KERNEL_CLOSED_FORMS[j]:
-        value = _read(pot, name, scalar_weight(name), extra, top.restrict)
+        value = _read(pot, name, top.restrict)
         total = ring.add(total, ring.scale(value, coeff))
     return total

@@ -17,12 +17,17 @@ labeled functions psi^1..psi^sigma and keeps factor order fixed.
 from __future__ import annotations
 
 from itertools import chain, groupby, permutations, product
+from math import factorial, prod
 from operator import itemgetter
 
 from .rationals import as_count, as_int, as_json
 
 PHI = "phi"
 PSI = "psi"
+
+# canonical() tries every labeling that sorts the signatures, the product of
+# the factorials of the tied runs' lengths; past 9! it would take minutes
+_LABELING_LIMIT = factorial(9)
 
 # raw encoding -> canonical ContractionMonomial.  One memo for the whole
 # process: every phi-monomial's canonical() fills it, and _scalar_canonical
@@ -142,6 +147,11 @@ class ContractionMonomial:
         sig, best_edges = self.signatures, self.edges
         free_hol, free_anti = self.free_hol, self.free_anti
         if self.sigma > 1:
+            labelings = prod(factorial(sig.count(s)) for s in set(sig))
+            if labelings > _LABELING_LIMIT:
+                raise ValueError(
+                    f"canonical form needs {labelings} labelings, over the limit {_LABELING_LIMIT}"
+                )
             order = sorted(range(self.sigma), key=sig.__getitem__)
             runs = [permutations(tuple(g)) for _, g in groupby(order, sig.__getitem__)]
             best_edges, free_hol, free_anti = min(
@@ -225,23 +235,15 @@ def _floor_pair(entry):
 def _meets_floors(sigs, restriction):
     """Some one-to-one assignment of the restriction's entries to factors
     meets every floor; a factor of signature (A, B) takes (a, b) when
-    A >= a and B >= b.  Found by augmenting paths (Kuhn, 1955), each entry
-    taking a free factor before it displaces a placed one."""
-    owner = {}
-
-    def place(f, seen):
-        a, b = restriction[f]
-        fits = [
-            i for i, (A, B) in enumerate(sigs) if A >= a and B >= b and i not in seen
-        ]
-        seen.update(fits)
-        i = next((i for i in fits if i not in owner), None)
-        if i is None:
-            i = next((i for i in fits if place(owner[i], seen)), None)
+    A >= a and B >= b.  Entries in decreasing (a, b) each take the free
+    fitting factor of least B, which is exact: a later entry has no larger
+    a, so of two factors an entry fits, the one of larger B fits every later
+    entry the other fits, and an exchange turns any assignment into this one."""
+    free = sorted(sigs, key=itemgetter(1))
+    for a, b in sorted(restriction, reverse=True):
+        i = next((i for i, (A, B) in enumerate(free) if A >= a and B >= b), None)
         if i is None:
             return False
-        owner[i] = f
-        return True
-
-    return all(place(f, set()) for f in range(len(restriction)))
+        del free[i]
+    return True
 

@@ -35,7 +35,7 @@ __all__ = [
 class NotCoexactError(Exception):
     """The input does not integrate to zero; carries the nonvanishing residue."""
 
-    def __init__(self, message, residue=None):
+    def __init__(self, message, residue):
         super().__init__(message)
         self.residue = residue
 

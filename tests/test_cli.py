@@ -662,6 +662,44 @@ def test_bad_partition_is_input_error(capsys):
     capsys.readouterr()
 
 
+def _cycle_document(sigma):
+    """One phi-monomial with edges i -> i + 1 and i -> i + 3 (mod sigma):
+    every factor has signature (2, 2), so canonical() would try sigma!
+    labelings."""
+    edges = [
+        [int(j == (i + 1) % sigma) + int(j == (i + 3) % sigma) for j in range(sigma)]
+        for i in range(sigma)
+    ]
+    monomial = {"kind": "phi", "edges": edges}
+    return {"valence": [0, 0], "terms": [{"monomial": monomial, "coeff": "1"}]}
+
+
+def test_canon_refuses_a_monomial_past_the_labeling_limit_at_once(tmp_path, capsys):
+    # 10 factors took 17 s; 12 would take about half an hour
+    path = write_json(tmp_path, _cycle_document(12), "cycle.json")
+
+    def expire(signum, frame):
+        raise TimeoutError("invar canon is still trying 12! labelings")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        assert main(["canon", path]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad invariant in {path}: canonical form needs 479001600 labelings, "
+        "over the limit 362880\n"
+    )
+    # 9! labelings are within the limit
+    assert main(["canon", write_json(tmp_path, _cycle_document(9), "nine.json")]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert len(terms) == 1 and terms[0]["monomial"]["sigma"] == 9
+
+
 def test_chern_refuses_a_degree_above_six_at_once(capsys):
     # chern_invariant's cost grows as sigma!^2: (7,) alone takes over a minute
 
@@ -782,7 +820,7 @@ def test_verify_a3_and_linear_suites_pass(capsys):
 
 def test_a_failed_check_is_reported_and_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
-        invar.cli, "kernel_coefficient_reference", lambda pot, j, extra=0: pot.ring.zero
+        invar.cli, "kernel_coefficient_reference", lambda pot, j: pot.ring.zero
     )
     assert main(["verify", "a1", "--dim", "1"]) == 1
     captured = capsys.readouterr()

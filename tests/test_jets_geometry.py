@@ -209,9 +209,28 @@ def test_lap4_reads_a_package_with_no_term_outside_its_box(monkeypatch):
     assert max(h + a for h, a in orders) == 8
 
 
+def read_with_margin(pot, name, margin):
+    """named_scalar read on a new package margin orders above the scalar's
+    own cap."""
+    return geometry._read(pot, name, lambda cap: geometry.curvature_package(pot, cap + margin))
+
+
+def reference_with_margin(pot, j, margin):
+    """kernel_coefficient_reference read margin orders wider: one package of
+    cap j - 1 + margin, restricted to each scalar's own cap plus the margin.
+    restrict refuses a larger cap, so this also checks that no scalar of a_j
+    reads above cap j - 1."""
+    top = geometry.curvature_package(pot, j - 1 + margin)
+    ring, total = pot.ring, pot.ring.zero
+    for coeff, name in geometry._KERNEL_CLOSED_FORMS[j]:
+        value = geometry._read(pot, name, lambda cap: top.restrict(cap + margin))
+        total = ring.add(total, ring.scale(value, coeff))
+    return total
+
+
 def test_the_kernel_reference_builds_one_package(monkeypatch):
-    """a_3 reads div_Q and lap^2 S on one package of cap 2 + extra, div_Q on
-    its restriction to cap 1 + extra."""
+    """a_3 reads div_Q and lap^2 S on one package of cap 2, div_Q on its
+    restriction to cap 1; two orders wider, on one package of cap 4."""
     built = []
 
     def record(pot, cap):
@@ -220,8 +239,9 @@ def test_the_kernel_reference_builds_one_package(monkeypatch):
 
     monkeypatch.setattr(geometry, "curvature_package", record)
     pot = Potential.numeric(2, rich_jets(2, 8))
-    kernel_coefficient_reference(pot, 3)
-    kernel_coefficient_reference(pot, 3, extra=2)
+    value = kernel_coefficient_reference(pot, 3)
+    assert built == [2]
+    assert reference_with_margin(pot, 3, 2) == value
     assert built == [2, 4]
 
 
@@ -280,9 +300,9 @@ def test_a_package_is_not_restricted_to_a_larger_cap():
         pkg.restrict(-1)
 
 
-def one_package_per_scalar_reference(pot, j, extra):
-    """a_1 .. a_3 from their closed forms, each scalar read by named_scalar on
-    a new package of its own cap + extra."""
+def one_package_per_scalar_reference(pot, j, margin):
+    """a_1 .. a_3 from their closed forms, each scalar read on a new package
+    of its own cap + margin."""
     forms = {
         1: ((Fraction(1, 2), "S"),),
         2: ((Fraction(1), "P2"), (Fraction(1, 3), "lap_S")),
@@ -290,12 +310,12 @@ def one_package_per_scalar_reference(pot, j, extra):
     }
     ring, total = pot.ring, pot.ring.zero
     for coeff, name in forms[j]:
-        total = ring.add(total, ring.scale(named_scalar(pot, name, extra), coeff))
+        total = ring.add(total, ring.scale(read_with_margin(pot, name, margin), coeff))
     return total
 
 
 @pytest.mark.parametrize(
-    "make, extras",
+    "make, margins",
     [
         (lambda: Potential.numeric(2, rich_jets(2, 8)), (0, 2)),
         (lambda: Potential.graded_numeric(3, rich_jets(3, 9), 3), (0, 2)),
@@ -305,12 +325,16 @@ def one_package_per_scalar_reference(pot, j, extra):
     ],
     ids=["gauss-n2", "graded-n3", "symbolic-n1", "linear-n2", "symbolic-n2"],
 )
-def test_the_one_package_reference_matches_one_package_per_scalar(make, extras):
+def test_the_one_package_reference_matches_one_package_per_scalar(make, margins):
     pot = make()
-    for extra in extras:
+    for margin in margins:
         for j in (1, 2, 3):
-            want = one_package_per_scalar_reference(pot, j, extra)
-            assert kernel_coefficient_reference(pot, j, extra) == want, (j, extra)
+            want = one_package_per_scalar_reference(pot, j, margin)
+            if margin:
+                got = reference_with_margin(pot, j, margin)
+            else:
+                got = kernel_coefficient_reference(pot, j)
+            assert got == want, (j, margin)
 
 
 def test_laplacian_flat_limit():
@@ -370,12 +394,12 @@ def test_named_scalar_truncation_stability():
         for name in ("S", "lap_S", "lap2_S", "abs_R2", "abs_Ric2", "P2", "P3", "div_Q"):
             value = named_scalar(pot, name)
             assert value or name == f"P{pot.n + 1}", (pot.n, name)
-            assert value == named_scalar(pot, name, extra=2), (pot.n, name)
+            assert value == read_with_margin(pot, name, 2), (pot.n, name)
     for n in (1, 2):
         for j in (1, 2):
             pot = Potential.symbolic(n, j)
             want = kernel_coefficient_reference(pot, j)
-            assert kernel_coefficient_reference(pot, j, extra=2) == want, (n, j)
+            assert reference_with_margin(pot, j, 2) == want, (n, j)
 
 
 def test_first_todd_polynomial_is_half_curvature():
@@ -779,7 +803,6 @@ def test_graded_scalar_sums_to_numeric_value():
     [
         (lambda: curvature_package(fs_potential(1), -1), "cap"),
         (lambda: curvature_package(fs_potential(1), 1.0), "cap"),
-        (lambda: named_scalar(fs_potential(1), "S", extra=-1), "extra"),
         (lambda: Potential.graded_numeric(1, {}, 2.5), "weight_cap"),
         (lambda: Potential.graded_numeric(1, {}, -1), "weight_cap"),
         (lambda: Potential.symbolic(1, -1), "weight_cap"),
@@ -790,12 +813,10 @@ def test_graded_scalar_sums_to_numeric_value():
         (lambda: todd_polynomial(fs_potential(1), -1), "j"),
         (lambda: kernel_coefficient_reference(fs_potential(1), -1), "j"),
         (lambda: kernel_coefficient_reference(fs_potential(1), True), "j"),
-        (lambda: kernel_coefficient_reference(fs_potential(1), 0, extra=-1), "extra"),
     ],
     ids=[
         "package-cap-negative",
         "package-cap-float",
-        "named-scalar-extra-negative",
         "graded-weight-cap-fraction",
         "graded-weight-cap-negative",
         "symbolic-weight-cap-negative",
@@ -806,7 +827,6 @@ def test_graded_scalar_sums_to_numeric_value():
         "todd-polynomial-negative",
         "reference-j-negative",
         "reference-j-bool",
-        "reference-extra-negative",
     ],
 )
 def test_kernel_caps_are_non_negative_integers(call, field):

@@ -17,6 +17,7 @@ from invar.monomials import (
     PHI,
     PSI,
     ContractionMonomial,
+    _meets_floors,
 )
 from invar.solver import decompose, enumerate_monomials
 
@@ -98,6 +99,38 @@ def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
     assert not Invariant(PSI, (0, 0), [(psi, 1)]).is_acceptable(swapped)
     # one factor must take each entry: two (2, 1) floors do not fit
     assert not phi.is_acceptable(((2, 1), (2, 1)))
+
+
+def _some_assignment_meets_floors(sigs, restriction):
+    """Reference: try every assignment of the restriction's entries to factors."""
+    return any(
+        all(A >= a and B >= b for (A, B), (a, b) in zip(perm, restriction))
+        for perm in itertools.permutations(sigs)
+    )
+
+
+def test_the_sorted_floor_scan_matches_a_search_over_every_assignment():
+    """Every case with sigma <= 2 and entries 0..3, then 3000 seeded draws
+    each at sigma = 3, 4 and 5.  A scan that skips the sort by B, or takes
+    the entries in increasing order, disagrees on hundreds of them."""
+    pairs = list(itertools.product(range(4), repeat=2))
+    cases = [
+        (sigs, restriction)
+        for sigma in (1, 2)
+        for sigs in itertools.product(pairs, repeat=sigma)
+        for restriction in itertools.product(pairs, repeat=sigma)
+    ]
+    rng = random.Random(5)
+    for sigma in (3, 4, 5):
+        for _ in range(3000):
+            sigs, restriction = (
+                tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(sigma))
+                for _ in range(2)
+            )
+            cases.append((sigs, restriction))
+    for sigs, restriction in cases:
+        want = _some_assignment_meets_floors(sigs, restriction)
+        assert _meets_floors(sigs, restriction) == want, (sigs, restriction)
 
 
 def test_trace_count():
