@@ -35,49 +35,73 @@ __all__ = [
 ]
 
 
-def _table(n, rank, entry, canon=None):
-    """Nested lists T[i][j]... = entry(i, j, ...), each index over range(n).
+class _Table(dict):
+    """Nonzero series of one curvature table by index tuple, all on the box
+    of empty, the one series that every absent index reads.  twins(*key)
+    lists the keys that share the series built at key."""
 
-    With canon, entry runs only at the tuples that canon fixes, and every
-    tuple refers to the one object built at canon(i, j, ...); safe because
-    no series is mutated in place."""
-    if canon is not None:
-        built = {}
-        for idx in itertools.product(range(n), repeat=rank):
-            if canon(*idx) == idx:
-                built[idx] = entry(*idx)
-        return _table(n, rank, lambda *idx: built[canon(*idx)])
-    if rank == 1:
-        return [entry(i) for i in range(n)]
-    return [_table(n, rank - 1, lambda *rest, i=i: entry(i, *rest)) for i in range(n)]
+    __slots__ = ("empty", "_index")
+
+    def __init__(self, empty, entries, twins=lambda *key: (key,)):
+        entries = {t: s for key, s in entries.items() if s.terms for t in twins(*key)}
+        super().__init__((key, entries[key]) for key in sorted(entries))
+        self.empty, self._index = empty, {}
+
+    def __missing__(self, key):
+        return self.empty
+
+    def at(self, slot, i):
+        """The (key, series) entries with key[slot] == i, in key order."""
+        index = self._index.get(slot)
+        if index is None:
+            index = self._index[slot] = {}
+            for key, s in self.items():
+                index.setdefault(key[slot], []).append((key, s))
+        return index.get(i, ())
+
+
+def _contract(empty, triples, twins=lambda *key: (key,)):
+    """The table on empty's box of the sum of x * y over the triples (key, x,
+    y) of each key, in their order, by one _sum_products call per key; a
+    pair with an empty factor is dropped, so a key with none left is absent."""
+    groups = {}
+    for key, x, y in triples:
+        if x.terms and y.terms:
+            groups.setdefault(key, []).append((x, y))
+    return _Table(empty, {key: _sum_products(pairs) for key, pairs in groups.items()}, twins)
 
 
 class CurvaturePackage:
     """Metric data of one potential, as series exact on bidegree boxes.
+
+    Each table (G, Ginv, Gamma, K, Ric, the raised Ricci T) is a dict from
+    index tuple to nonzero series on the table's one box, where an absent
+    index reads as the table's one empty series.  Contractions walk the
+    supports and pair only nonempty factors.
 
     With cap h, H is on the box (h + 2, h + 2), G on (h + 1, h + 1), Ginv
     and Gamma on (h, h + 1), and K, Ric and S on (h, h): a center value
     taking h derivatives on each side of them (lap^h S; div_Q at h = 1; S,
     |R|^2 and |Ric|^2 at h = 0) reads nothing outside these boxes.  K is
     built on first read and kept for the life of the package, one table of
-    n^4 entries; only curvature_norm2 and gradient_divergence read it.
+    at most n^4 entries; only curvature_norm2 and gradient_divergence read it.
 
-    Index conventions: G[a][b] is the metric with holomorphic slot a and
-    antiholomorphic slot b; Ginv[b][a] is its inverse pairing antiholomorphic
-    b against holomorphic a, so raising contracts Ginv[b][a]*T[...a...].
-    Gamma[e][d][c] is the connection with upper index e and lower indices
-    d, c.  K[e][c][a][d] = dbar_d Gamma[e][c][a] is the curvature with its
+    Index conventions: G[a, b] is the metric with holomorphic slot a and
+    antiholomorphic slot b; Ginv[b, a] is its inverse pairing antiholomorphic
+    b against holomorphic a, so raising contracts Ginv[b, a]*T[...a...].
+    Gamma[e, d, c] is the connection with upper index e and lower indices
+    d, c.  K[e, c, a, d] = dbar_d Gamma[e, c, a] is the curvature with its
     antiholomorphic slot raised: the lowered curvature, holomorphic slots
-    a, c and antiholomorphic b, d, is R[a][b][c][d] = G[e][b] K[e][c][a][d],
+    a, c and antiholomorphic b, d, is R[a, b, c, d] = G[e, b] K[e, c, a, d],
     and Ric = -d dbar log det G = -dbar tr Gamma is computed from the trace
-    as Ric[a][d] = -dbar_d Gamma[e][e][a], summed over e before the one
-    d_anti, so it equals -K[e][e][a][d] (Griffiths-Harris, ch. 0 sec. 5).
+    as Ric[a, d] = -dbar_d Gamma[e, e, a], summed over e before the one
+    d_anti, so it equals -K[e, e, a, d] (Griffiths-Harris, ch. 0 sec. 5).
     Ginv is exact to its cap, so these hold exactly on the truncated series.
 
-    As G = d dbar H, Gamma[e][d][c] = Gamma[e][c][d] and so K is symmetric
-    under c <-> a: each is computed only at d <= c, resp. c <= a, and the
-    other entries refer to the same ScalarSeries object, as no series is
-    mutated in place.
+    As G = d dbar H, Gamma[e, d, c] = Gamma[e, c, d] and so K is symmetric
+    under c <-> a: each class is computed once, at d <= c, resp. c <= a,
+    and stored under all its keys as one ScalarSeries object, as no series
+    is mutated in place.
     """
 
     __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "Ric", "S", "_K", "_T")
@@ -91,40 +115,39 @@ class CurvaturePackage:
         self.ring = ring
         self.cap = cap
         H = pot.series(cap + 2)
-        E = _table(n, 2, lambda a, b: H.d_hol(a).d_anti(b))
+        E = {(a, b): H.d_hol(a).d_anti(b) for a in rng for b in rng}
         one = ScalarSeries.one(ring, n, cap + 1)
-        G = _table(n, 2, lambda a, b: E[a][b].add(one) if a == b else E[a][b])
+        G = {(a, b): E[a, b].add(one) if a == b else E[a, b] for a, b in E}
+        G = _Table(ScalarSeries(ring, n, cap + 1), G)
         # Neumann series sum_k (-E)^k for the inverse, on (h, h + 1): E has no
         # term below bidegree (1, 1), so its powers past E^h vanish there
         box = (cap, cap + 1)
         one, zero = ScalarSeries.one(ring, n, box), ScalarSeries(ring, n, box)
-        F = _table(n, 2, lambda a, b: E[a][b].add(zero).neg())
-        Ginv, power = _table(n, 2, lambda a, b: one if a == b else zero), F
+        F = _Table(zero, {k: E[k].add(zero).neg() for k in E})
+        Ginv, power = _Table(zero, {(a, a): one for a in rng}), F
         for k in range(1, cap + 1):
-            Ginv = _table(n, 2, lambda a, b: Ginv[a][b].add(power[a][b]))
+            Ginv = _Table(zero, {i: Ginv[i].add(power[i]) for i in Ginv.keys() | power.keys()})
             if k < cap:
-                power = _table(
-                    n, 2, lambda a, b: _sum_products((power[a][e], F[e][b]) for e in rng)
-                )
-        # dG[c][a][b] = d_c G[a][b]
-        dG = _table(n, 3, lambda c, a, b: G[a][b].d_hol(c))
-        Gamma = _table(
-            n,
-            3,
-            lambda e, b, c: _sum_products((Ginv[d][e], dG[b][c][d]) for d in rng),
-            lambda e, b, c: (e, min(b, c), max(b, c)),
-        )
-        # tr Gamma[a] = Gamma[e][e][a] summed over e, on the box (h, h + 1)
-        trace = [reduce(ScalarSeries.add, (Gamma[e][e][a] for e in rng)) for a in rng]
-        Ric = _table(n, 2, lambda a, d: trace[a].d_anti(d).neg())
+                power = _contract(zero, [((a, b), x, y) for e in rng for (a, _), x in power.at(1, e)
+                                         for (_, b), y in F.at(0, e)])
+        # dG[b, c, d] = d_b G[c, d]
+        dG = _Table(zero, {(b, c, d): s.d_hol(b) for (c, d), s in G.items() for b in rng})
+        Gamma = _contract(zero, [
+            ((e, b, c), x, y) for d in rng for (_, e), x in Ginv.at(0, d)
+            for (b, c, _), y in dG.at(2, d) if b <= c
+        ], lambda e, b, c: ((e, b, c), (e, c, b)))
+        # tr Gamma[a] = Gamma[e, e, a] summed over e, on the box (h, h + 1)
+        trace = [reduce(ScalarSeries.add, (Gamma[e, e, a] for e in rng)) for a in rng]
+        Ric = {(a, d): trace[a].d_anti(d).neg() for a in rng for d in rng}
+        Ric = _Table(ScalarSeries(ring, n, cap), Ric)
         self.G, self.Ginv, self.Gamma, self.Ric = G, Ginv, Gamma, Ric
-        self.S = _sum_products((Ginv[b][a], Ric[a][b]) for a in rng for b in rng)
+        self.S = _contract(Ric.empty, [((), Ginv[b, a], y) for (a, b), y in Ric.items()])[()]
         self._K = self._T = None
 
     def restrict(self, cap) -> CurvaturePackage:
-        """The package of a cap no larger: every table cut to that cap's boxes,
-        equal to a new package there since truncated arithmetic is exact on
-        boxes.  K and T are built again on first read."""
+        """The package of a cap no larger: every present entry cut to that
+        cap's boxes, equal to a new package there since truncated arithmetic
+        is exact on boxes.  K and T are built again on first read."""
         if as_count(cap, "cap") > self.cap:
             raise ValueError(f"cannot restrict a cap-{self.cap} package to cap {cap}")
         if cap == self.cap:
@@ -134,103 +157,98 @@ class CurvaturePackage:
         cut = {}  # one cut per series object and box, so shared entries stay shared
 
         def table(t, box):
-            if isinstance(t, list):
-                return [table(x, box) for x in t]
-            if (id(t), box) not in cut:
-                cut[id(t), box] = t.add(ScalarSeries(self.ring, self.n, box))
-            return cut[id(t), box]
+            empty = ScalarSeries(self.ring, self.n, box)
+            for s in t.values():
+                if (id(s), box) not in cut:
+                    cut[id(s), box] = s.add(empty)
+            return _Table(empty, {k: cut[id(s), box] for k, s in t.items()})
 
         out.G = table(self.G, cap + 1)
         out.Ginv, out.Gamma = table(self.Ginv, (cap, cap + 1)), table(self.Gamma, (cap, cap + 1))
-        out.Ric, out.S = table(self.Ric, cap), table(self.S, cap)
+        out.Ric, out.S = table(self.Ric, cap), self.S.add(ScalarSeries(self.ring, self.n, cap))
         return out
 
     @property
     def K(self):
-        """K[e][c][a][d] = dbar_d Gamma[e][c][a], built on first read and kept
+        """K[e, c, a, d] = dbar_d Gamma[e, c, a], built on first read and kept
         for the life of the package."""
         if self._K is None:
-            Gamma, canon = self.Gamma, lambda e, c, a, d: (e, min(c, a), max(c, a), d)
-            self._K = _table(self.n, 4, lambda e, c, a, d: Gamma[e][c][a].d_anti(d), canon)
+            self._K = _Table(self.Ric.empty, {
+                (e, c, a, d): s.d_anti(d)
+                for (e, c, a), s in self.Gamma.items() if c <= a for d in range(self.n)
+            }, lambda e, c, a, d: ((e, c, a, d), (e, a, c, d)))
         return self._K
 
+    def _divergence(self, Q):
+        """Ginv[b, a] dbar_b Q[a] summed over a and b, the Q[a] on one box."""
+        Ginv = self.Ginv
+        triples = [((), g, Q[a].d_anti(b)) for a in range(self.n) for (b, _), g in Ginv.at(1, a)]
+        h, a = Q[0].cap
+        return _contract(Ginv.empty.add(ScalarSeries(self.ring, self.n, (h, a - 1))), triples)[()]
+
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
-        n = self.n
-        return _sum_products(
-            (self.Ginv[b][a], f.d_hol(a).d_anti(b)) for a in range(n) for b in range(n)
-        )
+        return self._divergence([f.d_hol(a) for a in range(self.n)])
 
     def _raised_ricci(self):
-        """T[p][c] = Ginv[q][c] Ric[p][q], the Ricci form with its
+        """T[p, c] = Ginv[q, c] Ric[p, q], the Ricci form with its
         antiholomorphic slot raised, built on first use and kept for the life
         of the package."""
         if self._T is None:
-            rng = range(self.n)
             Ginv, Ric = self.Ginv, self.Ric
-            self._T = _table(
-                self.n, 2, lambda p, c: _sum_products((Ginv[q][c], Ric[p][q]) for q in rng)
-            )
+            self._T = _contract(Ric.empty, [
+                ((p, c), x, y) for q in range(self.n)
+                for (p, _), y in Ric.at(1, q) for (_, c), x in Ginv.at(0, q)
+            ])
         return self._T
 
     def curvature_norm2(self) -> ScalarSeries:
-        """|R|^2 = P[x][c][a][z] P[a][z][x][c], with P[x][c][a][z] =
-        Ginv[d][z] K[x][c][a][d] the curvature with both antiholomorphic
+        """|R|^2 = P[x, c, a, z] P[a, z, x, c], with P[x, c, a, z] =
+        Ginv[d, z] K[x, c, a, d] the curvature with both antiholomorphic
         slots raised: at most n^5 + n^4 series products.  P keeps K's
         symmetry c <-> a and gains x <-> z from R's b <-> d, so it is built
         per class."""
-        n, rng = self.n, range(self.n)
         Ginv, K = self.Ginv, self.K
-        P = _table(
-            n,
-            4,
-            lambda x, c, a, z: _sum_products((Ginv[d][z], K[x][c][a][d]) for d in rng),
-            lambda x, c, a, z: (min(x, z), min(c, a), max(c, a), max(x, z)),
-        )
-        return _sum_products(
-            (P[x][c][a][z], P[a][z][x][c])
-            for x, c, a, z in itertools.product(rng, repeat=4)
-        )
+        P = _contract(K.empty, [
+            ((x, c, a, z), g, k) for d in range(self.n)
+            for (x, c, a, _), k in K.at(3, d) if c <= a for (_, z), g in Ginv.at(0, d) if x <= z
+        ], lambda x, c, a, z: ((x, c, a, z), (z, c, a, x), (x, a, c, z), (z, a, c, x)))
+        return _contract(P.empty, [((), y, P[a, z, x, c]) for (x, c, a, z), y in P.items()])[()]
 
     def ricci_norm2(self) -> ScalarSeries:
         T = self._raised_ricci()
-        rng = range(self.n)
-        return _sum_products((T[a][p], T[p][a]) for a in rng for p in rng)
+        return _contract(T.empty, [((), y, T[p, a]) for (a, p), y in T.items()])[()]
 
     def gradient_divergence(self) -> ScalarSeries:
         """div of the weight-3 gradient current, the correction term in the
         third kernel coefficient.  48 Q_a = grad_a(|R|^2 - 4|Ric|^2 + 8 S^2)
         + 2 g^{d fbar} (del_d Y)_{a fbar} with Y = X - 4 S Ric and
-        X[a][f] = K[p][c][a][f] T[p][c] the Ricci contraction of the
+        X[a, f] = K[p, c, a, f] T[p, c] the Ricci contraction of the
         curvature.  Only unmixed connection coefficients exist, so
-        (del_d Y)_{a fbar} = d_d Y[a][f] - Gamma[e][d][a] Y[e][f] and the
+        (del_d Y)_{a fbar} = d_d Y[a, f] - Gamma[e, d, a] Y[e, f] and the
         antiholomorphic slot takes none."""
         rng = range(self.n)
         Ginv, Gamma, K, Ric, S = self.Ginv, self.Gamma, self.K, self.Ric, self.S
         T = self._raised_ricci()
-        Y = _table(
-            self.n,
-            2,
-            lambda a, f: _sum_products(
-                (K[p][c][a][f], T[p][c]) for p in rng for c in rng
-            ).sub(S.mul(Ric[a][f]).scale(4)),
-        )
+        X = _contract(K.empty, [
+            ((a, f), k, t) for (p, c), t in T.items() for (_, q, a, f), k in K.at(0, p) if q == c
+        ])
+        Y = _Table(K.empty, {i: X[i].sub(S.mul(Ric[i]).scale(4)) for i in X.keys() | Ric.keys()})
         F = (
             self.curvature_norm2()
             .sub(self.ricci_norm2().scale(4))
             .add(S.mul(S).scale(8))
         )
-        Q = []
-        for a in rng:
-            covY = _sum_products(
-                (
-                    Ginv[f][d],
-                    Y[a][f].d_hol(d).sub(_sum_products((Gamma[e][d][a], Y[e][f]) for e in rng)),
-                )
-                for d in rng
-                for f in rng
-            )
-            Q.append(F.d_hol(a).add(covY.scale(2)).scale(Fraction(1, 48)))
-        return _sum_products((Ginv[b][a], Q[a].d_anti(b)) for a in rng for b in rng)
+        # GY[d, a, f] = Gamma[e, d, a] Y[e, f], so delY[a, d, f] = (del_d Y)_{a fbar}
+        GY = _contract(K.empty, [
+            ((d, a, f), g, y)
+            for e in rng for (_, d, a), g in Gamma.at(0, e) for (_, f), y in Y.at(0, e)
+        ])
+        keys = {(a, d, f) for a, f in Y for d in rng} | {(a, d, f) for d, a, f in GY}
+        delY = {(a, d, f): Y[a, f].d_hol(d).sub(GY[d, a, f]) for a, d, f in keys}
+        delY = _Table(Y.empty.d_hol(0), delY)
+        covY = _contract(delY.empty, [((a,), Ginv[f, d], y) for (a, d, f), y in delY.items()])
+        Q = [F.d_hol(a).add(covY[a,].scale(2)).scale(Fraction(1, 48)) for a in rng]
+        return self._divergence(Q)
 
 
 def curvature_package(pot, cap) -> CurvaturePackage:

@@ -1,8 +1,12 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -792,6 +796,32 @@ def test_restriction_entries_that_are_not_pairs_are_refused(tmp_path, capsys, re
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad restriction list in {restrict}: {message}\n"
+
+
+def _invar(*argv, stdout):
+    """The CLI in a new process that imports this checkout's package, its
+    stderr piped."""
+    path = [str(Path(invar.cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "invar.cli", *argv]
+    return subprocess.Popen(argv, env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_a_closed_stdout_ends_quietly():
+    """Output cut by its reader, as by `invar chern --partition 6 | head -1`
+    (131 KB, more than a pipe holds), exits 1 with nothing on stderr; a
+    reader gone before the first write ends the same way."""
+    with _invar("chern", "--partition", "6", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+    read, write = os.pipe()
+    os.close(read)
+    with _invar("chern", "--partition", "2", stdout=write) as proc:
+        os.close(write)
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 def test_unknown_arguments_exit_two():

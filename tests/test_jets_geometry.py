@@ -107,7 +107,7 @@ def test_fubini_study_scalar_curvature():
 
 
 def test_fubini_study_curvature_tensor_at_center():
-    # G = 1 at the center, so there R[a][b][c][d] = K[b][c][a][d]
+    # G = 1 at the center, so there R[a][b][c][d] = K[b, c, a, d]
     pkg = curvature_package(fs_potential(2), 0)
     delta = lambda i, j: 1 if i == j else 0
     for a in range(2):
@@ -115,7 +115,7 @@ def test_fubini_study_curvature_tensor_at_center():
             for c in range(2):
                 for d in range(2):
                     want = -(delta(a, b) * delta(c, d) + delta(a, d) * delta(c, b))
-                    assert pkg.K[b][c][a][d].at_zero() == GaussRat(want)
+                    assert pkg.K[b, c, a, d].at_zero() == GaussRat(want)
 
 
 def test_center_normalization():
@@ -123,9 +123,9 @@ def test_center_normalization():
     n = pkg.n
     for a in range(n):
         for b in range(n):
-            assert pkg.G[a][b].at_zero() == (pkg.ring.one if a == b else pkg.ring.zero)
+            assert pkg.G[a, b].at_zero() == (pkg.ring.one if a == b else pkg.ring.zero)
             for c in range(n):
-                assert pkg.Gamma[a][b][c].at_zero() == pkg.ring.zero
+                assert pkg.Gamma[a, b, c].at_zero() == pkg.ring.zero
 
 
 def test_metric_inverse_is_exact_to_cap():
@@ -136,7 +136,7 @@ def test_metric_inverse_is_exact_to_cap():
         for b in range(n):
             prod = ScalarSeries(pkg.ring, n, pkg.cap)
             for k in range(n):
-                prod = prod.add(pkg.Ginv[a][k].mul(pkg.G[k][b]))
+                prod = prod.add(pkg.Ginv[a, k].mul(pkg.G[k, b]))
             target = one if a == b else ScalarSeries(pkg.ring, n, pkg.cap)
             assert not prod.sub(target)
 
@@ -146,7 +146,7 @@ def test_curvature_center_symmetries_and_reality():
     n = pkg.n
     R0 = [
         [
-            [[pkg.K[b][c][a][d].at_zero() for d in range(n)] for c in range(n)]
+            [[pkg.K[b, c, a, d].at_zero() for d in range(n)] for c in range(n)]
             for b in range(n)
         ]
         for a in range(n)
@@ -180,8 +180,8 @@ def series_log(s):
 def test_ricci_from_log_determinant_in_one_dimension():
     pot = random_potential(1, seed=6)
     pkg = curvature_package(pot, 3)
-    lhs = pkg.Ric[0][0]
-    rhs = series_log(pkg.G[0][0]).d_hol(0).d_anti(0).neg()
+    lhs = pkg.Ric[0, 0]
+    rhs = series_log(pkg.G[0, 0]).d_hol(0).d_anti(0).neg()
     assert not lhs.sub(rhs)
 
 
@@ -201,9 +201,9 @@ def test_lap4_reads_a_package_with_no_term_outside_its_box(monkeypatch):
     pot = Potential.numeric(2, rich_jets(2, 25))
     named_scalar(pot, "lap4_S")
     (pkg,) = built
-    assert pkg.G[0][1].cap == (5, 5)
-    assert pkg.Ginv[1][0].cap == pkg.Gamma[0][0][1].cap == (4, 5)
-    assert pkg.K[0][0][1][1].cap == pkg.Ric[0][1].cap == pkg.S.cap == (4, 4)
+    assert pkg.G[0, 1].cap == (5, 5)
+    assert pkg.Ginv[1, 0].cap == pkg.Gamma[0, 0, 1].cap == (4, 5)
+    assert pkg.K[0, 0, 1, 1].cap == pkg.Ric[0, 1].cap == pkg.S.cap == (4, 4)
     orders = [(sum(alpha), sum(beta)) for alpha, beta in pkg.S.terms]
     assert all(h <= 4 and a <= 4 for h, a in orders)
     assert max(h + a for h, a in orders) == 8
@@ -269,10 +269,14 @@ def _restriction_potential(kind, n):
     return Potential.symbolic(n, 3 if n < 3 else 2, linear=kind == "linear")
 
 
-def _entries(table):
-    if isinstance(table, list):
-        return [s for t in table for s in _entries(t)]
-    return [table]
+def _entries(pkg, name):
+    """Every entry of a table, index tuple by index tuple, absent ones
+    included; S as its one entry."""
+    table = getattr(pkg, name)
+    if name == "S":
+        return [table]
+    rank = {"Gamma": 3, "K": 4}.get(name, 2)
+    return [table[idx] for idx in itertools.product(range(pkg.n), repeat=rank)]
 
 
 @pytest.mark.parametrize("kind", ["gauss", "graded", "linear", "symbolic"])
@@ -288,7 +292,7 @@ def test_a_restricted_package_equals_a_new_one_at_its_cap(kind, n):
             cut = fresh[big].restrict(h)
             assert cut.cap == h
             for name in ("G", "Ginv", "Gamma", "K", "Ric", "S"):
-                got, want = _entries(getattr(cut, name)), _entries(getattr(fresh[h], name))
+                got, want = _entries(cut, name), _entries(fresh[h], name)
                 assert [(s.cap, s.terms) for s in got] == [(s.cap, s.terms) for s in want]
 
 
@@ -454,12 +458,12 @@ def todd_contraction(R0, n, partition, ring):
 
 def reference_todd_polynomial(pot, j):
     """P_j as the Todd-weighted sum of todd_contraction over partitions, on
-    the curvature at the center, R[a][b][c][d] = K[b][c][a][d] as G = 1."""
+    the curvature at the center, R[a][b][c][d] = K[b, c, a, d] as G = 1."""
     pkg = curvature_package(pot, 0)
     n, ring = pot.n, pot.ring
     rng = range(n)
     R0 = [
-        [[[pkg.K[b][c][a][d].at_zero() for d in rng] for c in rng] for b in rng]
+        [[[pkg.K[b, c, a, d].at_zero() for d in rng] for c in rng] for b in rng]
         for a in rng
     ]
     gam = todd_gammas(j)
@@ -892,12 +896,12 @@ def _total(items):
 
 
 def _textbook_curvature(G, Ginv, rng):
-    """R[a, b, c, d] = d_c dbar_d G[a][b] - Ginv[f][e] d_c G[a][f] dbar_d
-    G[e][b], every entry computed on its own."""
+    """R[a, b, c, d] = d_c dbar_d G[a, b] - Ginv[f, e] d_c G[a, f] dbar_d
+    G[e, b], every entry computed on its own."""
     return {
-        (a, b, c, d): G[a][b].d_hol(c).d_anti(d).sub(
+        (a, b, c, d): G[a, b].d_hol(c).d_anti(d).sub(
             _total(
-                Ginv[f][e].mul(G[a][f].d_hol(c)).mul(G[e][b].d_anti(d))
+                Ginv[f, e].mul(G[a, f].d_hol(c)).mul(G[e, b].d_anti(d))
                 for e in rng
                 for f in rng
             )
@@ -934,7 +938,7 @@ _DIRECT_POTENTIALS = {
 def test_package_matches_direct_contractions(name, cap):
     """Gamma, R, |R|^2, |Ric|^2 and div Q against the textbook
     contractions, whole series and entry by entry: Gamma as Ginv d g, R =
-    G[e][b] K[e][c][a][d] against d dbar g - Ginv d g dbar g, |R|^2 with
+    G[e, b] K[e, c, a, d] against d dbar g - Ginv d g dbar g, |R|^2 with
     both raised copies built on their own, |Ric|^2 as the four-index sum,
     and Y in div Q from the four-index sum.  Cap 2 is the box lap2_S
     reads, cap 4 the one lap4_S reads.  On the linear ring every product of two curvature terms
@@ -947,21 +951,21 @@ def test_package_matches_direct_contractions(name, cap):
     rng = range(pot.n)
     idx4 = [(a, b, c, d) for a in rng for b in rng for c in rng for d in rng]
     Gamma = {
-        (e, d, a): _total(Ginv[f][e].mul(G[a][f].d_hol(d)) for f in rng)
+        (e, d, a): _total(Ginv[f, e].mul(G[a, f].d_hol(d)) for f in rng)
         for e in rng
         for d in rng
         for a in rng
     }
-    assert all(pkg.Gamma[e][d][a] == Gamma[e, d, a] for e, d, a in Gamma)
+    assert all(pkg.Gamma[e, d, a] == Gamma[e, d, a] for e, d, a in Gamma)
     R = _textbook_curvature(G, Ginv, rng)
     assert any(R.values())
     assert all(
-        _total(G[e][b].mul(pkg.K[e][c][a][d]) for e in rng) == R[a, b, c, d]
+        _total(G[e, b].mul(pkg.K[e, c, a, d]) for e in rng) == R[a, b, c, d]
         for a, b, c, d in idx4
     )
     # both inverse metrics of a double raising at once: GG[p, a, q, c] =
-    # Ginv[p][a] Ginv[q][c]
-    GG = {(p, a, q, c): Ginv[p][a].mul(Ginv[q][c]) for p, a, q, c in idx4}
+    # Ginv[p, a] Ginv[q, c]
+    GG = {(p, a, q, c): Ginv[p, a].mul(Ginv[q, c]) for p, a, q, c in idx4}
     upper = {
         (p, b, q, d): _total(GG[p, a, q, c].mul(R[a, b, c, d]) for a in rng for c in rng)
         for p, b, q, d in idx4
@@ -973,19 +977,19 @@ def test_package_matches_direct_contractions(name, cap):
     norm_R = _total(upper[p, b, q, d].mul(lower[b, p, d, q]) for p, b, q, d in idx4)
     assert bool(norm_R) == quadratic and pkg.curvature_norm2() == norm_R
     norm_Ric = _total(
-        Ric[a][b].mul(Ginv[b][c]).mul(Ginv[d][a]).mul(Ric[c][d])
+        Ric[a, b].mul(Ginv[b, c]).mul(Ginv[d, a]).mul(Ric[c, d])
         for a, b, c, d in idx4
     )
     assert bool(norm_Ric) == quadratic and pkg.ricci_norm2() == norm_Ric
     S = pkg.S
     Y = {
         (a, f): _total(
-            R[a, b, c, f].mul(GG[b, p, q, c]).mul(Ric[p][q])
+            R[a, b, c, f].mul(GG[b, p, q, c]).mul(Ric[p, q])
             for b in rng
             for c in rng
             for p in rng
             for q in rng
-        ).sub(S.mul(Ric[a][f]).scale(4))
+        ).sub(S.mul(Ric[a, f]).scale(4))
         for a in rng
         for f in rng
     }
@@ -994,7 +998,7 @@ def test_package_matches_direct_contractions(name, cap):
         F.d_hol(a)
         .add(
             _total(
-                Ginv[f][d].mul(
+                Ginv[f, d].mul(
                     Y[a, f]
                     .d_hol(d)
                     .sub(_total(Gamma[e, d, a].mul(Y[e, f]) for e in rng))
@@ -1006,7 +1010,7 @@ def test_package_matches_direct_contractions(name, cap):
         .scale(Fraction(1, 48))
         for a in rng
     ]
-    div_Q = _total(Ginv[b][a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
+    div_Q = _total(Ginv[b, a].mul(Q[a].d_anti(b)) for a in rng for b in rng)
     assert bool(div_Q) == quadratic and pkg.gradient_divergence() == div_Q
 
 
@@ -1019,19 +1023,19 @@ def test_package_matches_direct_contractions(name, cap):
     ],
 )
 def test_ricci_is_the_trace_of_the_raised_curvature(name, cap):
-    """Ric[a][d] = -K[e][e][a][d], whole series, equals the contraction
-    -Ginv[d][c] R[a][b][c][d] of the textbook curvature."""
+    """Ric[a, d] = -K[e, e, a, d], whole series, equals the contraction
+    -Ginv[d, c] R[a, b, c, d] of the textbook curvature."""
     pot = _DIRECT_POTENTIALS[name]
     pkg = curvature_package(pot, cap)
     rng = range(pot.n)
     R = _textbook_curvature(pkg.G, pkg.Ginv, rng)
     want = {
-        (a, b): _total(pkg.Ginv[d][c].mul(R[a, b, c, d]) for c in rng for d in rng).neg()
+        (a, b): _total(pkg.Ginv[d, c].mul(R[a, b, c, d]) for c in rng for d in rng).neg()
         for a in rng
         for b in rng
     }
     assert any(want.values())
-    assert all(pkg.Ric[a][b] == want[a, b] for a, b in want)
+    assert all(pkg.Ric[a, b] == want[a, b] for a, b in want)
 
 
 def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
@@ -1058,5 +1062,5 @@ def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
     assert pkg.curvature_norm2()
     assert len(calls) <= n**5 + n**4
     calls.clear()
-    assert any(any(row) for row in pkg._raised_ricci())
+    assert any(pkg._raised_ricci().values())
     assert len(calls) <= n**3
