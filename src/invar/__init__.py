@@ -13,13 +13,7 @@ Two engines under one roof, sharing exact Gaussian-rational arithmetic:
 
 from .bergman import adjoint, bergman_coefficients, build_A
 from .calculus import divergence, integrates_to_zero, local_divergence
-from .chern import (
-    chern_invariant,
-    chern_reduce,
-    height,
-    max_height_terms,
-    partitions_of,
-)
+from .chern import chern_invariant, chern_reduce, partitions_of
 from .fourier import FourierFunction, eval_integral, pairing, random_phi
 from .geometry import (
     CurvaturePackage,
@@ -71,8 +65,6 @@ __all__ = [
     "integrates_to_zero",
     "partitions_of",
     "chern_invariant",
-    "height",
-    "max_height_terms",
     "chern_reduce",
     "enumerate_monomials",
     "decompose",

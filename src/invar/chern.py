@@ -29,8 +29,6 @@ from .rationals import as_count, as_int
 __all__ = [
     "partitions_of",
     "chern_invariant",
-    "height",
-    "max_height_terms",
     "chern_reduce",
 ]
 
@@ -86,20 +84,6 @@ def height(mono: ContractionMonomial) -> int:
     return sum(mono.edges[i][i] for i in range(mono.sigma))
 
 
-def _all_factors_traced(mono):
-    return all(mono.edges[i][i] >= 1 for i in range(mono.sigma))
-
-
-def max_height_terms(inv: Invariant) -> Invariant:
-    """Terms of maximal height among those with a trace in every factor."""
-    best = max(
-        (height(m) for m in inv.terms if _all_factors_traced(m)), default=None
-    )
-    if best is None:
-        return inv.filter(lambda m: False)
-    return inv.filter(lambda m: _all_factors_traced(m) and height(m) == best)
-
-
 def _read_partition(mono):
     """Partition encoded by an all-trace (2,2)-monomial: every row and column
     of its edge matrix sums to 2 and every diagonal entry is at least 1, so
@@ -123,11 +107,11 @@ def chern_reduce(inv: Invariant):
     chern_part: dict[tuple, Fraction] = {}
     rest = inv
     while True:
-        candidates = max_height_terms(rest)
-        if not candidates:
+        traced = [m for m in rest.terms if all(m.edges[i][i] for i in range(m.sigma))]
+        if not traced:
             break
-        mono = min(candidates.terms, key=lambda m: m.sort_key())
-        coeff = candidates.terms[mono]
+        mono = min(traced, key=lambda m: (-height(m), m.sort_key()))
+        coeff = rest.terms[mono]
         p = _read_partition(mono)
         chern_part[p] = chern_part.get(p, Fraction(0)) + coeff
         rest = rest - coeff * chern_invariant(p)

@@ -4,8 +4,9 @@ Subcommands: canon, decompose, chern, bergman, oracle, and verify with a
 handful of named checks.  Machine-readable output goes to stdout (JSON, or
 JSON-lines reports with fields check/status/lhs/rhs/dim/seed); the human
 summary goes to stderr.  Exit codes: 0 success, 1 verification failure, a
-not-co-exact input or no witness under the restriction, 2 malformed input,
-a file that cannot be read or written, or a refused random draw.
+not-co-exact input, no witness under the restriction, or a stdout its
+reader closed early, 2 malformed input, a file that cannot be read or
+written, or a refused random draw.
 """
 
 from __future__ import annotations

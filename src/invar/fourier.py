@@ -65,14 +65,6 @@ class FourierFunction:
                 clean[mode] = c
         self.coeffs = clean
 
-    def is_real(self) -> bool:
-        """True when opposite modes carry conjugate coefficients."""
-        for mode, c in self.coeffs.items():
-            neg = tuple(-v for v in mode)
-            if self.coeffs.get(neg, GR_ZERO) != c.conjugate():
-                return False
-        return True
-
     def __bool__(self):
         return bool(self.coeffs)
 

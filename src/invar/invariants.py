@@ -92,9 +92,6 @@ class Invariant:
     def coefficient(self, mono: ContractionMonomial) -> Fraction:
         return self.terms.get(mono.canonical(), _ZERO)
 
-    def weights(self) -> set:
-        return {m.weight for m in self.terms}
-
     def degrees(self) -> set:
         return {m.sigma for m in self.terms}
 
@@ -103,9 +100,6 @@ class Invariant:
         if len(degs) != 1:
             raise ValueError("invariant is not homogeneous in degree")
         return degs.pop()
-
-    def is_acceptable(self, restriction=None) -> bool:
-        return all(m.is_acceptable(restriction) for m in self.terms)
 
     # -- linear structure ----------------------------------------------------
 
@@ -197,16 +191,6 @@ class Invariant:
             for perm in permutations(range(sigma)):
                 terms.append((psi.apply_permutation(perm), coeff * inv))
         return Invariant(PSI, self.valence, terms)
-
-    def symmetrize(self) -> "Invariant":
-        """Identify all factor labels of a psi-invariant; inverse of polarize."""
-        if self.kind != PSI:
-            raise ValueError("symmetrize expects a psi-invariant")
-        if self.terms:
-            self.homogeneous_degree()
-        return Invariant(
-            PHI, self.valence, [(m.with_kind(PHI), c) for m, c in self.terms.items()]
-        )
 
     # -- serialization -------------------------------------------------------
 

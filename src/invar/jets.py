@@ -141,10 +141,13 @@ _TERMS = 6
 
 
 def random_hermitian_jets(n, weight_cap, rng) -> dict:
-    """Sparse random real potential: conjugate pairs of rational jets."""
+    """Sparse random real potential: conjugate pairs of rational jets.  At
+    weight cap 0 no jet fits, so the potential is flat and rng is untouched."""
     as_count(weight_cap, "weight_cap")
     keys = jet_keys_up_to_grade(n, 2 * weight_cap)
     jets: dict = {}
+    if not keys:
+        return jets
     attempts = 0
     while len(jets) < 2 * _TERMS and attempts < 50 * _TERMS:
         attempts += 1

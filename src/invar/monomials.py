@@ -95,15 +95,6 @@ class ContractionMonomial:
     def valence(self):
         return (sum(self.free_hol), sum(self.free_anti))
 
-    def is_acceptable(self, restriction=None) -> bool:
-        """Floors met: by phi factors up to relabeling, by psi factors in place."""
-        restriction = _check_restriction(restriction, self.sigma)
-        if self.kind == PHI:
-            return _meets_floors(self.signatures, restriction)
-        return all(
-            self.A(i) >= a and self.B(i) >= b for i, (a, b) in enumerate(restriction)
-        )
-
     # -- transformations ---------------------------------------------------
 
     def apply_permutation(self, perm) -> "ContractionMonomial":
@@ -207,12 +198,14 @@ def _counts(values, field):
 
 
 def _check_restriction(restriction, sigma):
+    """The restriction list as sorted integer pairs.  Floors are matched to
+    factors up to relabeling, so the order of the list carries nothing."""
     if restriction is None:
         return ((2, 2),) * sigma
     restriction = _floor_pairs(restriction)
     if len(restriction) != sigma:
         raise ValueError("restriction list length must equal the factor count")
-    return restriction
+    return tuple(sorted(restriction))
 
 
 _NOT_PAIRS = "restriction entries must be [alpha, beta] pairs, got {!r}"

@@ -244,9 +244,6 @@ class GaussRat:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-    def is_real(self) -> bool:
-        return not self._q
-
 
 _set_p = GaussRat._p.__set__
 _set_q = GaussRat._q.__set__

@@ -229,9 +229,8 @@ def decompose(inv: Invariant, restriction=None) -> Decomposition:
 
 
 def _decompose_block(block, w, sigma, restriction, result):
-    rl = _check_restriction(restriction, sigma)
-    # the list is matched to factors up to relabeling: one entry serves every order
-    key = (w, sigma, tuple(sorted(rl)))
+    # the sorted list: one cache entry serves every order
+    key = (w, sigma, _check_restriction(restriction, sigma))
     cold = key not in _SYSTEM_CACHE
     if cold:
         _require_coexact(block, w, sigma)
@@ -289,8 +288,7 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     # checked before the cache lookup: (6.0, 3, ...) hashes like (6, 3, ...)
     as_int(weight, "weight")
     as_positive(sigma, "sigma")
-    rl = _check_restriction(restriction, sigma)
-    tmonos = _column_space(weight, sigma, tuple(sorted(rl)))["tmonos"]
+    tmonos = _column_space(weight, sigma, _check_restriction(restriction, sigma))["tmonos"]
     total = zero_invariant(PHI, (0, 0))
     if weight == 2 * sigma:
         for p in partitions_of(sigma):

@@ -15,7 +15,6 @@ from invar.chern import (
     chern_invariant,
     chern_reduce,
     height,
-    max_height_terms,
     partitions_of,
 )
 from invar.invariants import Invariant, monomial_invariant
@@ -59,7 +58,7 @@ def test_basis_sizes_and_homogeneity():
         basis = [chern_invariant(p) for p in partitions_of(sigma)]
         assert len(basis) == len(partitions_of(sigma))
         for inv in basis:
-            assert inv.weights() == {2 * sigma}
+            assert {m.weight for m in inv.terms} == {2 * sigma}
             assert inv.degrees() == {sigma}
             assert all(
                 s == (2, 2) for m in inv.terms for s in m.signatures
@@ -76,12 +75,6 @@ def test_heights():
     assert height(SQ) == 4
     assert height(CROSS) == 2
     assert height(FULL) == 0
-
-
-def test_max_height_terms_picks_all_traced():
-    mh = max_height_terms(chern_invariant((1, 1)))
-    assert mh == monomial_invariant(SQ)
-    assert not max_height_terms(monomial_invariant(FULL))
 
 
 def test_reduce_recognizes_cycle_invariants():

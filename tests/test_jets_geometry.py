@@ -95,6 +95,16 @@ def test_max_order_and_key_enumeration():
     assert all(sum(a) + sum(b) <= 6 for a, b in keys)
 
 
+def test_a_random_potential_at_weight_cap_zero_is_flat():
+    # no normal-form jet has doubled weight <= 0, so nothing is drawn
+    rng = random.Random(4)
+    state = rng.getstate()
+    for n in (1, 2, 3):
+        assert jet_keys_up_to_grade(n, 0) == []
+        assert random_hermitian_jets(n, 0, rng) == {}
+    assert rng.getstate() == state
+
+
 def test_normal_form_enforced_by_package():
     linear_term = Potential.numeric  # jets below order 2 are already rejected
     with pytest.raises(ValueError):

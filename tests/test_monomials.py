@@ -17,6 +17,7 @@ from invar.monomials import (
     PHI,
     PSI,
     ContractionMonomial,
+    _check_restriction,
     _meets_floors,
 )
 from invar.solver import decompose, enumerate_monomials
@@ -77,28 +78,30 @@ def test_signatures_recomputed_from_edges_and_free_slots():
 
 
 def test_acceptability_floor():
-    assert ContractionMonomial(PHI, ((2,),)).is_acceptable()
+    assert _meets_floors(ContractionMonomial(PHI, ((2,),)).signatures, ((2, 2),))
     bad = ContractionMonomial(PHI, ((1, 1), (0, 1)), (0, 0), (0, 1))
     assert (2, 1) in bad.signatures or (1, 2) in bad.signatures
-    assert not bad.is_acceptable()
+    assert not _meets_floors(bad.signatures, ((2, 2),) * 2)
     # a looser restriction can admit it
-    assert bad.is_acceptable(((1, 2), (2, 1))) or bad.is_acceptable(((2, 1), (1, 2)))
+    assert _meets_floors(bad.signatures, ((1, 2), (2, 1)))
 
 
-def test_phi_floors_match_up_to_relabeling_and_psi_floors_by_position():
+def test_phi_floors_match_up_to_relabeling():
     # signatures (2, 1) and (1, 2)
     phi = ContractionMonomial(PHI, ((1, 1), (0, 1)))
-    psi = ContractionMonomial(PSI, ((1, 1), (0, 1)))
-    assert phi.signatures == psi.signatures == ((2, 1), (1, 2))
+    assert phi.signatures == ((2, 1), (1, 2))
     as_given, swapped = ((2, 1), (1, 2)), ((1, 2), (2, 1))
-    assert phi.is_acceptable(as_given) and phi.is_acceptable(swapped)
-    assert Invariant(PHI, (0, 0), [(phi, 1)]).is_acceptable(swapped)
-    # psi factors are labeled: entry i is a floor on factor i
-    assert psi.is_acceptable(as_given)
-    assert not psi.is_acceptable(swapped)
-    assert not Invariant(PSI, (0, 0), [(psi, 1)]).is_acceptable(swapped)
+    assert _meets_floors(phi.signatures, as_given)
+    assert _meets_floors(phi.signatures, swapped)
     # one factor must take each entry: two (2, 1) floors do not fit
-    assert not phi.is_acceptable(((2, 1), (2, 1)))
+    assert not _meets_floors(phi.signatures, ((2, 1), (2, 1)))
+
+
+def test_the_restriction_list_is_checked_into_sorted_order():
+    # floors are matched up to relabeling, so one sorted list serves every order
+    assert _check_restriction(((3, 2), (2, 2)), 2) == ((2, 2), (3, 2))
+    assert _check_restriction([[2, 2], [3, 2]], 2) == ((2, 2), (3, 2))
+    assert _check_restriction(None, 3) == ((2, 2),) * 3
 
 
 def _some_assignment_meets_floors(sigs, restriction):
@@ -218,7 +221,7 @@ def _reference_edge_matrices(w, sigma):
 
 def _reference_enumerate(w, sigma, restriction, valence, memo):
     """Build every candidate monomial, then keep the acceptable ones.  Each
-    floor is tested at its own position, not through is_acceptable, so a
+    floor is tested at its own position, not through _meets_floors, so a
     class is kept when one of its labelings meets the list as given."""
     floors = restriction or ((2, 2),) * sigma
     out = set()

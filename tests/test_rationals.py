@@ -133,9 +133,6 @@ class FractionPairGaussRat:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-    def is_real(self) -> bool:
-        return not self.im
-
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -213,7 +210,6 @@ def _same(new, ref):
         assert str(new) == str(ref)
         assert repr(new) == repr(ref)
         assert bool(new) == bool(ref)
-        assert new.is_real() == ref.is_real()
     else:
         assert type(new) is type(ref)
         assert new == ref

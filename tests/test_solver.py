@@ -9,7 +9,7 @@ from invar import solver
 from invar.calculus import divergence, integrates_to_zero
 from invar.chern import chern_invariant, chern_reduce, partitions_of
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
-from invar.monomials import PHI, PSI, ContractionMonomial
+from invar.monomials import PHI, PSI, ContractionMonomial, _meets_floors
 from invar.solver import (
     _SYSTEM_CACHE,
     Decomposition,
@@ -118,7 +118,7 @@ def test_decompose_single_trace_power():
     inv = monomial_invariant(ContractionMonomial(PHI, ((3,),)), Fraction(5, 2))
     dec = decompose(inv)
     assert verify_decomposition(inv, dec)
-    assert set(dec.t_hol.weights()) | set(dec.t_anti.weights()) <= {2}
+    assert {m.weight for t in (dec.t_hol, dec.t_anti) for m in t.terms} <= {2}
 
 
 def test_decompose_chern_combination_uses_no_divergence():
@@ -165,7 +165,7 @@ def test_decompose_random_round_trips():
         for t, valence in ((dec.t_hol, (1, 0)), (dec.t_anti, (0, 1))):
             if t:
                 assert t.valence == valence
-                assert t.is_acceptable()
+                assert all(_meets_floors(m.signatures, ((2, 2),) * sigma) for m in t.terms)
                 assert t.degrees() <= {sigma}
         done += 1
 
@@ -267,15 +267,15 @@ def test_the_one_pass_reconstruction_matches_the_reference():
 
 
 def test_a_witness_is_acceptable_under_every_order_of_its_list():
-    # the floors are matched to factors up to relabeling, in the enumeration
-    # and in is_acceptable alike
+    # the floors are matched to factors up to relabeling, so a witness meets
+    # the list in either order
     rl = ((3, 2), (2, 2))
     inv = random_coexact_invariant(5, 2, random.Random(1), rl)
     dec = decompose(inv, rl)
     assert dec.t_hol and verify_decomposition(inv, dec)
     for order in (rl, rl[::-1]):
-        assert dec.t_hol.is_acceptable(order)
-        assert dec.t_anti.is_acceptable(order)
+        for t in (dec.t_hol, dec.t_anti):
+            assert all(_meets_floors(m.signatures, order) for m in t.terms)
 
 
 def test_a_draw_and_its_decompose_enumerate_the_block_once(monkeypatch):
