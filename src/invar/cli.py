@@ -153,7 +153,8 @@ def _at_least(minimum):
 
 
 def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write payload, a text or a JSON value, to --out or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -269,17 +270,16 @@ def cmd_bergman(args):
         pot = Potential.graded_numeric(raw.n, raw.jets, order)
     coeffs = bergman_coefficients(pot, order)
     if args.format == "json":
-        _emit(
-            args,
-            {
-                "dim": pot.n,
-                "order": order,
-                "coefficients": [_element_json(pot.ring, c) for c in coeffs],
-            },
-        )
+        payload = {
+            "dim": pot.n,
+            "order": order,
+            "coefficients": [_element_json(pot.ring, c) for c in coeffs],
+        }
     else:
-        for j, c in enumerate(coeffs):
-            print(f"a_{j} = {fmt_element(pot.ring, c, limit=2000)}")
+        payload = "\n".join(
+            f"a_{j} = {fmt_element(pot.ring, c, limit=2000)}" for j, c in enumerate(coeffs)
+        )
+    _emit(args, payload)
     return 0
 
 

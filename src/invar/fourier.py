@@ -208,33 +208,23 @@ def random_phi(n, mode_bound=2, seed=0) -> FourierFunction:
     rng = random.Random(f"{seed}:{n}:{mode_bound}")
 
     modes: list = []
-    taken: set = set()
-
-    def admit(mode):
-        if not any(mode) or any(abs(v) > mode_bound for v in mode):
-            return False
-        if mode in taken:
-            return False
-        modes.append(mode)
-        taken.add(mode)
-        taken.add(tuple(-v for v in mode))
-        return True
-
     redraws = 0
     while len(modes) < 3:
-        if len(modes) == 2:
-            third = tuple(-(a + b) for a, b in zip(modes[0], modes[1]))
-            if not admit(third):
-                redraws += 1
-                if redraws > _REDRAW_LIMIT:
-                    raise ValueError(
-                        f"no mode triangle closed for n={n}, mode bound {mode_bound} "
-                        f"within {_REDRAW_LIMIT} redraws of the base pair"
-                    )
-                modes.clear()
-                taken.clear()
-            continue
-        admit(tuple(rng.randint(-mode_bound, mode_bound) for _ in range(2 * n)))
+        if len(modes) < 2:
+            mode = tuple(rng.randint(-mode_bound, mode_bound) for _ in range(2 * n))
+        else:
+            mode = tuple(-(a + b) for a, b in zip(*modes))
+        if (any(mode) and mode not in modes and tuple(-v for v in mode) not in modes
+                and max(map(abs, mode)) <= mode_bound):
+            modes.append(mode)
+        elif len(modes) == 2:
+            redraws += 1
+            if redraws > _REDRAW_LIMIT:
+                raise ValueError(
+                    f"no mode triangle closed for n={n}, mode bound {mode_bound} "
+                    f"within {_REDRAW_LIMIT} redraws of the base pair"
+                )
+            modes.clear()
 
     coeffs: dict = {}
     for mode in modes:

@@ -187,7 +187,7 @@ class Invariant:
         inv = Fraction(1, factorial(sigma))
         terms = []
         for mono, coeff in self.terms.items():
-            psi = mono.with_kind(PSI)
+            psi = ContractionMonomial(PSI, mono.edges, mono.free_hol, mono.free_anti)
             for perm in permutations(range(sigma)):
                 terms.append((psi.apply_permutation(perm), coeff * inv))
         return Invariant(PSI, self.valence, terms)

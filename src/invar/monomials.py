@@ -117,11 +117,6 @@ class ContractionMonomial:
             self.free_hol,
         )
 
-    def with_kind(self, kind) -> "ContractionMonomial":
-        if kind == self.kind:
-            return self
-        return ContractionMonomial(kind, self.edges, self.free_hol, self.free_anti)
-
     def canonical(self) -> "ContractionMonomial":
         """Canonical representative (identity for psi-monomials)."""
         if self.kind == PSI:

@@ -152,10 +152,7 @@ class GaussRat:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._p - other._p, self._q - other._q, d)
-        return _make(self._p * e - other._p * d, self._q * e - other._q * d, d * e)
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)

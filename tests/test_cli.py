@@ -615,7 +615,7 @@ def test_oracle_mixed_degree_input(tmp_path, capsys):
     assert main(["oracle", path, "--dim", "1", "--trials", "2"]) == 0
     assert "formally nonzero" in capsys.readouterr().err
     # a psi file draws one function per factor, so its degree must be one
-    psi = Invariant(PSI, (0, 0), [(m.with_kind(PSI), c) for m, c in mixed.terms.items()])
+    psi = Invariant(PSI, (0, 0), [(ContractionMonomial(PSI, m.edges), c) for m, c in mixed.terms.items()])
     argv = ["oracle", write_inv(tmp_path, psi), "--dim", "2"]
     assert_one_line_refusal(capsys, argv, "one degree")
 
@@ -639,6 +639,25 @@ def test_unwritable_out_is_one_line(tmp_path, capsys, target):
     path = write_inv(tmp_path, chern_invariant((1,)))
     out = tmp_path / "absent" / "x.json" if target == "missing-directory" else tmp_path
     argv = ["canon", path, "--out", str(out)]
+    assert_one_line_refusal(capsys, argv, f"error: cannot write {out}: ")
+
+
+FS_TEXT_ARGV = ["bergman", "--fubini-study", "--dim", "1", "--order", "3"]
+
+
+def test_bergman_text_out_writes_what_stdout_would_show(tmp_path, capsys):
+    target = tmp_path / "a.txt"
+    assert main(FS_TEXT_ARGV + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == b"a_0 = 1\na_1 = 1\na_2 = 0\na_3 = 0\n"
+    assert main(FS_TEXT_ARGV) == 0
+    assert capsys.readouterr().out.encode() == target.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_bergman_text_unwritable_out_is_one_line(tmp_path, capsys, target):
+    out = tmp_path / "absent" / "a.txt" if target == "missing-directory" else tmp_path
+    argv = FS_TEXT_ARGV + ["--format", "text", "--out", str(out)]
     assert_one_line_refusal(capsys, argv, f"error: cannot write {out}: ")
 
 

@@ -148,28 +148,49 @@ def test_random_phi_refuses_a_draw_that_does_not_close():
 
 
 def test_random_phi_draws_are_pinned():
-    """The exact coefficients of three draws; the oracle's values rest on them."""
+    """The exact coefficients of seven draws, in drawing order: each base
+    mode, then the closing mode, each followed by its negative.  The
+    oracle's values rest on this stream."""
     g = GaussRat
     half, third = Fraction(1, 2), Fraction(1, 3)
     pinned = {
         (1, 1, 0): {
-            (1, 0): g(3 * half, 1), (0, 1): g(0, 2), (1, 1): g(0, -1),
+            (-1, -1): g(0, 1), (0, 1): g(0, 2), (1, 0): g(3 * half, 1),
+        },
+        (1, 2, 0): {
+            (-1, -1): g(half, -2 * third), (0, 2): g(-1), (1, -1): g(-1, -3 * half),
         },
         (2, 2, 0): {
             (0, 2, 0, 0): g(1, 2 * third),
-            (1, 0, 2, 1): g(-2, -2),
             (1, -2, 2, 1): g(-3, -3 * half),
+            (-1, 0, -2, -1): g(-2, 2),
+        },
+        (2, 2, 5): {
+            (0, 0, 0, 2): g(0, 1),
+            (1, 2, -1, -2): g(-3 * half),
+            (-1, -2, 1, 0): g(-2 * third, -1),
+        },
+        (3, 1, 7): {
+            (1, 0, 0, 1, 0, 0): g(-2 * third, -3 * half),
+            (-1, -1, 0, -1, -1, 1): g(-third, -third),
+            (0, 1, 0, 0, 1, -1): g(0, -third),
         },
         (4, 2, 7): {
-            (1, 1, 0, 1, -1, 0, 0, 2): g(-1, 3),
-            (2, 2, -2, -1, 1, -2, -1, 1): g(2 * third, 1),
             (1, 1, -2, -2, 2, -2, -1, -1): g(-third, half),
+            (1, 1, 0, 1, -1, 0, 0, 2): g(-1, 3),
+            (-2, -2, 2, 1, -1, 2, 1, -1): g(2 * third, -1),
+        },
+        (4, 3, 11): {
+            (2, 3, 2, -2, -1, -3, 0, 1): g(1, 1),
+            (0, -2, -2, -1, -1, 0, -3, -1): g(-3, 2 * third),
+            (-2, -1, 0, 3, 2, 3, 3, 0): g(-3, -3 * half),
         },
     }
     for (n, bound, seed), half_support in pinned.items():
-        want = dict(half_support)
-        want.update({tuple(-v for v in m): c.conjugate() for m, c in half_support.items()})
-        assert random_phi(n, bound, seed).coeffs == want
+        want = []
+        for m, c in half_support.items():
+            want += [(m, c), (tuple(-v for v in m), c.conjugate())]
+        assert list(random_phi(n, bound, seed).coeffs.items()) == want
 
 
 def test_function_validation():
