@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .rationals import as_count, as_int, as_json
 
@@ -32,8 +32,10 @@ _LABELING_LIMIT = factorial(9)
 # raw encoding -> canonical ContractionMonomial.  One memo for the whole
 # process: every phi-monomial's canonical() fills it, and _scalar_canonical
 # reads it for calculus's bare edge matrices.  It holds each raw key
-# canonical() was asked about and each canonical form, is never evicted and
-# has no bound (a seed-0 decompose bench pass leaves 2004 entries).
+# canonical() was asked about and each canonical form.  A fill that would pass
+# the bound clears it (a seed-0 decompose bench pass leaves 1888 entries, the
+# (11, 5) column space about 34,000).
+_CANONICAL_LIMIT = 1 << 17
 _CANONICAL_CACHE: dict = {}
 
 
@@ -51,8 +53,19 @@ class ContractionMonomial:
         free_anti = _counts(free_anti or (0,) * sigma, "free_anti")
         if len(free_hol) != sigma or len(free_anti) != sigma:
             raise ValueError("free slot lists must have length sigma")
+        self._fill(kind, edges, free_hol, free_anti)
+
+    @classmethod
+    def _raw(cls, kind, edges, free_hol, free_anti):
+        """Wrap tuples that are already valid: a non-empty square matrix of
+        count tuples and two count tuples of its size."""
+        out = cls.__new__(cls)
+        out._fill(kind, edges, free_hol, free_anti)
+        return out
+
+    def _fill(self, kind, edges, free_hol, free_anti):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", len(edges))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "free_hol", free_hol)
         object.__setattr__(self, "free_anti", free_anti)
@@ -85,7 +98,9 @@ class ContractionMonomial:
 
     @property
     def signatures(self):
-        return tuple((self.A(i), self.B(i)) for i in range(self.sigma))
+        edges = self.edges
+        a = map(add, map(sum, edges), self.free_hol)
+        return tuple(zip(a, map(add, map(sum, zip(*edges)), self.free_anti)))
 
     @property
     def weight(self) -> int:
@@ -100,7 +115,7 @@ class ContractionMonomial:
     def apply_permutation(self, perm) -> "ContractionMonomial":
         """Relabel factors: new factor i is old factor perm[i]."""
         rng = range(self.sigma)
-        return ContractionMonomial(
+        return ContractionMonomial._raw(
             self.kind,
             tuple(tuple(self.edges[perm[i]][perm[j]] for j in rng) for i in rng),
             tuple(self.free_hol[perm[i]] for i in rng),
@@ -110,7 +125,7 @@ class ContractionMonomial:
     def conjugate(self) -> "ContractionMonomial":
         """Swap holomorphic and antiholomorphic index types."""
         rng = range(self.sigma)
-        return ContractionMonomial(
+        return ContractionMonomial._raw(
             self.kind,
             tuple(tuple(self.edges[j][i] for j in rng) for i in rng),
             self.free_anti,
@@ -126,25 +141,28 @@ class ContractionMonomial:
             return cached
         # the signatures lead the minimized key (signatures, edges, free_hol,
         # free_anti), so only labelings that sort them can win: those permute
-        # factors inside each run of equal signatures.  A factor's signature
-        # moves with it, so relabel keys, not monomials; itemgetter(*perm)
-        # returns a tuple only for two or more indices, and one factor is its
-        # own canonical form
-        sig, best_edges = self.signatures, self.edges
-        free_hol, free_anti = self.free_hol, self.free_anti
+        # factors inside each run of equal signatures, and distinct signatures
+        # leave the sorting one alone.  A factor's signature moves with it, so
+        # relabel keys, not monomials; itemgetter(*perm) returns a tuple only
+        # for two or more indices, and one factor is its own canonical form
+        best_edges, free_hol, free_anti = self.edges, self.free_hol, self.free_anti
         if self.sigma > 1:
-            labelings = prod(factorial(sig.count(s)) for s in set(sig))
+            sig = self.signatures
+            order = sorted(range(self.sigma), key=sig.__getitem__)
+            runs = [tuple(g) for _, g in groupby(order, sig.__getitem__)]
+            labelings = prod(factorial(len(run)) for run in runs)
             if labelings > _LABELING_LIMIT:
                 raise ValueError(
                     f"canonical form needs {labelings} labelings, over the limit {_LABELING_LIMIT}"
                 )
-            order = sorted(range(self.sigma), key=sig.__getitem__)
-            runs = [permutations(tuple(g)) for _, g in groupby(order, sig.__getitem__)]
+            perms = [runs] if labelings == 1 else product(*map(permutations, runs))
             best_edges, free_hol, free_anti = min(
                 (tuple(map(at, at(best_edges))), at(free_hol), at(free_anti))
-                for at in (itemgetter(*chain(*perm)) for perm in product(*runs))
+                for at in (itemgetter(*chain(*perm)) for perm in perms)
             )
-        best = ContractionMonomial(self.kind, best_edges, free_hol, free_anti)
+        best = ContractionMonomial._raw(self.kind, best_edges, free_hol, free_anti)
+        if len(_CANONICAL_CACHE) + 2 > _CANONICAL_LIMIT:
+            _CANONICAL_CACHE.clear()
         _CANONICAL_CACHE[self._key] = best
         _CANONICAL_CACHE[best._key] = best
         return best
@@ -176,12 +194,14 @@ class ContractionMonomial:
 
 
 def _scalar_canonical(kind, rows):
-    """The canonical scalar monomial with these edge rows.  A phi hit in the
-    memo skips building and validating a monomial; psi keys never enter it,
+    """The canonical scalar monomial with these edge rows, tuples of counts.
+    A phi hit in the memo skips building a monomial; psi keys never enter it,
     and a psi monomial is its own canonical form."""
     zeros = (0,) * len(rows)
     mono = _CANONICAL_CACHE.get((kind, rows, zeros, zeros))
-    return mono if mono is not None else ContractionMonomial(kind, rows).canonical()
+    if mono is None:
+        mono = ContractionMonomial._raw(kind, rows, zeros, zeros).canonical()
+    return mono
 
 
 def _counts(values, field):

@@ -7,11 +7,15 @@ monomial basis: Chern columns first, then divergences of enumerated
 one-forms of each valence, and the deterministic basic solution of that
 system.  Inhomogeneous input is split into (weight, degree) blocks which are
 solved independently.
+
+Only the (1,0) one-forms are enumerated and expanded: the (0,1) generators
+and their columns are conjugates of those (see `_column_space`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .calculus import divergence, first_slot_residue, integrates_to_zero
 from .chern import chern_invariant, partitions_of
@@ -106,7 +110,7 @@ def enumerate_monomials(w, sigma, restriction=None, valence=(0, 0)):
         for free_anti in compositions(q, sigma):
             for edges, sigs in _sorted_matrices(w, free_hol, free_anti, restriction):
                 if _meets_floors(sigs, restriction):
-                    mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
+                    mono = ContractionMonomial._raw(PHI, edges, free_hol, free_anti)
                     out.add(mono.canonical())
     return sorted(out, key=lambda m: m.sort_key())
 
@@ -138,8 +142,8 @@ def _sorted_matrices(w, free_hol, free_anti, restriction):
             if r < lo or rest < need:
                 return
             for row in compositions(r, sigma):
-                new = [c + x for c, x in zip(cols, row)]
-                bs = sorted(c + f for c, f in zip(new, free_anti))
+                new = list(map(add, cols, row))
+                bs = sorted(map(add, new, free_anti))
                 if rest < sum(f - b for f, b in zip(floor_b, bs) if f > b):
                     continue
                 rows[i] = row
@@ -157,31 +161,46 @@ def _sorted_matrices(w, free_hol, free_anti, restriction):
 
 
 # (w, sigma, sorted restriction) -> column space.  One per process, filled one
-# block at a time by decompose and by draws (factored on a block's first solve);
-# never evicted and unbounded (a seed-0 decompose bench pass leaves 11 entries).
-# An entry's presence also orders decompose's integral test: after the solve
-# on a cached block, before the column build on an uncached one.
+# block at a time by decompose and by draws (factored on a block's first solve).
+# A fill that would pass the bound clears it (a seed-0 decompose bench pass
+# leaves 11 entries).  An entry's presence also orders decompose's integral
+# test: after the solve on a cached block, before the column build on an
+# uncached one.
+_SYSTEM_LIMIT = 64
 _SYSTEM_CACHE: dict = {}
 
 
 def _column_space(w, sigma, restriction):
-    """Chern and divergence generator columns for one (weight, degree) block."""
+    """Chern and divergence generator columns for one (weight, degree) block.
+
+    Conjugation swaps each factor's (A, B) and commutes with divergence, so
+    the (0,1) generators under a list are the conjugates of the (1,0) ones
+    under its transpose, and their columns the conjugates of those columns:
+    one walk, and one Leibniz expansion per (1,0) generator, serve both
+    valences when the list is its own transpose, as the default one is."""
     key = (w, sigma, restriction)
     cached = _SYSTEM_CACHE.get(key)
     if cached is not None:
         return cached
     chern_gens = (
-        [(p, chern_invariant(p)) for p in partitions_of(sigma)] if w == 2 * sigma else []
+        [(p, chern_invariant(p).terms) for p in partitions_of(sigma)] if w == 2 * sigma else []
     )
-    div_gens = []
-    for valence in ((1, 0), (0, 1)):
-        for mono in enumerate_monomials(w - 1, sigma, restriction, valence):
-            div_gens.append((mono, divergence(monomial_invariant(mono))))
+    floors = _check_restriction(restriction, sigma)
+    transposed = tuple(sorted((b, a) for a, b in floors))
+    expanded = {}
+    hol = _hol_generators(w, sigma, floors, expanded)
+    source = hol if transposed == floors else _hol_generators(w, sigma, transposed, expanded)
+    # each distinct monomial conjugated once; conjugation maps canonical
+    # classes one to one, so no two terms of a column collide
+    bar = dict.fromkeys(m for t, terms in source for m in (t, *terms))
+    bar = {m: m.conjugate().canonical() for m in bar}
+    anti = [(bar[t], {bar[m]: c for m, c in terms.items()}) for t, terms in source]
+    anti.sort(key=lambda gen: gen[0].sort_key())
     rows: dict[ContractionMonomial, int] = {}
     columns = []
-    for _, inv in chern_gens + div_gens:
+    for _, terms in chern_gens + hol + anti:
         col = {}
-        for m, c in inv.terms.items():
+        for m, c in terms.items():
             r = rows.setdefault(m, len(rows))
             col[r] = c
         columns.append(col)
@@ -190,12 +209,26 @@ def _column_space(w, sigma, restriction):
     entry = {
         "rows": rows,
         "chern": [p for p, _ in chern_gens],
-        "tmonos": [m for m, _ in div_gens],
+        "tmonos": [m for m, _ in hol + anti],
+        "nhol": len(hol),
         "columns": columns,
         "system": None,
     }
+    if len(_SYSTEM_CACHE) >= _SYSTEM_LIMIT:
+        _SYSTEM_CACHE.clear()
     _SYSTEM_CACHE[key] = entry
     return entry
+
+
+def _hol_generators(w, sigma, floors, expanded):
+    """(one-form, its divergence's terms) for each (1,0) generator under the
+    floors; expanded maps each one-form to its terms, shared by both walks."""
+    out = []
+    for mono in enumerate_monomials(w - 1, sigma, floors, (1, 0)):
+        if mono not in expanded:
+            expanded[mono] = divergence(monomial_invariant(mono)).terms
+        out.append((mono, expanded[mono]))
+    return out
 
 
 def decompose(inv: Invariant, restriction=None) -> Decomposition:
@@ -253,14 +286,15 @@ def _decompose_block(block, w, sigma, restriction, result):
     for p, c in zip(entry["chern"], x[:nchern]):
         if c:
             result.chern[p] = result.chern.get(p, Fraction(0)) + c
+    # the (1,0) generators come first; enumerated monomials are canonical and distinct
     t_terms = list(zip(entry["tmonos"], x[nchern:]))
-    hol = [(m, c) for m, c in t_terms if c and m.valence == (1, 0)]
-    anti = [(m, c) for m, c in t_terms if c and m.valence == (0, 1)]
-    # enumerated monomials are canonical and distinct
+    nhol = entry["nhol"]
+    hol = {m: c for m, c in t_terms[:nhol] if c}
+    anti = {m: c for m, c in t_terms[nhol:] if c}
     if hol:
-        result.t_hol = result.t_hol + Invariant._raw(PHI, (1, 0), dict(hol))
+        result.t_hol = result.t_hol + Invariant._raw(PHI, (1, 0), hol)
     if anti:
-        result.t_anti = result.t_anti + Invariant._raw(PHI, (0, 1), dict(anti))
+        result.t_anti = result.t_anti + Invariant._raw(PHI, (0, 1), anti)
 
 
 def _require_coexact(block, w, sigma):
@@ -288,15 +322,15 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
     # checked before the cache lookup: (6.0, 3, ...) hashes like (6, 3, ...)
     as_int(weight, "weight")
     as_positive(sigma, "sigma")
-    tmonos = _column_space(weight, sigma, _check_restriction(restriction, sigma))["tmonos"]
+    entry = _column_space(weight, sigma, _check_restriction(restriction, sigma))
+    tmonos, nhol = entry["tmonos"], entry["nhol"]
     total = zero_invariant(PHI, (0, 0))
     if weight == 2 * sigma:
         for p in partitions_of(sigma):
             c = random_fraction(rng)
             if c:
                 total = total + chern_invariant(p).scale(c)
-    for valence in ((1, 0), (0, 1)):
-        gens = [m for m in tmonos if m.valence == valence]
+    for gens in (tmonos[:nhol], tmonos[nhol:]):
         if not gens:
             continue
         for mono in rng.sample(gens, k=min(3, len(gens))):

@@ -19,6 +19,7 @@ from invar.monomials import (
     ContractionMonomial,
     _check_restriction,
     _meets_floors,
+    _scalar_canonical,
 )
 from invar.solver import decompose, enumerate_monomials
 
@@ -368,6 +369,31 @@ def test_enumeration_builds_only_signature_sorted_matrices(monkeypatch):
     calls.clear()
     enumerate_monomials(4, 4, ((1, 1),) * 4, (1, 0))
     assert len(calls) <= 60
+
+
+def test_monomials_wrapped_raw_equal_the_validated_ones():
+    """enumerate_monomials, canonical(), conjugate(), apply_permutation() and
+    _scalar_canonical skip the constructor's checks: each result must be the
+    monomial the validating constructor makes of the same tuples."""
+    scalars = enumerate_monomials(6, 3)
+    monos = enumerate_monomials(7, 3, valence=(1, 0))
+    monos += enumerate_monomials(7, 3, valence=(0, 1)) + scalars
+    built = list(monos)
+    for mono in monos:
+        for perm in itertools.permutations(range(3)):
+            relabeled = mono.apply_permutation(perm)
+            conjugate = relabeled.conjugate()
+            for m in (relabeled, conjugate):
+                _CANONICAL_CACHE.pop(m._key, None)
+            built += [relabeled, conjugate, relabeled.canonical(), conjugate.canonical()]
+    for mono in scalars:
+        for kind in (PHI, PSI):
+            _CANONICAL_CACHE.pop((kind, mono.edges, (0,) * 3, (0,) * 3), None)
+            built.append(_scalar_canonical(kind, mono.edges))
+    for m in built:
+        valid = ContractionMonomial(m.kind, m.edges, m.free_hol, m.free_anti)
+        assert m == valid and hash(m) == hash(valid), m
+        assert m.sigma == valid.sigma and m._key == valid._key
 
 
 def test_only_monomials_names_the_canonical_memo():

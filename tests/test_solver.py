@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from invar import solver
+from invar import monomials, solver
 from invar.calculus import divergence, integrates_to_zero
 from invar.chern import chern_invariant, chern_reduce, partitions_of
 from invar.invariants import Invariant, monomial_invariant, zero_invariant
+from invar.linalg import LinearSystem
 from invar.monomials import PHI, PSI, ContractionMonomial, _meets_floors
 from invar.solver import (
     _SYSTEM_CACHE,
@@ -278,8 +279,9 @@ def test_a_witness_is_acceptable_under_every_order_of_its_list():
             assert all(_meets_floors(m.signatures, order) for m in t.terms)
 
 
-def test_a_draw_and_its_decompose_enumerate_the_block_once(monkeypatch):
-    # one call per one-form valence; the decompose reads the draw's block
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The enumerate_monomials calls of the solver, from an empty cache."""
     calls = []
     original = solver.enumerate_monomials
 
@@ -289,10 +291,72 @@ def test_a_draw_and_its_decompose_enumerate_the_block_once(monkeypatch):
 
     monkeypatch.setattr(solver, "enumerate_monomials", counted)
     monkeypatch.setattr(solver, "_SYSTEM_CACHE", {})
+    return calls
+
+
+def test_a_draw_and_its_decompose_enumerate_the_block_once(enumerations):
+    # the default list is its own transpose: one (1,0) walk serves both
+    # valences, and the decompose reads the draw's block
     inv = random_coexact_invariant(8, 3, random.Random(0))
-    assert len(calls) == 2
+    assert enumerations == [(7, 3, ((2, 2),) * 3, (1, 0))]
     assert verify_decomposition(inv, decompose(inv))
-    assert len(calls) == 2
+    assert len(enumerations) == 1
+
+
+def test_an_asymmetric_list_walks_its_transpose_for_the_conjugates(enumerations):
+    restriction = ((2, 1),) * 3
+    walks = [(7, 3, restriction, (1, 0)), (7, 3, ((1, 2),) * 3, (1, 0))]
+    inv = random_coexact_invariant(8, 3, random.Random(0), restriction)
+    assert enumerations == walks
+    assert verify_decomposition(inv, decompose(inv, restriction))
+    assert enumerations == walks
+
+
+def _reference_column_space(w, sigma, restriction):
+    """(chern, tmonos, columns as {monomial: coeff}) with both valences
+    walked and one divergence per generator: the build the conjugate half
+    must reproduce."""
+    chern = list(partitions_of(sigma)) if w == 2 * sigma else []
+    columns = [chern_invariant(p).terms for p in chern]
+    tmonos = []
+    for valence in ((1, 0), (0, 1)):
+        for mono in enumerate_monomials(w - 1, sigma, restriction, valence):
+            tmonos.append(mono)
+            columns.append(divergence(monomial_invariant(mono)).terms)
+    return chern, tmonos, columns
+
+
+def _indexed(columns):
+    rows = {}
+    return [{rows.setdefault(m, len(rows)): c for m, c in col.items()} for col in columns]
+
+
+_PARITY_LISTS = {
+    "default": lambda s: None,
+    "r11": lambda s: ((1, 1),) * s,
+    "r21": lambda s: ((2, 1),) * s,
+    "r12-22": lambda s: ((1, 2),) + ((2, 2),) * (s - 1),
+    "r32-11": lambda s: ((3, 2),) + ((1, 1),) * (s - 1),
+    "r00": lambda s: ((0, 0),) * s,
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_LISTS))
+def test_the_conjugate_half_matches_the_two_walk_reference(monkeypatch, name):
+    monkeypatch.setattr(solver, "_SYSTEM_CACHE", {})
+    for sigma in (1, 2, 3):
+        restriction = _PARITY_LISTS[name](sigma)
+        for w in range(max(2 * sigma - 2, 0), 2 * sigma + 3):
+            chern, tmonos, columns = _reference_column_space(w, sigma, restriction)
+            entry = solver._column_space(w, sigma, restriction)
+            rows = list(entry["rows"])
+            assert entry["chern"] == chern
+            assert [m._key for m in entry["tmonos"]] == [m._key for m in tmonos], (w, sigma)
+            assert entry["nhol"] == sum(m.valence == (1, 0) for m in tmonos)
+            got = [{rows[r]: c for r, c in col.items()} for col in entry["columns"]]
+            assert got == columns, (w, sigma)
+            rank = LinearSystem(_indexed(columns)).rank
+            assert LinearSystem(entry["columns"]).rank == rank
 
 
 def test_a_draw_refuses_a_non_integer_weight_after_a_cached_block():
@@ -376,3 +440,44 @@ def test_a_wrong_length_list_is_refused_before_the_integral_test(integral_tests)
     with pytest.raises(ValueError, match="^restriction list length must equal the factor count$"):
         decompose(SQ, [(2, 2)])
     assert integral_tests == []
+
+
+# -- both caches are bounded --
+
+
+class _Watched(dict):
+    """A cache that records its largest size and how often it was cleared."""
+
+    peak = clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def _draws_and_witnesses(blocks):
+    rng = random.Random(7)
+    out = []
+    for w, sigma in blocks:
+        inv = random_coexact_invariant(w, sigma, rng)
+        out.append((inv.to_json_dict(), decompose(inv).to_json_dict()))
+    return out
+
+
+def test_a_cache_over_its_bound_clears_and_the_results_stay(monkeypatch):
+    blocks = [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (4, 2), (6, 3), (8, 3)]
+    monkeypatch.setattr(monomials, "_CANONICAL_CACHE", {})
+    monkeypatch.setattr(solver, "_SYSTEM_CACHE", {})
+    want = _draws_and_witnesses(blocks)
+    canonical, systems = _Watched(), _Watched()
+    monkeypatch.setattr(monomials, "_CANONICAL_CACHE", canonical)
+    monkeypatch.setattr(monomials, "_CANONICAL_LIMIT", 50)
+    monkeypatch.setattr(solver, "_SYSTEM_CACHE", systems)
+    monkeypatch.setattr(solver, "_SYSTEM_LIMIT", 2)
+    assert _draws_and_witnesses(blocks) == want
+    assert canonical.clears and canonical.peak <= 50
+    assert systems.clears and systems.peak <= 2
