@@ -52,12 +52,6 @@ def _defect(key):
     return j + sum(g) - sum(d)
 
 
-def _add_keys(k1, k2):
-    """Key of the commutative product of two symbol terms."""
-    (g1, d1, j1), (g2, d2, j2) = k1, k2
-    return tuple(map(add, g1, g2)), tuple(map(add, d1, d2)), j1 + j2
-
-
 def convolve(t1, t2, ring, jmax):
     """Commutative product of two symbol term dicts, used before the middle
     slot is read as a derivative.  The t-order j and the defect j' are
@@ -74,7 +68,8 @@ def convolve(t1, t2, ring, jmax):
                 continue
             p = ring.mul(v1, v2)
             if p:
-                _add_term(out, _add_keys(k1, k2), p, ring)
+                key = tuple(map(add, k1[0], k2[0])), tuple(map(add, k1[1], k2[1])), k1[2] + j2
+                _add_term(out, key, p, ring)
     return out
 
 

@@ -107,7 +107,7 @@ def _off_factor(mono, coeff, k):
     for c, j in enumerate(survivors):
         moves += [range(c, s * s, s)] * e[k][j] + [range(c * s, c * s + s)] * e[j][k]
     base = [e[i][j] for i in survivors for j in survivors]
-    return base, moves, (-1) ** (mono.A(k) + mono.B(k)) * coeff
+    return base, moves, (-1) ** sum(mono.signatures[k]) * coeff
 
 
 def _leibniz(placements):

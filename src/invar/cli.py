@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -125,20 +126,31 @@ class InputError(Exception):
     pass
 
 
+@contextmanager
+def _digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _load(path, what, parse):
     """parse(d) for the JSON value d in path; a file that cannot be read or
     parsed ends in one InputError line naming the file and the fault."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(d)
-    except KeyError as exc:
-        raise InputError(f"bad {what} in {path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad {what} in {path}: {exc}") from exc
+    with _digit_limit(sys.int_info.default_max_str_digits):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        try:
+            return parse(d)
+        except KeyError as exc:
+            raise InputError(f"bad {what} in {path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _at_least(minimum):
@@ -498,17 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except BrokenPipeError:
-        # the reader closed stdout: drop the unwritten rest, with no traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    with _digit_limit(0):  # answers print in full; _load bounds the numbers it reads
+        try:
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except InputError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except BrokenPipeError:
+            # the reader closed stdout: drop the unwritten rest, with no traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
 
 
 if __name__ == "__main__":

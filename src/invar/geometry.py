@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, factorial, prod
 
 from .chern import chern_invariant, partitions_of
@@ -82,9 +82,9 @@ class CurvaturePackage:
     With cap h, H is on the box (h + 2, h + 2), G on (h + 1, h + 1), Ginv
     and Gamma on (h, h + 1), and K, Ric and S on (h, h): a center value
     taking h derivatives on each side of them (lap^h S; div_Q at h = 1; S,
-    |R|^2 and |Ric|^2 at h = 0) reads nothing outside these boxes.  K is
-    built on first read and kept for the life of the package, one table of
-    at most n^4 entries; only curvature_norm2 and gradient_divergence read it.
+    |R|^2 and |Ric|^2 at h = 0) reads nothing outside these boxes.  K and T
+    are cached properties, built on first read; K has at most n^4 entries,
+    and only curvature_norm2 and gradient_divergence read it.
 
     Index conventions: G[a, b] is the metric with holomorphic slot a and
     antiholomorphic slot b; Ginv[b, a] is its inverse pairing antiholomorphic
@@ -103,8 +103,6 @@ class CurvaturePackage:
     and stored under all its keys as one ScalarSeries object, as no series
     is mutated in place.
     """
-
-    __slots__ = ("n", "ring", "cap", "G", "Ginv", "Gamma", "Ric", "S", "_K", "_T")
 
     def __init__(self, pot, cap):
         as_count(cap, "cap")
@@ -142,7 +140,6 @@ class CurvaturePackage:
         Ric = _Table(ScalarSeries(ring, n, cap), Ric)
         self.G, self.Ginv, self.Gamma, self.Ric = G, Ginv, Gamma, Ric
         self.S = _contract(Ric.empty, [((), Ginv[b, a], y) for (a, b), y in Ric.items()])[()]
-        self._K = self._T = None
 
     def restrict(self, cap) -> CurvaturePackage:
         """The package of a cap no larger: every present entry cut to that
@@ -153,7 +150,7 @@ class CurvaturePackage:
         if cap == self.cap:
             return self
         out = CurvaturePackage.__new__(CurvaturePackage)
-        out.n, out.ring, out.cap, out._K, out._T = self.n, self.ring, cap, None, None
+        out.n, out.ring, out.cap = self.n, self.ring, cap
         cut = {}  # one cut per series object and box, so shared entries stay shared
 
         def table(t, box):
@@ -168,16 +165,14 @@ class CurvaturePackage:
         out.Ric, out.S = table(self.Ric, cap), self.S.add(ScalarSeries(self.ring, self.n, cap))
         return out
 
-    @property
+    @cached_property
     def K(self):
         """K[e, c, a, d] = dbar_d Gamma[e, c, a], built on first read and kept
         for the life of the package."""
-        if self._K is None:
-            self._K = _Table(self.Ric.empty, {
-                (e, c, a, d): s.d_anti(d)
-                for (e, c, a), s in self.Gamma.items() if c <= a for d in range(self.n)
-            }, lambda e, c, a, d: ((e, c, a, d), (e, a, c, d)))
-        return self._K
+        return _Table(self.Ric.empty, {
+            (e, c, a, d): s.d_anti(d)
+            for (e, c, a), s in self.Gamma.items() if c <= a for d in range(self.n)
+        }, lambda e, c, a, d: ((e, c, a, d), (e, a, c, d)))
 
     def _divergence(self, Q):
         """Ginv[b, a] dbar_b Q[a] summed over a and b, the Q[a] on one box."""
@@ -189,17 +184,16 @@ class CurvaturePackage:
     def laplacian(self, f: ScalarSeries) -> ScalarSeries:
         return self._divergence([f.d_hol(a) for a in range(self.n)])
 
-    def _raised_ricci(self):
+    @cached_property
+    def T(self):
         """T[p, c] = Ginv[q, c] Ric[p, q], the Ricci form with its
-        antiholomorphic slot raised, built on first use and kept for the life
+        antiholomorphic slot raised, built on first read and kept for the life
         of the package."""
-        if self._T is None:
-            Ginv, Ric = self.Ginv, self.Ric
-            self._T = _contract(Ric.empty, [
-                ((p, c), x, y) for q in range(self.n)
-                for (p, _), y in Ric.at(1, q) for (_, c), x in Ginv.at(0, q)
-            ])
-        return self._T
+        Ginv, Ric = self.Ginv, self.Ric
+        return _contract(Ric.empty, [
+            ((p, c), x, y) for q in range(self.n)
+            for (p, _), y in Ric.at(1, q) for (_, c), x in Ginv.at(0, q)
+        ])
 
     def curvature_norm2(self) -> ScalarSeries:
         """|R|^2 = P[x, c, a, z] P[a, z, x, c], with P[x, c, a, z] =
@@ -215,7 +209,7 @@ class CurvaturePackage:
         return _contract(P.empty, [((), y, P[a, z, x, c]) for (x, c, a, z), y in P.items()])[()]
 
     def ricci_norm2(self) -> ScalarSeries:
-        T = self._raised_ricci()
+        T = self.T
         return _contract(T.empty, [((), y, T[p, a]) for (a, p), y in T.items()])[()]
 
     def gradient_divergence(self) -> ScalarSeries:
@@ -227,8 +221,7 @@ class CurvaturePackage:
         (del_d Y)_{a fbar} = d_d Y[a, f] - Gamma[e, d, a] Y[e, f] and the
         antiholomorphic slot takes none."""
         rng = range(self.n)
-        Ginv, Gamma, K, Ric, S = self.Ginv, self.Gamma, self.K, self.Ric, self.S
-        T = self._raised_ricci()
+        Ginv, Gamma, K, Ric, S, T = self.Ginv, self.Gamma, self.K, self.Ric, self.S, self.T
         X = _contract(K.empty, [
             ((a, f), k, t) for (p, c), t in T.items() for (_, q, a, f), k in K.at(0, p) if q == c
         ])

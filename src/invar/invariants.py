@@ -103,23 +103,20 @@ class Invariant:
 
     # -- linear structure ----------------------------------------------------
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         if self.kind != other.kind or self.valence != other.valence:
             raise ValueError("cannot combine invariants of different kind or valence")
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, _ZERO) + sign * coeff
+            new = terms.get(mono, _ZERO) + coeff
             if new:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
         return Invariant._raw(self.kind, self.valence, terms)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + -other
 
     def __neg__(self):
         return self.scale(-1)

@@ -88,14 +88,14 @@ class Potential:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Potential":
         as_json(d, dict, "document")
-        raw = {}
+        n, raw = as_dimension(d["n"]), {}
         for e in as_json(d["jets"], list, "jets"):
             as_json(e, dict, "each jet")
-            key = tuple(tuple(as_json(e[f], list, f)) for f in ("alpha", "beta"))
+            key = _check_index(tuple(tuple(as_json(e[f], list, f)) for f in ("alpha", "beta")), n)
             if key in raw:
                 raise ValueError(f"repeated jet alpha={e['alpha']}, beta={e['beta']}")
             raw[key] = GaussRat(e.get("re", 0), e.get("im", 0))
-        return cls.numeric(d["n"], raw)
+        return cls.numeric(n, raw)
 
 
 def _check_real(jets):

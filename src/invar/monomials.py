@@ -88,14 +88,6 @@ class ContractionMonomial:
 
     # -- derived counts ----------------------------------------------------
 
-    def A(self, i: int) -> int:
-        """Holomorphic derivative count of factor i."""
-        return sum(self.edges[i]) + self.free_hol[i]
-
-    def B(self, i: int) -> int:
-        """Antiholomorphic derivative count of factor i."""
-        return sum(self.edges[j][i] for j in range(self.sigma)) + self.free_anti[i]
-
     @property
     def signatures(self):
         edges = self.edges

@@ -264,8 +264,6 @@ def _make(p, q, d):
 
 
 def _coerce(x):
-    if isinstance(x, GaussRat):
-        return x
     if isinstance(x, (int, Fraction)):
         return GaussRat(x)
     return NotImplemented

@@ -331,8 +331,6 @@ def random_coexact_invariant(weight, sigma, rng, restriction=None) -> Invariant:
             if c:
                 total = total + chern_invariant(p).scale(c)
     for gens in (tmonos[:nhol], tmonos[nhol:]):
-        if not gens:
-            continue
         for mono in rng.sample(gens, k=min(3, len(gens))):
             c = random_fraction(rng)
             if c:

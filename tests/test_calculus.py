@@ -214,7 +214,7 @@ def reference_local_divergence(inv, k):
     terms = []
     for mono, coeff in inv.terms.items():
         survivors = [i for i in range(mono.sigma) if i != k]
-        sign = -1 if (mono.A(k) + mono.B(k)) % 2 else 1
+        sign = -1 if sum(mono.signatures[k]) % 2 else 1
         edges = [[mono.edges[i][j] for j in survivors] for i in survivors]
         pending = []
         for c, j in enumerate(survivors):

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +224,11 @@ def _one_jet(**fields):
             "bad potential in {}: alpha must be a list, got {{'a': 2}}",
         ),
         ("bergman", _one_jet(beta="2"), "bad potential in {}: beta must be a list, got '2'"),
+        (
+            "bergman",
+            _one_jet(alpha=[[2]]),
+            "bad potential in {}: alpha must be an integer, got [2]",
+        ),
     ],
     ids=[
         "bad-value",
@@ -248,6 +254,7 @@ def _one_jet(**fields):
         "alpha-not-list",
         "alpha-object",
         "beta-string",
+        "alpha-nested",
     ],
 )
 def test_bad_file_message_is_bare(tmp_path, capsys, command, payload, message):
@@ -371,6 +378,59 @@ def test_files_read_p_over_q_strings_and_integers(tmp_path, capsys, command, val
         # H = c z^2 zbar^2 has a_1 = S/2 = -2c
         want = "1" if value == "-2/4" else "-12"
         assert out.splitlines() == ["a_0 = 1", f"a_1 = {want}"]
+
+
+@contextmanager
+def any_digits():
+    """Python's int/str digit limit lifted, for reference values past it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_bergman_prints_answers_of_any_size(tmp_path, capsys):
+    # H = c z^2 zbar^2 with a 1500-digit c: a_1 = -2c, and a_3 is past 4300 digits
+    c = int("7" * 1500)
+    path = write_json(tmp_path, _one_jet(re=str(c)), "big.json")
+    argv = ["bergman", "--dim", "1", "--order", "3", "--potential", path]
+    limit = sys.get_int_max_str_digits()
+    assert main(argv) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coefficients"]
+    assert sys.get_int_max_str_digits() == limit
+    assert text == [f"a_{j} = {x['re']}" for j, x in enumerate(coeffs)]
+    assert [x["im"] for x in coeffs] == ["0"] * 4
+    assert coeffs[1]["re"] == str(-2 * c) and len(coeffs[3]["re"]) > 4300
+
+
+def test_oracle_prints_values_of_any_size(tmp_path, capsys):
+    mono = ContractionMonomial(PHI, ((0, 2), (2, 0)))
+    big = int("7" * 4299)
+    values = []
+    for coeff, name in ((1, "one.json"), (big, "big.json")):
+        path = write_inv(tmp_path, monomial_invariant(mono, coeff), name)
+        assert main(["oracle", path, "--dim", "2", "--trials", "2"]) == 0
+        values.append([r["lhs"] for r in report_lines(capsys.readouterr().out)[:2]])
+    with any_digits():
+        # the integral is linear in the coefficient
+        assert values[1] == [str(big * Fraction(v)) for v in values[0]]
+
+
+@pytest.mark.parametrize("quoted", [True, False], ids=["string", "json-number"])
+@pytest.mark.parametrize("command, field", [("canon", "coeff"), ("bergman", "re")])
+def test_input_numbers_past_the_digit_limit_are_one_line(
+    tmp_path, capsys, command, field, quoted
+):
+    # answers print in full, but a number read from a file stays bounded
+    argv = _coefficient_argv(tmp_path, command, field, "BIG")
+    path = Path(argv[1] if command == "canon" else argv[4])
+    digits = "7" * 4301
+    path.write_text(path.read_text().replace('"BIG"', f'"{digits}"' if quoted else digits))
+    assert_one_line_refusal(capsys, argv, "Exceeds the limit (4300 digits)")
 
 
 def test_potential_file_refuses_repeated_jets(tmp_path, capsys):

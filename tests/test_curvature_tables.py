@@ -153,7 +153,7 @@ def _scalars(pkg):
 def assert_parity(pot, cap):
     pkg, ref = curvature_package(pot, cap), NestedPackage(pot, cap)
     tables = {**{name: getattr(pkg, name) for name in _RANKS if name != "T"},
-              "T": pkg._raised_ricci()}
+              "T": pkg.T}
     for name, rank in _RANKS.items():
         for idx in itertools.product(range(pot.n), repeat=rank):
             got, want = tables[name][idx], _nested_entry(getattr(ref, name), idx)

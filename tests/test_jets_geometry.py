@@ -1072,5 +1072,5 @@ def test_raisings_form_one_slot_at_a_time_products(monkeypatch):
     assert pkg.curvature_norm2()
     assert len(calls) <= n**5 + n**4
     calls.clear()
-    assert any(pkg._raised_ricci().values())
+    assert any(pkg.T.values())
     assert len(calls) <= n**3

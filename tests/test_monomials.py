@@ -73,8 +73,8 @@ def test_single_factor_counts():
 def test_signatures_recomputed_from_edges_and_free_slots():
     m = ContractionMonomial(PHI, ((1, 1), (0, 2)), (1, 0), (0, 1))
     for i in range(2):
-        assert m.A(i) == sum(m.edges[i]) + m.free_hol[i]
-        assert m.B(i) == sum(row[i] for row in m.edges) + m.free_anti[i]
+        assert m.signatures[i][0] == sum(m.edges[i]) + m.free_hol[i]
+        assert m.signatures[i][1] == sum(row[i] for row in m.edges) + m.free_anti[i]
     assert m.valence == (1, 1)
 
 
@@ -230,7 +230,7 @@ def _reference_enumerate(w, sigma, restriction, valence, memo):
         for free_anti in compositions(valence[1], sigma):
             for edges in _reference_edge_matrices(w, sigma):
                 mono = ContractionMonomial(PHI, edges, free_hol, free_anti)
-                if all(mono.A(i) >= a and mono.B(i) >= b for i, (a, b) in enumerate(floors)):
+                if all(A >= a and B >= b for (A, B), (a, b) in zip(mono.signatures, floors)):
                     out.add(_reference_canonical(mono, memo))
     return sorted(out, key=lambda m: m.sort_key())
 
